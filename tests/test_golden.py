@@ -1,0 +1,78 @@
+"""Frozen sha256 digests of the CSV output of small fixed CLI configs.
+
+A refactor that keeps these digests keeps the ``analyze``, ``simulate`` and
+``metrics`` bytes. Rewrite a digest only for an intended output change, and
+say why in CHANGES.md. The whole module runs in a few seconds.
+"""
+
+import hashlib
+
+import pytest
+
+from sysnc.cli import EXIT_OK, main
+
+_SIM = ("--k", "12", "--m", "6,12", "--n-min", "12", "--n-max", "20",
+        "--p", "0,0.1,0.4", "--trials", "1000", "--seed", "20150501")
+_ANA = ("--k", "12", "--n-min", "12", "--n-max", "24", "--p", "0.1,0.3")
+_PAPER_ROW = ("--k", "20", "--m", "10,20", "--p", "0.1", "--p-hat", "0.7")
+
+GOLDEN = {
+    "analyze-systematic": (
+        ("analyze", "--scheme", "systematic", "--m", "6,12", *_ANA),
+        "c01e1418c9475447d08754c37d29ed41d3f1c118aaef4172c781afaa4ac136b2",
+    ),
+    "analyze-systematic-q4": (
+        ("analyze", "--scheme", "systematic", "--m", "6,12", *_ANA, "--q", "4"),
+        "b8540fc9c88f6b236c338198e0f3e5af456116363230c0dfd40b40a9db5db364",
+    ),
+    "analyze-straightforward": (
+        ("analyze", "--scheme", "straightforward", "--m", "12", *_ANA),
+        "36cba6283992bdd8afcad2e882e7929c4e4265b08a64f9f77b12136ea764efc3",
+    ),
+    "analyze-ordered-uncoded": (
+        ("analyze", "--scheme", "ordered-uncoded", "--m", "6,12", *_ANA),
+        "550698edbe5edb9c7e8c9bf392a51fe68fed9a7daaa2600ceb2acea1835f56cb",
+    ),
+    "simulate-systematic": (
+        ("simulate", "--scheme", "systematic", *_SIM),
+        "73c38f4d49dfc8f5b7621763f06d28970c2cf2dd9721bf0faddda1edcd2a1c2e",
+    ),
+    "simulate-straightforward": (
+        ("simulate", "--scheme", "straightforward", *_SIM),
+        "5a80b4b7617bc463d098298f07dc9ee0944549b770738886fb49a491e595e3eb",
+    ),
+    "simulate-ordered-uncoded": (
+        ("simulate", "--scheme", "ordered-uncoded", *_SIM),
+        "1637ce663e262b650963b690e4a3df60a8e6580913d288ad8302605f83da4c5a",
+    ),
+    "metrics-systematic": (
+        ("metrics", "--scheme", "systematic", *_PAPER_ROW),
+        "c0009f4f813f898774b7e8cabd8499e83facff546e4ff8f4bf8f63d8ce238c5c",
+    ),
+    # Holds the paper's row ordered-uncoded,20,10,0.1,0.7,12,39,27.
+    "metrics-ordered-uncoded": (
+        ("metrics", "--scheme", "ordered-uncoded", *_PAPER_ROW),
+        "52fd781da787a7b8394d49f571e480bae8bed0e070e4c92c8eb4a75de3f7a443",
+    ),
+    # M < K: the partial column comes from simulation.
+    "metrics-straightforward": (
+        ("metrics", "--scheme", "straightforward", "--k", "8", "--m", "4,8",
+         "--p", "0.1", "--p-hat", "0.7", "--trials", "1000", "--seed", "7"),
+        "e5f0ff6a69af3731d0e39e34e856e633d601a013e18e0308f1b634623d26fed2",
+    ),
+}
+
+CASES = [
+    pytest.param(name, workers, id=f"{name}-w{workers}")
+    for name in GOLDEN
+    for workers in ((1, 2) if name.startswith("simulate") else (1,))
+]
+
+
+@pytest.mark.parametrize("name,workers", CASES)
+def test_cli_output_digest(name, workers, capsys):
+    argv, expected = GOLDEN[name]
+    code = main([*argv, "--workers", str(workers)])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == expected, out
