@@ -49,12 +49,9 @@ from .simulator import (
     BenchResult,
     ChannelConfig,
     EmpiricalCurve,
-    TrialResult,
     bench_decode,
     derive_stream,
-    erase,
     make_test_message,
-    run_single_trial,
     run_trials,
     scheme_seed,
 )

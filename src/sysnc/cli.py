@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 
 from . import analysis
 from .codec import SCHEMES
+from .gf2 import MAX_LENGTH
 from .simulator import (
     BENCH_DECODERS,
     ChannelConfig,
@@ -35,6 +37,24 @@ SEARCH_CAP_FACTOR = 8  # metrics mode scans n up to 8k unless --n-max narrows it
 
 class ConfigError(ValueError):
     """Configuration that violates a precondition of the requested operation."""
+
+
+# Scalar type of each config field; "m" and "p" hold lists of it.
+_FIELD_TYPES = {
+    "mode": str, "scheme": str, "k": int, "m": int, "n_min": int, "n_max": int,
+    "p": float, "q": int, "trials": int, "seed": int, "p_hat": float,
+    "out": str, "workers": int,
+}
+
+
+def _typed(key: str, value):
+    kind = _FIELD_TYPES[key]
+    fits = lambda x: type(x) is kind or (kind is float and type(x) is int)
+    if key not in ("m", "p") and fits(value):
+        return value
+    if key in ("m", "p") and isinstance(value, (list, tuple)) and all(map(fits, value)):
+        return tuple(kind(x) for x in value)
+    raise ConfigError(f"config value {key}={value!r} has the wrong type")
 
 
 @dataclass(frozen=True)
@@ -76,12 +96,8 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        data = dict(raw)
-        if "m" in data and data["m"] is not None:
-            data["m"] = tuple(int(x) for x in data["m"])
-        if "p" in data and data["p"] is not None:
-            data["p"] = tuple(float(x) for x in data["p"])
-        return cls(**data)
+        # null reads as unset
+        return cls(**{key: _typed(key, v) for key, v in raw.items() if v is not None})
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -95,6 +111,19 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("q must be at least 2")
     if cfg.workers < 1:
         raise ConfigError("--workers must be at least 1")
+    if cfg.out is not None:
+        out_dir = os.path.dirname(os.path.abspath(cfg.out))
+        if os.path.isdir(cfg.out) or not os.access(out_dir, os.W_OK):
+            raise ConfigError(f"cannot write --out {cfg.out!r}")
+    simulates = cfg.mode == "simulate" or (
+        cfg.mode == "metrics"
+        and cfg.scheme == "straightforward"
+        and any(m < cfg.k for m in cfg.m)
+    )
+    if (simulates or cfg.mode == "bench") and cfg.k > MAX_LENGTH:
+        raise ConfigError(f"K={cfg.k} exceeds the decoder limit of {MAX_LENGTH}")
+    if simulates and cfg.q != 2:
+        raise ConfigError(f"the simulator is GF(2) only; q={cfg.q} is not supported")
     if cfg.mode == "bench":
         reps = cfg.trials if cfg.trials is not None else DEFAULT_REPETITIONS
         if reps < 1:
@@ -121,11 +150,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError("--n (or --n-min/--n-max) is required")
         if not 1 <= cfg.n_min <= cfg.n_max:
             raise ConfigError(f"bad N range [{cfg.n_min}, {cfg.n_max}]")
-    if cfg.mode == "simulate" or (
-        cfg.mode == "metrics"
-        and cfg.scheme == "straightforward"
-        and any(m < cfg.k for m in cfg.m)
-    ):
+    if simulates:
         if cfg.trials is None or cfg.trials < 1:
             raise ConfigError("--trials must be at least 1")
         if cfg.seed is None:

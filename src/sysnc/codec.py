@@ -86,44 +86,38 @@ def combine_words(packet_words: Sequence[int], vector_word: int) -> int:
     return acc
 
 
-def _combined_payload(msg: SourceMessage, vector_word: int) -> bytes:
-    word = combine_words(msg.packet_words, vector_word)
-    return word.to_bytes(msg.payload_len, "big")
+def coding_word(scheme: str, k: int, n: int, rng) -> int:
+    """Packed coding vector of packet n (1-based) under ``scheme``, the one
+    statement of the scheme rules. Unit vectors cost no draw; a coded packet
+    takes one ``rng.getrandbits(k)``, whose bit i-1 weights source packet i."""
+    if n < 1:
+        raise ValueError("packet index n is 1-based")
+    if scheme == "ordered-uncoded":
+        return 1 << ((n - 1) % k)
+    if scheme == "systematic" and n <= k:
+        return 1 << (n - 1)
+    return rng.getrandbits(k)
+
+
+def _encode(scheme: str, msg: SourceMessage, n: int, rng) -> TransmittedPacket:
+    word = coding_word(scheme, msg.k, n, rng)
+    payload = combine_words(msg.packet_words, word).to_bytes(msg.payload_len, "big")
+    return TransmittedPacket(CodingVector(msg.k, word), payload, n)
 
 
 def encode_systematic(msg: SourceMessage, n: int, rng) -> TransmittedPacket:
-    """Systematic scheme: packet n is the n-th source packet for n <= k, a
-    uniform random combination afterwards.
-
-    ``rng`` needs only ``getrandbits``; bit i-1 of one k-bit draw is the
-    coefficient of source packet i, so a seeded ``random.Random`` reproduces
-    the same coded packets.
-    """
-    if n < 1:
-        raise ValueError("packet index n is 1-based")
-    k = msg.k
-    if n <= k:
-        return TransmittedPacket(CodingVector.unit(k, n), msg.packets[n - 1], n)
-    word = rng.getrandbits(k)
-    return TransmittedPacket(CodingVector(k, word), _combined_payload(msg, word), n)
+    """Packet n is source packet n for n <= k, a uniform random combination after."""
+    return _encode("systematic", msg, n, rng)
 
 
 def encode_straightforward(msg: SourceMessage, n: int, rng) -> TransmittedPacket:
     """Every packet is a uniform random combination of the source packets."""
-    if n < 1:
-        raise ValueError("packet index n is 1-based")
-    word = rng.getrandbits(msg.k)
-    return TransmittedPacket(
-        CodingVector(msg.k, word), _combined_payload(msg, word), n
-    )
+    return _encode("straightforward", msg, n, rng)
 
 
 def encode_ordered_uncoded(msg: SourceMessage, n: int, rng=None) -> TransmittedPacket:
     """Cyclic repetition of the source packets: packet n carries s_((n-1) mod k)+1."""
-    if n < 1:
-        raise ValueError("packet index n is 1-based")
-    i = (n - 1) % msg.k + 1
-    return TransmittedPacket(CodingVector.unit(msg.k, i), msg.packets[i - 1], n)
+    return _encode("ordered-uncoded", msg, n, rng)
 
 
 SCHEME_ENCODERS: dict[str, Callable[..., TransmittedPacket]] = {

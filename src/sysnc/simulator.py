@@ -11,6 +11,10 @@ any parallel scheduling of trials.
   given trial;
 * encoder draws happen for every coded packet in sequence order, whether or
   not the channel later drops it.
+
+A trial counts decoded packets from its coding vectors alone, which fix the
+decodable set, so it builds no payload. The vectors come from
+:func:`codec.coding_word`, the one scheme rule the packet encoders use too.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .codec import (
     ProgressiveDecoder,
     SourceMessage,
     TransmittedPacket,
-    combine_words,
+    coding_word,
     full_rank_decode,
 )
 
@@ -51,7 +55,7 @@ def scheme_seed(master_seed: int, scheme: str) -> int:
 
 
 def make_test_message(k: int, payload_len: int) -> SourceMessage:
-    """Fixed, distinguishable source payloads for simulations and benchmarks."""
+    """Fixed, distinguishable source payloads for benchmarks."""
     return SourceMessage(
         tuple(
             hashlib.shake_256(f"payload|{i}".encode()).digest(payload_len)
@@ -70,28 +74,6 @@ class ChannelConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.p <= 1:
             raise ValueError(f"erasure probability {self.p} outside [0, 1]")
-
-
-def erase(
-    schedule: list[TransmittedPacket], cfg: ChannelConfig, trial_index: int
-) -> list[TransmittedPacket]:
-    """Drop each packet independently with probability cfg.p, preserving order.
-
-    The drop pattern is a pure function of (cfg.seed, trial_index).
-    """
-    rng = derive_stream(cfg.seed, trial_index, "channel").random
-    return [pkt for pkt in schedule if rng() >= cfg.p]
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    """Per-trial record: packets decoded after each transmission count."""
-
-    n_first: int
-    decoded_count_by_n: tuple[int, ...]
-
-    def count_at(self, n: int) -> int:
-        return self.decoded_count_by_n[n - self.n_first]
 
 
 @dataclass(frozen=True)
@@ -120,91 +102,37 @@ class EmpiricalCurve:
         raise KeyError(f"no point at n={n}")
 
 
-def run_single_trial(
-    scheme: str,
-    msg: SourceMessage,
-    n_range: tuple[int, int],
-    cfg: ChannelConfig,
-    trial_index: int,
-) -> TrialResult:
-    """One full trial on the packet-object path: encode the whole schedule,
-    apply the channel, feed survivors in order to a fresh progressive decoder.
-
-    Mostly useful for inspection and as a cross-check of the packed fast path
-    used by :func:`run_trials`.
-    """
-    n_lo, n_hi = _check_n_range(n_range)
-    encoder = SCHEME_ENCODERS[scheme]
-    enc_rng = derive_stream(cfg.seed, trial_index, "encoder")
-    schedule = [encoder(msg, n, enc_rng) for n in range(1, n_hi + 1)]
-    received = erase(schedule, cfg, trial_index)
-    decoder = ProgressiveDecoder(msg.k, msg.payload_len)
-    counts = []
-    arrivals = iter(received)
-    nxt = next(arrivals, None)
-    for n in range(1, n_hi + 1):
-        if nxt is not None and nxt.sequence_index == n:
-            decoder.receive(nxt)
-            nxt = next(arrivals, None)
-        if n >= n_lo:
-            counts.append(decoder.decoded_count)
-    return TrialResult(n_lo, tuple(counts))
-
-
 def _trial_counts(
-    scheme: str,
-    packet_words: tuple[int, ...],
-    payload_len: int,
-    n_hi: int,
-    p: float,
-    seed: int,
-    trial_index: int,
+    scheme: str, k: int, n_hi: int, p: float, seed: int, trial_index: int
 ) -> list[int]:
-    """Packed fast path of one trial: decoded count after each n in [1, n_hi].
+    """Decoded count after each n in [1, n_hi] for one trial.
 
-    Draw-for-draw identical to :func:`run_single_trial` (same streams, same
-    order), but short-circuits after full recovery since the count can only
-    stay at k from there on.
+    Which packets are decodable depends only on the received coding vectors,
+    so the decoder is fed each vector with a zero payload. The count can only
+    stay at k after full recovery, so the loop stops there.
     """
-    k = len(packet_words)
-    getbits = derive_stream(seed, trial_index, "encoder").getrandbits
+    encoder = derive_stream(seed, trial_index, "encoder")
     channel = derive_stream(seed, trial_index, "channel").random
-    receive = ProgressiveDecoder(k, payload_len).receive_words
+    receive = ProgressiveDecoder(k, 1).receive_words
     counts = [0] * (n_hi + 1)
     done = 0
-    systematic = scheme == "systematic"
-    ordered = scheme == "ordered-uncoded"
     for n in range(1, n_hi + 1):
-        if systematic and n <= k:
-            vec = 1 << (n - 1)
-            pay = packet_words[n - 1]
-        elif ordered:
-            i = (n - 1) % k
-            vec = 1 << i
-            pay = packet_words[i]
-        else:
-            vec = getbits(k)
-            pay = None
+        vec = coding_word(scheme, k, n, encoder)
         if channel() >= p and vec:
-            if pay is None:
-                pay = combine_words(packet_words, vec)
-            done += len(receive(vec, pay))
+            done += len(receive(vec, 0))
         counts[n] = done
         if done == k:
-            for j in range(n + 1, n_hi + 1):
-                counts[j] = k
+            counts[n + 1:] = [k] * (n_hi - n)
             break
     return counts
 
 
 def _count_block(args) -> list[list[int]]:
     """Aggregate success counts for a contiguous block of trials (worker unit)."""
-    scheme, packet_words, payload_len, n_hi, p, seed, start, stop, m_list = args
+    scheme, k, n_hi, p, seed, start, stop, m_list = args
     success = [[0] * (n_hi + 1) for _ in m_list]
     for trial in range(start, stop):
-        counts = _trial_counts(
-            scheme, packet_words, payload_len, n_hi, p, seed, trial
-        )
+        counts = _trial_counts(scheme, k, n_hi, p, seed, trial)
         for mi, m in enumerate(m_list):
             row = success[mi]
             for n in range(1, n_hi + 1):
@@ -221,16 +149,15 @@ def run_trials(
     cfg: ChannelConfig,
     trials: int,
     *,
-    payload_len: int = 8,
     workers: int = 1,
 ) -> list[EmpiricalCurve]:
     """Estimate P[decoded >= m] for each m and each n in n_range.
 
-    Each trial encodes one schedule, drops packets through the channel, and
-    feeds survivors incrementally to a progressive decoder, sampling the
-    decoded count at every n (one decoder pass per trial). Trials are
-    independent and carry their own derived streams, so any ``workers``
-    partitioning yields bit-identical results.
+    Each trial draws the coding vector of every packet, drops packets through
+    the channel, and feeds the surviving vectors incrementally to a
+    progressive decoder, sampling the decoded count at every n (one decoder
+    pass per trial). Trials are independent and carry their own derived
+    streams, so any ``workers`` partitioning yields bit-identical results.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
@@ -241,19 +168,17 @@ def run_trials(
     for m in m_list:
         if not 1 <= m <= k:
             raise ValueError(f"recovery threshold m={m} outside [1, {k}]")
-    n_lo, n_hi = _check_n_range(n_range)
+    n_lo, n_hi = n_range
+    if not 1 <= n_lo <= n_hi:
+        raise ValueError(f"bad transmission range [{n_lo}, {n_hi}]")
     sub_seed = scheme_seed(cfg.seed, scheme)
-    packet_words = make_test_message(k, payload_len).packet_words
     m_tuple = tuple(m_list)
     if workers == 1:
-        success = _count_block(
-            (scheme, packet_words, payload_len, n_hi, cfg.p, sub_seed, 0, trials, m_tuple)
-        )
+        success = _count_block((scheme, k, n_hi, cfg.p, sub_seed, 0, trials, m_tuple))
     else:
         step = -(-trials // workers)
         blocks = [
-            (scheme, packet_words, payload_len, n_hi, cfg.p, sub_seed,
-             start, min(start + step, trials), m_tuple)
+            (scheme, k, n_hi, cfg.p, sub_seed, start, min(start + step, trials), m_tuple)
             for start in range(0, trials, step)
         ]
         success = [[0] * (n_hi + 1) for _ in m_tuple]
@@ -304,8 +229,10 @@ def bench_decode(
     source packets are out: the progressive decoder eliminates per arrival,
     while the batch eliminator reruns from scratch on every arrival from the
     k-th onward (the receiver cannot know the rank without eliminating).
-    Streams are pre-generated outside the timed section and shared across
-    decoders for a given seed. Medians and quartiles over ``repetitions``
+    Each stream is built outside the timed section, and streams are shared
+    across decoders for a given seed. Repetitions form the outer loop and
+    every k is timed once per repetition, so a change in host speed during
+    the run hits all k alike. Medians and quartiles over ``repetitions``
     runs; absolute numbers are hardware-relative and only the ordering
     between decoders on one host is meaningful.
     """
@@ -313,15 +240,18 @@ def bench_decode(
         raise ValueError(f"unknown decoder {decoder!r}; expected one of {BENCH_DECODERS}")
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
+    # One stream at a time: all of them would be repetitions * sum(k + 96) packets.
+    msgs = [make_test_message(k, payload_len) for k in k_values]
+    for k, msg in zip(k_values, msgs):
+        _timed_decode(decoder, k, _bench_stream(msg, k, seed, 0))  # warm-up, discarded
+    times: list[list[int]] = [[] for _ in k_values]
+    for rep in range(repetitions):
+        for k, msg, k_times in zip(k_values, msgs, times):
+            stream = _bench_stream(msg, k, seed, rep)
+            k_times.append(_timed_decode(decoder, k, stream))
     results = []
-    for k in k_values:
-        msg = make_test_message(k, payload_len)
-        streams = [
-            _bench_stream(msg, k, seed, rep) for rep in range(repetitions)
-        ]
-        _timed_decode(decoder, k, streams[0])  # warm-up, discarded
-        times = [_timed_decode(decoder, k, stream) for stream in streams]
-        p25, med, p75 = _quartiles(times)
+    for k, k_times in zip(k_values, times):
+        p25, med, p75 = _quartiles(k_times)
         results.append(BenchResult(decoder, k, med, p25, p75, repetitions))
     return results
 
@@ -360,9 +290,3 @@ def _quartiles(times: list[int]) -> tuple[int, int, int]:
     q = statistics.quantiles(times, n=4, method="inclusive")
     return round(q[0]), round(statistics.median(times)), round(q[2])
 
-
-def _check_n_range(n_range: tuple[int, int]) -> tuple[int, int]:
-    n_lo, n_hi = n_range
-    if not 1 <= n_lo <= n_hi:
-        raise ValueError(f"bad transmission range [{n_lo}, {n_hi}]")
-    return n_lo, n_hi

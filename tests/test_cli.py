@@ -158,6 +158,17 @@ class TestMetrics:
         fields = out.strip().splitlines()[1].split(",")
         assert fields[5:] == ["25", "25", "0"]
 
+    @pytest.mark.parametrize("scheme,m", [("systematic", "2,4"), ("straightforward", "4")])
+    def test_closed_forms_keep_q(self, scheme, m, capsys):
+        # only the simulated straightforward M < K column is GF(2)-only
+        code, out, _ = run_cli(
+            ["metrics", "--scheme", scheme, "--k", "4", "--m", m, "--p", "0.1",
+             "--p-hat", "0.7", "--q", "4", "--workers", "2"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert len(out.strip().splitlines()) == 1 + len(m.split(","))
+
     def test_unreachable_cells(self, capsys):
         # the systematic-only approximation plateaus below the target
         code, out, _ = run_cli(
@@ -261,12 +272,33 @@ class TestConfigHandling:
             ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--q", "1"],
             ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--p", "0.1"],
             ["simulate", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--trials", "0", "--seed", "1"],
+            # K beyond gf2.MAX_LENGTH wherever a decoder runs
+            ["simulate", "--scheme", "systematic", "--k", "2000", "--m", "1", "--n", "3", "--p", "0.1", "--trials", "1", "--seed", "1"],
+            ["bench", "--k", "2000", "--trials", "1"],
+            ["metrics", "--scheme", "straightforward", "--k", "2000", "--m", "1", "--p", "0.1", "--p-hat", "0.5", "--trials", "1", "--seed", "1"],
+            # config-file values of the wrong type
+            ["analyze", {"scheme": "systematic", "k": "4", "m": [2], "n_min": 4, "n_max": 4, "p": [0.1]}],
+            ["analyze", {"scheme": "systematic", "k": 4, "m": 2, "n_min": 4, "n_max": 4, "p": [0.1]}],
+            ["analyze", {"scheme": "systematic", "k": True, "m": [1], "n_min": 4, "n_max": 4, "p": [0.1]}],
+            ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--out", "{tmp}/missing/rows.csv"],
+            # the simulator is GF(2) only
+            ["simulate", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--trials", "1", "--seed", "1", "--q", "4"],
+            ["metrics", "--scheme", "straightforward", "--k", "4", "--m", "2", "--p", "0.1", "--p-hat", "0.5", "--trials", "1", "--seed", "1", "--q", "4"],
         ],
     )
-    def test_config_errors_exit_2(self, bad, capsys):
-        code, _, err = run_cli(bad, capsys)
+    def test_config_errors_exit_2(self, bad, tmp_path, capsys):
+        argv = []
+        for arg in bad:
+            if isinstance(arg, dict):  # the contents of a config file
+                path = tmp_path / "cfg.json"
+                path.write_text(json.dumps(arg))
+                argv += ["--config", str(path)]
+            else:
+                argv.append(arg.format(tmp=tmp_path))
+        code, out, err = run_cli(argv, capsys)
         assert code == EXIT_CONFIG
-        assert err.startswith("config error:")
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert out == ""
 
     def test_output_file_written_with_newlines(self, tmp_path):
         out = tmp_path / "rows.csv"

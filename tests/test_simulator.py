@@ -2,51 +2,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sysnc.analysis import full_decode_prob, ou_partial_decode_prob
-from sysnc.codec import SCHEMES
+from sysnc.codec import SCHEME_ENCODERS, SCHEMES, rref_decodable_set
 from sysnc.simulator import (
     ChannelConfig,
     EmpiricalCurve,
     bench_decode,
     derive_stream,
-    erase,
     make_test_message,
-    run_single_trial,
     run_trials,
     scheme_seed,
     _trial_counts,
 )
 
 
-def schedule_for(k=4, n=10, scheme="systematic", seed=1, trial=0):
-    from sysnc.codec import SCHEME_ENCODERS
-
-    msg = make_test_message(k, 4)
-    rng = derive_stream(seed, trial, "encoder")
-    return msg, [SCHEME_ENCODERS[scheme](msg, n_, rng) for n_ in range(1, n + 1)]
-
-
 class TestErase:
-    def test_lossless_channel_delivers_everything(self):
-        _, sched = schedule_for()
-        assert erase(sched, ChannelConfig(0.0, 9), 0) == sched
-
-    def test_total_loss_delivers_nothing(self):
-        _, sched = schedule_for()
-        assert erase(sched, ChannelConfig(1.0, 9), 0) == []
-
-    def test_deterministic_in_seed_and_trial(self):
-        _, sched = schedule_for()
-        cfg = ChannelConfig(0.4, 1234)
-        first = erase(sched, cfg, 17)
-        assert erase(sched, cfg, 17) == first
-        assert erase(sched, cfg, 18) != first or len(sched) == 0
-
-    def test_order_preserving_subsequence(self):
-        _, sched = schedule_for(n=30)
-        got = erase(sched, ChannelConfig(0.5, 5), 3)
-        indices = [p.sequence_index for p in got]
-        assert indices == sorted(indices)
-        assert set(got) <= set(sched)
+    """The erasure channel's configuration."""
 
     def test_p_validated(self):
         with pytest.raises(ValueError):
@@ -80,24 +50,30 @@ class TestTrialPaths:
     )
     @settings(max_examples=120, deadline=None)
     def test_packed_path_matches_packet_path(self, scheme, k, trial, p):
+        """The count-only trial against the packet path: the scheme's encoder
+        and the channel fed the same derived streams, with the decoded set of
+        the packets received up to each n taken from the RREF oracle."""
         n_hi = 2 * k + 4
-        msg = make_test_message(k, 8)
         sub = scheme_seed(77, scheme)
-        result = run_single_trial(scheme, msg, (1, n_hi), ChannelConfig(p, sub), trial)
-        fast = _trial_counts(scheme, msg.packet_words, 8, n_hi, p, sub, trial)
-        assert tuple(fast[1:]) == result.decoded_count_by_n
+        msg = make_test_message(k, 8)
+        enc_rng = derive_stream(sub, trial, "encoder")
+        channel = derive_stream(sub, trial, "channel").random
+        received = []
+        expected = [0]
+        for n in range(1, n_hi + 1):
+            pkt = SCHEME_ENCODERS[scheme](msg, n, enc_rng)
+            if channel() >= p:
+                received.append(pkt.coding_vector)
+            expected.append(len(rref_decodable_set(received, k)))
+        assert _trial_counts(scheme, k, n_hi, p, sub, trial) == expected
 
     @given(st.sampled_from(SCHEMES), st.integers(1, 8), st.integers(0, 100))
     @settings(max_examples=120, deadline=None)
     def test_counts_monotone_and_bounded(self, scheme, k, trial):
-        msg = make_test_message(k, 8)
-        result = run_single_trial(
-            scheme, msg, (1, 2 * k + 3), ChannelConfig(0.3, 5), trial
-        )
-        counts = result.decoded_count_by_n
+        counts = _trial_counts(scheme, k, 2 * k + 3, 0.3, 5, trial)
+        assert len(counts) == 2 * k + 4 and counts[0] == 0
         assert all(0 <= c <= k for c in counts)
         assert all(a <= b for a, b in zip(counts, counts[1:]))
-        assert result.count_at(1) == counts[0]
 
 
 class TestRunTrials:
