@@ -15,6 +15,10 @@ _SIM = ("--k", "12", "--m", "6,12", "--n-min", "12", "--n-max", "20",
         "--p", "0,0.1,0.4", "--trials", "1000", "--seed", "20150501")
 _ANA = ("--k", "12", "--n-min", "12", "--n-max", "24", "--p", "0.1,0.3")
 _PAPER_ROW = ("--k", "20", "--m", "10,20", "--p", "0.1", "--p-hat", "0.7")
+# Wide enough that the rank products reach excess r - k >= 53, where every
+# factor of the GF(2) product rounds to 1.0, and n > 64, where the channel
+# weights switch to log space.
+_ANA_WIDE = ("--k", "30", "--n-min", "60", "--n-max", "100", "--p", "0.1,0.3")
 
 GOLDEN = {
     "analyze-systematic": (
@@ -32,6 +36,18 @@ GOLDEN = {
     "analyze-ordered-uncoded": (
         ("analyze", "--scheme", "ordered-uncoded", "--m", "6,12", *_ANA),
         "550698edbe5edb9c7e8c9bf392a51fe68fed9a7daaa2600ceb2acea1835f56cb",
+    ),
+    "analyze-systematic-wide": (
+        ("analyze", "--scheme", "systematic", "--m", "15,30", *_ANA_WIDE),
+        "89eadc63a6a5433dbaf7318dc23a67b858e1b6425c63dbc8aee9e253ab2b810b",
+    ),
+    "analyze-systematic-wide-q3": (
+        ("analyze", "--scheme", "systematic", "--m", "15,30", *_ANA_WIDE, "--q", "3"),
+        "0de2cd035195fdc3567fdff28d229044c58175068f28aa06fe6eb02cada89527",
+    ),
+    "analyze-straightforward-wide": (
+        ("analyze", "--scheme", "straightforward", "--m", "30", *_ANA_WIDE),
+        "a817c61a64ec5ed81f96a7e59f2cf41c8bb6375e93e4cfc3808fbb3e18854e9f",
     ),
     "simulate-systematic": (
         ("simulate", "--scheme", "systematic", *_SIM),
@@ -53,6 +69,12 @@ GOLDEN = {
     "metrics-ordered-uncoded": (
         ("metrics", "--scheme", "ordered-uncoded", *_PAPER_ROW),
         "52fd781da787a7b8394d49f571e480bae8bed0e070e4c92c8eb4a75de3f7a443",
+    ),
+    # P_hat = 0.99 at p = 0.3 takes the search past n = 64.
+    "metrics-systematic-p99": (
+        ("metrics", "--scheme", "systematic", "--k", "40", "--m", "20,40",
+         "--p", "0.1,0.3", "--p-hat", "0.99"),
+        "3d0c0c4305b2450e556fd0fa3369f1642ddef4f9fec568629fa551205d8bd49c",
     ),
     # M < K: the partial column comes from simulation.
     "metrics-straightforward": (
