@@ -10,14 +10,17 @@ from .analysis import (
     binomial,
     cond_full_decode_prob,
     cond_full_decode_prob_exact,
+    cond_full_decode_probs,
     decode_prob_ratio,
     full_decode_prob,
     full_decode_prob_exact,
+    full_decode_probs,
     full_rank_prob,
     full_rank_prob_exact,
     log_binomial,
     min_packets_for_target,
     ou_partial_decode_prob,
+    ou_partial_decode_probs,
     partial_decode_prob_approx,
     poisson_binomial_tail,
     sf_full_decode_prob,

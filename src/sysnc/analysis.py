@@ -16,6 +16,18 @@ precision matters: float functions (exact integer binomials with one
 correctly rounded division per term, log-space weights once factorials
 overflow doubles) and ``*_exact`` variants over ``fractions.Fraction`` for
 oracle-scale parameters.
+
+Every float result is bit-identical to the plain term-by-term loop its
+docstring states, so tables and sweeps may share work but never reorder a
+float operation. The rank product W(k, r) = prod_{t=r-k+1}^{r} (1 - q^-t)
+is read from a per-q table: once q^-t <= 2^-54, ``1.0 - q**-t`` rounds to
+exactly 1.0, and multiplying by an exact 1.0 changes nothing, so only the
+factors below that t need storing (see ``_rank_rows``). That table is the
+only state kept between calls. Work shared across p, M or N (the ``*_probs``
+functions) lives inside one call and is returned, never cached, so repeating
+a computation repeats its work. The ``*_exact`` paths may use any
+algebraically equal form, such as a prefix product, since exact arithmetic
+has no rounding to keep.
 """
 
 from __future__ import annotations
@@ -57,6 +69,12 @@ def full_rank_prob(k: int, r: int, q: int = 2) -> float:
     """Probability that r uniform random GF(q) combinations of k unknowns have rank k.
 
     prod_{j=0}^{k-1} (1 - q^(j-r)); 1 for k == 0 (empty product), 0 for r < k.
+    The value is exactly that of the float loop over j = 0..k-1, multiplying
+    by ``1.0 - float(q) ** (j - r)``. It is read from the per-q table of
+    ``_rank_rows`` rather than looped: the factors with r - j >= T(q), where
+    ``1.0 - q**-(r-j)`` rounds to exactly 1.0, leave the product unchanged,
+    so W(k, k + e) depends only on e and min(k, T(q) - 1 - e). The table is
+    built once per q and kept for the process; nothing else is cached.
     """
     _check_field(q)
     if k < 0 or r < 0:
@@ -65,10 +83,7 @@ def full_rank_prob(k: int, r: int, q: int = 2) -> float:
         return 1.0
     if r < k:
         return 0.0
-    prod = 1.0
-    for j in range(k):
-        prod *= 1.0 - float(q) ** (j - r)
-    return prod
+    return _rank_lookup(_rank_rows(q), k, r - k)
 
 
 def full_rank_prob_exact(k: int, r: int, q: int = 2) -> Fraction:
@@ -79,10 +94,7 @@ def full_rank_prob_exact(k: int, r: int, q: int = 2) -> Fraction:
         return Fraction(1)
     if r < k:
         return Fraction(0)
-    prod = Fraction(1)
-    for j in range(k):
-        prod *= 1 - Fraction(1, q ** (r - j))
-    return prod
+    return _rank_prefix_exact(k, r - k, q)[k]
 
 
 def cond_full_decode_prob(k: int, r: int, n: int, q: int = 2) -> float:
@@ -102,17 +114,17 @@ def cond_full_decode_prob(k: int, r: int, n: int, q: int = 2) -> float:
     _check_field(q)
     if not 1 <= k <= r <= n:
         raise ValueError(f"need 1 <= k <= r <= n, got k={k}, r={r}, n={n}")
-    den = math.comb(n, r)
-    h_min = max(0, r - n + k)
-    acc = math.comb(n - k, r - k) / den
-    for h in range(h_min, k):
-        acc += (
-            math.comb(k, h)
-            * math.comb(n - k, r - h)
-            / den
-            * full_rank_prob(k - h, r - h, q)
-        )
-    return min(acc, 1.0)
+    return _cond_full(k, r, n, _comb_row(k), _comb_row(n - k), _rank_rows(q))
+
+
+def cond_full_decode_probs(k: int, n: int, q: int = 2) -> list[float]:
+    """``cond_full_decode_prob(k, r, n, q)`` for r = k..n, in that order, with
+    the binomial rows C(k, .) and C(n-k, .) built once for the whole list."""
+    _check_field(q)
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    ck, cnk, rows = _comb_row(k), _comb_row(n - k), _rank_rows(q)
+    return [_cond_full(k, r, n, ck, cnk, rows) for r in range(k, n + 1)]
 
 
 def cond_full_decode_prob_exact(k: int, r: int, n: int, q: int = 2) -> Fraction:
@@ -121,27 +133,37 @@ def cond_full_decode_prob_exact(k: int, r: int, n: int, q: int = 2) -> Fraction:
         raise ValueError(f"need 1 <= k <= r <= n, got k={k}, r={r}, n={n}")
     den = math.comb(n, r)
     h_min = max(0, r - n + k)
+    w = _rank_prefix_exact(k - h_min, r - k, q)
     acc = Fraction(math.comb(n - k, r - k), den)
     for h in range(h_min, k):
-        acc += (
-            Fraction(math.comb(k, h) * math.comb(n - k, r - h), den)
-            * full_rank_prob_exact(k - h, r - h, q)
-        )
+        acc += Fraction(math.comb(k, h) * math.comb(n - k, r - h), den) * w[k - h]
     return acc
 
 
 def full_decode_prob(k: int, n: int, p: float, q: int = 2) -> float:
     """Probability that a systematic-scheme receiver recovers all k packets
     after n transmissions over an erasure channel with loss probability p."""
-    _check_erasure(p)
+    [prob] = full_decode_probs(k, n, (p,), q)
+    return prob
+
+
+def full_decode_probs(k: int, n: int, ps, q: int = 2) -> list[float]:
+    """``full_decode_prob(k, n, p, q)`` for each p of ``ps``; the conditional
+    probabilities given each receive count are computed once for all of them."""
+    for p in ps:
+        _check_erasure(p)
     if n < k:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
-    total = 0.0
-    for r in range(k, n + 1):
-        w = _receive_pmf(n, r, p)
-        if w:
-            total += w * cond_full_decode_prob(k, r, n, q)
-    return min(total, 1.0)
+    cond = cond_full_decode_probs(k, n, q)
+    probs = []
+    for p in ps:
+        total = 0.0
+        for r in range(k, n + 1):
+            w = _receive_pmf(n, r, p)
+            if w:
+                total += w * cond[r - k]
+        probs.append(min(total, 1.0))
+    return probs
 
 
 def full_decode_prob_exact(k: int, n: int, p: Fraction, q: int = 2) -> Fraction:
@@ -193,11 +215,13 @@ def sf_full_decode_prob(k: int, n: int, p: float, q: int = 2) -> float:
     _check_erasure(p)
     if n < k:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
+    _check_field(q)
+    rows = _rank_rows(q)
     total = 0.0
     for r in range(k, n + 1):
         w = _receive_pmf(n, r, p)
         if w:
-            total += w * full_rank_prob(k, r, q)
+            total += w * _rank_lookup(rows, k, r - k)
     return min(total, 1.0)
 
 
@@ -211,8 +235,16 @@ def ou_partial_decode_prob(k: int, m: int, n: int, p) -> float | Fraction:
     Poisson-binomial dynamic program. Works in whatever arithmetic ``p``
     supports (float or Fraction).
     """
-    if not 1 <= m <= k:
-        raise ValueError(f"need 1 <= m <= k, got m={m}, k={k}")
+    [prob] = ou_partial_decode_probs(k, (m,), n, p)
+    return prob
+
+
+def ou_partial_decode_probs(k: int, ms, n: int, p) -> list:
+    """``ou_partial_decode_prob(k, m, n, p)`` for each m of ``ms``, all read
+    from one distribution of the recovered count."""
+    for m in ms:
+        if not 1 <= m <= k:
+            raise ValueError(f"need 1 <= m <= k, got m={m}, k={k}")
     if n < 1:
         raise ValueError("need n >= 1")
     if not 0 <= p <= 1:
@@ -221,16 +253,21 @@ def ou_partial_decode_prob(k: int, m: int, n: int, p) -> float | Fraction:
     for i in range(1, k + 1):
         copies = (n - i) // k + 1 if i <= n else 0
         survive.append(1 - p**copies if copies else 0)
-    tail = poisson_binomial_tail(survive, m)
-    if isinstance(tail, float):
-        return min(max(tail, 0.0), 1.0)  # the DP can overshoot 1 by an ulp
-    return tail
+    dist = _poisson_binomial_pmf(survive)
+    tails = [_pmf_tail(dist, m) for m in ms]
+    # the DP can overshoot 1 by an ulp
+    return [min(max(t, 0.0), 1.0) if isinstance(t, float) else t for t in tails]
 
 
 def poisson_binomial_tail(probs, threshold: int):
     """P[at least ``threshold`` successes] for independent Bernoulli trials ``probs``."""
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
+    return _pmf_tail(_poisson_binomial_pmf(probs), threshold)
+
+
+def _poisson_binomial_pmf(probs) -> list:
+    """P[exactly j successes], j = 0..len(probs), by the standard dynamic program."""
     dist = [1]
     for s in probs:
         stay = 1 - s
@@ -238,6 +275,10 @@ def poisson_binomial_tail(probs, threshold: int):
         nxt.extend(dist[j] * stay + dist[j - 1] * s for j in range(1, len(dist)))
         nxt.append(dist[-1] * s)
         dist = nxt
+    return dist
+
+
+def _pmf_tail(dist: list, threshold: int):
     return sum(dist[threshold:], dist[0] * 0)
 
 
@@ -354,6 +395,74 @@ class AnalysisParams:
     @property
     def n_min(self) -> int:
         return min(self.k, self.n)
+
+
+# Per-q tables of the rank product, built on first use and kept for the life
+# of the process. Each depends on q alone; it is the only state this module
+# keeps between calls.
+_RANK_TABLES: dict[int, list[list[float]]] = {}
+
+
+def _rank_rows(q: int) -> list[list[float]]:
+    """The float rank products W(c, c + e) of ``full_rank_prob``, as rows[e][c].
+
+    Let T be the least t with ``1.0 - q**-t == 1.0``; larger t give the same
+    exact 1.0, since q**-t only shrinks. A factor that is exactly 1.0 changes
+    no product, so W(k, k + e) equals the product of its factors with t < T
+    only: rows[e][min(k, T - 1 - e)] for e < T, and 1.0 beyond (T is 54 for
+    q = 2, 35 for q = 3 and 27 for q = 4). Each row is built from the next by
+    rows[e][c + 1] = rows[e + 1][c] * (1 - q^-(e+1)), which is the loop's own
+    last multiplication, so every entry is bit-identical to the loop's value.
+    """
+    rows = _RANK_TABLES.get(q)
+    if rows is None:
+        t_one = 1
+        while 1.0 - float(q) ** -t_one != 1.0:
+            t_one += 1
+        rows = [[1.0]]  # e = T - 1: every factor is 1.0
+        for e in range(t_one - 2, -1, -1):
+            factor = 1.0 - float(q) ** -(e + 1)
+            rows.append([1.0] + [w * factor for w in rows[-1]])
+        rows.reverse()
+        _RANK_TABLES[q] = rows
+    return rows
+
+
+def _rank_lookup(rows: list[list[float]], k: int, e: int) -> float:
+    """W(k, k + e) from the table ``rows`` of ``_rank_rows``."""
+    if e >= len(rows):
+        return 1.0
+    row = rows[e]
+    return row[min(k, len(row) - 1)]
+
+
+def _rank_prefix_exact(j_max: int, e: int, q: int) -> list[Fraction]:
+    """W(j, j + e) in exact arithmetic for j = 0..j_max, by the prefix product
+    W(j + 1, j + 1 + e) = W(j, j + e) * (1 - q^-(e + j + 1))."""
+    w = [Fraction(1)]
+    for t in range(e + 1, e + j_max + 1):
+        w.append(w[-1] * (1 - Fraction(1, q**t)))
+    return w
+
+
+def _comb_row(n: int) -> list[int]:
+    return [math.comb(n, i) for i in range(n + 1)]
+
+
+def _cond_full(
+    k: int, r: int, n: int, ck: list[int], cnk: list[int], rows: list[list[float]]
+) -> float:
+    """``cond_full_decode_prob`` from the binomial rows ck[h] = C(k, h) and
+    cnk[s] = C(n - k, s) and the rank table. Every float operation is the
+    term-by-term sum's, in its order; W(k - h, r - h) only comes from the table."""
+    den = math.comb(n, r)
+    e = r - k
+    row = rows[e] if e < len(rows) else [1.0]
+    w = row + [row[-1]] * (k + 1 - len(row))  # w[j] = W(j, j + e), j = 0..k
+    acc = cnk[e] / den
+    for h in range(max(0, r - n + k), k):
+        acc += ck[h] * cnk[r - h] / den * w[k - h]
+    return min(acc, 1.0)
 
 
 def _receive_pmf(n: int, r: int, p: float) -> float:

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, fields, replace
+from typing import Callable
 
 from . import analysis
 from .codec import SCHEMES
@@ -171,25 +172,35 @@ def _fmt_p(p: float) -> str:
     return f"{p:g}"
 
 
-def _analyze_prob(
-    scheme: str, k: int, m: int, n: int, p: float, q: int
-) -> tuple[float, str] | None:
-    """Probability and kind tag for one analysis row; None when n is outside
-    the row family's domain (the range is clamped per family)."""
-    analysis.AnalysisParams(k=k, n=n, m=m, p=p, q=q)
-    if scheme == "systematic":
-        if m == k:
-            if n < k:
-                return None
-            return analysis.full_decode_prob(k, n, p, q), "exact"
-        if n < m:
-            return None
-        return analysis.partial_decode_prob_approx(k, m, n, p, q), "approx"
-    if scheme == "straightforward":
-        if n < k:
-            return None
-        return analysis.sf_full_decode_prob(k, n, p, q), "exact"
-    return float(analysis.ou_partial_decode_prob(k, m, n, p)), "exact"
+def _analyze_points(cfg: ExperimentConfig, n: int) -> list[tuple[int, float, float, str]]:
+    """(M, p, probability, kind) of every analysis row at N = n. A row family
+    starts at N = M, or at N = 1 for ordered-uncoded."""
+    assert cfg.scheme and cfg.k
+    k, q, scheme = cfg.k, cfg.q, cfg.scheme
+    ms = [m for m in cfg.m if scheme == "ordered-uncoded" or n >= m]
+    if not ms:
+        return []
+    points = []
+    if scheme == "ordered-uncoded":
+        for p in cfg.p:
+            probs = analysis.ou_partial_decode_probs(k, ms, n, p)
+            points.extend((m, p, float(prob), "exact") for m, prob in zip(ms, probs))
+    elif scheme == "straightforward":  # every M is K
+        for p in cfg.p:
+            prob = analysis.sf_full_decode_prob(k, n, p, q)
+            points.extend((m, p, prob, "exact") for m in ms)
+    else:
+        full = [None] * len(cfg.p)
+        if k in ms:
+            full = analysis.full_decode_probs(k, n, cfg.p, q)
+        for p, full_p in zip(cfg.p, full):
+            for m in ms:
+                if m == k:
+                    points.append((m, p, full_p, "exact"))
+                else:
+                    prob = analysis.partial_decode_prob_approx(k, m, n, p, q)
+                    points.append((m, p, prob, "approx"))
+    return points
 
 
 def cmd_analyze(cfg: ExperimentConfig) -> list[str]:
@@ -198,21 +209,18 @@ def cmd_analyze(cfg: ExperimentConfig) -> list[str]:
         raise ConfigError(
             "straightforward partial recovery has no closed form; use simulate"
         )
-    rows = []
-    for p in cfg.p:
-        for m in cfg.m:
-            family = []
-            for n in range(cfg.n_min, cfg.n_max + 1):
-                result = _analyze_prob(cfg.scheme, cfg.k, m, n, p, cfg.q)
-                if result is not None:
-                    family.append((n, *result))
-            if not family:
-                raise ConfigError(
-                    f"no valid N in [{cfg.n_min}, {cfg.n_max}] for "
-                    f"scheme={cfg.scheme}, M={m}"
-                )
-            rows.extend((cfg.scheme, cfg.k, m, n, p, cfg.q, prob, kind)
-                        for n, prob, kind in family)
+    for m in cfg.m:
+        if cfg.scheme != "ordered-uncoded" and m > cfg.n_max:
+            raise ConfigError(
+                f"no valid N in [{cfg.n_min}, {cfg.n_max}] for "
+                f"scheme={cfg.scheme}, M={m}"
+            )
+    # N outermost: each N's conditional decoding probabilities serve every p.
+    rows = [
+        (cfg.scheme, cfg.k, m, n, p, cfg.q, prob, kind)
+        for n in range(cfg.n_min, cfg.n_max + 1)
+        for m, p, prob, kind in _analyze_points(cfg, n)
+    ]
     rows.sort(key=lambda r: r[:6])
     lines = ["scheme,K,M,N,p,q,prob,kind"]
     lines.extend(
@@ -249,56 +257,58 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
     return lines
 
 
-def _metric_pair(
-    cfg: ExperimentConfig, m: int, p: float, n_cap: int
-) -> analysis.TargetMetrics:
-    assert cfg.scheme and cfg.k and cfg.p_hat
-    k, q, p_hat = cfg.k, cfg.q, cfg.p_hat
+def _full_prob_fn(cfg: ExperimentConfig, p: float) -> Callable[[int], float]:
+    """n -> P[all K packets recovered after n sends]."""
+    assert cfg.scheme and cfg.k
+    k, q = cfg.k, cfg.q
     if cfg.scheme == "systematic":
-        if m == k:
-            partial_fn, partial_start = (lambda n: analysis.full_decode_prob(k, n, p, q)), k
-        else:
-            partial_fn, partial_start = (
-                lambda n: analysis.partial_decode_prob_approx(k, m, n, p, q)
-            ), m
-        full_fn = lambda n: analysis.full_decode_prob(k, n, p, q)
-    elif cfg.scheme == "straightforward":
-        full_fn = lambda n: analysis.sf_full_decode_prob(k, n, p, q)
-        if m == k:
-            partial_fn, partial_start = full_fn, k
-        else:
-            assert cfg.trials is not None and cfg.seed is not None
-            [curve] = run_trials(
-                cfg.scheme,
-                k,
-                [m],
-                (m, n_cap),
-                ChannelConfig(p, cfg.seed),
-                cfg.trials,
-                workers=cfg.workers,
-            )
-            partial_fn, partial_start = curve.estimate_at, m
-    else:
-        partial_fn = lambda n: float(analysis.ou_partial_decode_prob(k, m, n, p))
-        partial_start = m
-        full_fn = lambda n: float(analysis.ou_partial_decode_prob(k, k, n, p))
-    n_partial = analysis.min_packets_for_target(partial_fn, p_hat, partial_start, n_cap)
-    n_full = analysis.min_packets_for_target(full_fn, p_hat, k, n_cap)
-    return analysis.TargetMetrics(p_hat, n_partial, n_full)
+        return lambda n: analysis.full_decode_prob(k, n, p, q)
+    if cfg.scheme == "straightforward":
+        return lambda n: analysis.sf_full_decode_prob(k, n, p, q)
+    return lambda n: float(analysis.ou_partial_decode_prob(k, k, n, p))
+
+
+def _partial_prob_fn(
+    cfg: ExperimentConfig, m: int, p: float, n_cap: int
+) -> Callable[[int], float]:
+    """n -> P[at least m < K packets recovered after n sends]."""
+    assert cfg.scheme and cfg.k
+    k, q = cfg.k, cfg.q
+    if cfg.scheme == "systematic":
+        return lambda n: analysis.partial_decode_prob_approx(k, m, n, p, q)
+    if cfg.scheme == "straightforward":
+        assert cfg.trials is not None and cfg.seed is not None
+        [curve] = run_trials(
+            cfg.scheme,
+            k,
+            [m],
+            (m, n_cap),
+            ChannelConfig(p, cfg.seed),
+            cfg.trials,
+            workers=cfg.workers,
+        )
+        return curve.estimate_at
+    return lambda n: float(analysis.ou_partial_decode_prob(k, m, n, p))
 
 
 def cmd_metrics(cfg: ExperimentConfig) -> list[str]:
     assert cfg.scheme and cfg.k and cfg.p_hat
-    n_cap = cfg.n_max if cfg.n_max is not None else SEARCH_CAP_FACTOR * cfg.k
-    if n_cap < cfg.k:
-        raise ConfigError(f"search cap {n_cap} is below K={cfg.k}")
+    k, p_hat = cfg.k, cfg.p_hat
+    n_cap = cfg.n_max if cfg.n_max is not None else SEARCH_CAP_FACTOR * k
+    if n_cap < k:
+        raise ConfigError(f"search cap {n_cap} is below K={k}")
     cell = lambda v: "unreachable" if v is None else str(v)
     rows = []
     for p in cfg.p:
+        # Full recovery does not depend on M; for M = K it is the partial value too.
+        n_full = analysis.min_packets_for_target(_full_prob_fn(cfg, p), p_hat, k, n_cap)
         for m in cfg.m:
-            metrics = _metric_pair(cfg, m, p, n_cap)
+            n_partial = n_full if m == k else analysis.min_packets_for_target(
+                _partial_prob_fn(cfg, m, p, n_cap), p_hat, m, n_cap
+            )
+            metrics = analysis.TargetMetrics(p_hat, n_partial, n_full)
             rows.append(
-                (cfg.scheme, cfg.k, m, p, cfg.p_hat,
+                (cfg.scheme, k, m, p, p_hat,
                  cell(metrics.n_partial), cell(metrics.n_full), cell(metrics.delta_n))
             )
     rows.sort(key=lambda r: r[:4])
@@ -345,29 +355,52 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
 
 
+# The flags each subcommand reads; it rejects any other.
+_FLAGS = {
+    "scheme": dict(choices=SCHEMES),
+    "k": dict(type=int),
+    "m": dict(type=_int_list, help="comma-separated thresholds"),
+    "n": dict(type=int, help="shorthand for --n-min N --n-max N"),
+    "n-min": dict(type=int),
+    "n-max": dict(type=int),
+    "p": dict(type=_float_list, help="comma-separated probabilities"),
+    "q": dict(type=int),
+    "trials": dict(type=int, help="trials (repetitions for bench)"),
+    "seed": dict(type=int),
+    "p-hat": dict(type=float),
+    "out": dict(),
+    "config": dict(dest="config_file"),
+    "workers": dict(type=int),
+}
+_SWEEP = ("scheme", "k", "m", "n", "n-min", "n-max", "p", "q")
+_MODE_FLAGS = {
+    "analyze": (*_SWEEP, "out", "config", "workers"),
+    "simulate": (*_SWEEP, "trials", "seed", "out", "config", "workers"),
+    "metrics": ("scheme", "k", "m", "n-max", "p", "q", "trials", "seed", "p-hat",
+                "out", "config", "workers"),
+    "bench": ("k", "trials", "seed", "out", "config"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a ConfigError, so that ``main``
+    prints it as its one ``config error:`` line and exits 2."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sysnc",
         description="Binary network-coding toolkit: analysis, simulation, "
         "delay metrics and decoder benchmarks, all emitting CSV.",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
     for mode in MODES:
-        sp = sub.add_parser(mode)
-        sp.add_argument("--scheme", choices=SCHEMES)
-        sp.add_argument("--k", type=int)
-        sp.add_argument("--m", type=_int_list, help="comma-separated thresholds")
-        sp.add_argument("--n", type=int, help="shorthand for --n-min N --n-max N")
-        sp.add_argument("--n-min", type=int, dest="n_min")
-        sp.add_argument("--n-max", type=int, dest="n_max")
-        sp.add_argument("--p", type=_float_list, help="comma-separated probabilities")
-        sp.add_argument("--q", type=int)
-        sp.add_argument("--trials", type=int, help="trials (repetitions for bench)")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--p-hat", type=float, dest="p_hat")
-        sp.add_argument("--out")
-        sp.add_argument("--config", dest="config_file")
-        sp.add_argument("--workers", type=int)
+        sp = sub.add_parser(mode, allow_abbrev=False)
+        for flag in _MODE_FLAGS[mode]:
+            sp.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
@@ -382,16 +415,14 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if not isinstance(file_values, dict):
             raise ConfigError("config file must hold a JSON object")
         file_values.pop("mode", None)  # the subcommand decides the mode
-    if args.n is not None:
-        if args.n_min is not None or args.n_max is not None:
-            raise ConfigError("--n conflicts with --n-min/--n-max")
-        args.n_min = args.n_max = args.n
     flag_values = {
-        key: getattr(args, key)
-        for key in ("scheme", "k", "m", "n_min", "n_max", "p", "q",
-                    "trials", "seed", "p_hat", "out", "workers")
-        if getattr(args, key) is not None
+        key: value for key, value in vars(args).items()
+        if key in _FIELD_TYPES and value is not None
     }
+    if getattr(args, "n", None) is not None:
+        if "n_min" in flag_values or "n_max" in flag_values:
+            raise ConfigError("--n conflicts with --n-min/--n-max")
+        flag_values["n_min"] = flag_values["n_max"] = args.n
     merged = {**file_values, **flag_values, "mode": args.mode}
     return _validate(ExperimentConfig.from_dict(merged))
 
@@ -402,10 +433,8 @@ def run(cfg: ExperimentConfig) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
+        cfg = config_from_args(build_parser().parse_args(argv))
         text = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

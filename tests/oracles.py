@@ -2,7 +2,9 @@
 
 Everything here recomputes quantities from first principles (exhaustive
 enumeration, exact rational arithmetic) so the closed-form implementations
-can be checked against values they had no hand in producing.
+can be checked against values they had no hand in producing. The ``*_loop``
+functions are the plain float loops of the closed forms, term by term in
+their stated order: the float implementations must equal them bit for bit.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import comb
 
 
 def insert_rank(words: list[int]) -> int:
@@ -103,3 +106,44 @@ def at_least_oracle(probs: list[Fraction], threshold: int) -> Fraction:
             term *= s if (pattern >> i) & 1 else 1 - s
         acc += term
     return acc
+
+
+def rank_product_loop(k: int, r: int, q: int) -> float:
+    """prod_{j=0}^{k-1} (1 - q^(j-r)) in floats, factor by factor from j = 0."""
+    if r < k:
+        return 0.0
+    prod = 1.0
+    for j in range(k):
+        prod *= 1.0 - float(q) ** (j - r)
+    return prod
+
+
+def cond_sum_loop(k: int, r: int, n: int, q: int) -> float:
+    """The systematic scheme's P[all k decodable | r of n arrived], summed term
+    by term: C(n-k, r-k)/C(n, r), then C(k,h) C(n-k, r-h)/C(n, r) * W(k-h, r-h)
+    for h = max(0, r-n+k)..k-1, clamped to 1."""
+    den = comb(n, r)
+    acc = comb(n - k, r - k) / den
+    for h in range(max(0, r - n + k), k):
+        acc += comb(k, h) * comb(n - k, r - h) / den * rank_product_loop(k - h, r - h, q)
+    return min(acc, 1.0)
+
+
+def full_decode_loop(k: int, n: int, p: float, q: int, pmf) -> float:
+    """sum_{r=k}^{n} pmf(n, r, p) * cond_sum_loop(k, r, n, q), skipping zero weights."""
+    total = 0.0
+    for r in range(k, n + 1):
+        w = pmf(n, r, p)
+        if w:
+            total += w * cond_sum_loop(k, r, n, q)
+    return min(total, 1.0)
+
+
+def sf_full_decode_loop(k: int, n: int, p: float, q: int, pmf) -> float:
+    """sum_{r=k}^{n} pmf(n, r, p) * rank_product_loop(k, r, q), skipping zero weights."""
+    total = 0.0
+    for r in range(k, n + 1):
+        w = pmf(n, r, p)
+        if w:
+            total += w * rank_product_loop(k, r, q)
+    return min(total, 1.0)

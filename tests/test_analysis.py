@@ -1,10 +1,21 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import at_least_oracle, cond_full_oracle, full_decode_oracle, full_rank_prob_oracle
+from oracles import (
+    at_least_oracle,
+    cond_full_oracle,
+    cond_sum_loop,
+    full_decode_loop,
+    full_decode_oracle,
+    full_rank_prob_oracle,
+    rank_product_loop,
+    sf_full_decode_loop,
+)
+from sysnc import analysis
 from sysnc.analysis import (
     AnalysisParams,
     InvariantViolation,
@@ -14,9 +25,11 @@ from sysnc.analysis import (
     binomial,
     cond_full_decode_prob,
     cond_full_decode_prob_exact,
+    cond_full_decode_probs,
     decode_prob_ratio,
     full_decode_prob,
     full_decode_prob_exact,
+    full_decode_probs,
     full_rank_prob,
     full_rank_prob_exact,
     log_binomial,
@@ -118,6 +131,75 @@ class TestFullDecodeProb:
         # log-space weight path
         assert 0.0 <= full_decode_prob(100, 400, 0.3) <= 1.0
         assert full_decode_prob(100, 400, 0.3) > 0.999
+
+
+# T(q): the least t with 1.0 - q**-t == 1.0, past which every factor of the
+# float rank product is exactly 1.0.
+T_ONE = {2: 54, 3: 35, 4: 27, 16: 14}
+
+
+class TestBitwiseAgainstLoops:
+    """The float closed forms equal their plain term-by-term loops exactly,
+    with excess r - k on both sides of T(q) - 1."""
+
+    @pytest.mark.parametrize("q", sorted(T_ONE))
+    def test_threshold(self, q):
+        t = T_ONE[q]
+        assert 1.0 - float(q) ** -(t - 1) != 1.0
+        assert 1.0 - float(q) ** -t == 1.0
+
+    @pytest.mark.parametrize("q", sorted(T_ONE))
+    def test_full_rank_prob(self, q):
+        rng = random.Random(q)
+        t = T_ONE[q]
+        cases = [(k, k + e) for k in (1, 2, t - 1, t, 3 * t) for e in range(t + 3)]
+        cases += [(rng.randint(0, 200), rng.randint(0, 260)) for _ in range(3000)]
+        for k, r in cases:
+            assert full_rank_prob(k, r, q) == rank_product_loop(k, r, q), (k, r)
+
+    @pytest.mark.parametrize("q", sorted(T_ONE))
+    def test_cond_and_full_decode(self, q):
+        rng = random.Random(100 + q)
+        pmf = analysis._receive_pmf
+        for _ in range(6):
+            k = rng.randint(1, 25)
+            n = k + rng.randint(T_ONE[q] - 5, T_ONE[q] + 15)
+            row = cond_full_decode_probs(k, n, q)
+            assert row == [cond_sum_loop(k, r, n, q) for r in range(k, n + 1)], (k, n)
+            r = rng.randint(k, n)
+            assert cond_full_decode_prob(k, r, n, q) == row[r - k]
+            ps = (0.1, 0.3)
+            assert full_decode_probs(k, n, ps, q) == [
+                full_decode_loop(k, n, p, q, pmf) for p in ps
+            ], (k, n)
+            for p in ps:
+                assert full_decode_prob(k, n, p, q) == full_decode_loop(k, n, p, q, pmf)
+                assert sf_full_decode_prob(k, n, p, q) == sf_full_decode_loop(k, n, p, q, pmf)
+
+
+class TestExactPaths:
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_prefix_product_matches_definition(self, q):
+        for k in range(0, 7):
+            for r in range(k, k + 6):
+                direct = Fraction(1)
+                for j in range(k):
+                    direct *= 1 - Fraction(1, q ** (r - j))
+                assert full_rank_prob_exact(k, r, q) == direct
+
+    @pytest.mark.parametrize("n", [65, 100, 200])
+    def test_log_space_weights_within_1e12(self, n):
+        """Above n = 64 the channel weights are taken in log space."""
+        for k in (5, 20, 40):
+            for p in (0.1, 0.3):
+                exact = full_decode_prob_exact(k, n, Fraction(p))
+                assert abs(full_decode_prob(k, n, p) - exact) < 1e-12, (k, p)
+                sf_exact = sum(
+                    math.comb(n, r) * (1 - Fraction(p)) ** r * Fraction(p) ** (n - r)
+                    * full_rank_prob_exact(k, r)
+                    for r in range(k, n + 1)
+                )
+                assert abs(sf_full_decode_prob(k, n, p) - sf_exact) < 1e-12, (k, p)
 
 
 class TestPartialDecodeProbApprox:

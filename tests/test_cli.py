@@ -284,6 +284,16 @@ class TestConfigHandling:
             # the simulator is GF(2) only
             ["simulate", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--trials", "1", "--seed", "1", "--q", "4"],
             ["metrics", "--scheme", "straightforward", "--k", "4", "--m", "2", "--p", "0.1", "--p-hat", "0.5", "--trials", "1", "--seed", "1", "--q", "4"],
+            # flags the subcommand does not read
+            ["metrics", "--scheme", "systematic", "--k", "4", "--m", "2", "--p", "0.1", "--p-hat", "0.7", "--n-min", "50"],
+            ["metrics", "--scheme", "systematic", "--k", "4", "--m", "2", "--p", "0.1", "--p-hat", "0.7", "--n", "50"],
+            ["bench", "--k", "2", "--trials", "1", "--q", "7", "--scheme", "systematic"],
+            ["bench", "--k", "2", "--trials", "1", "--workers", "2"],
+            ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--trials", "5", "--seed", "1"],
+            ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--p-hat", "0.5"],
+            ["simulate", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--trials", "1", "--seed", "1", "--p-hat", "0.5"],
+            # a malformed value is one line too, not a usage message
+            ["analyze", "--scheme", "systematic", "--k", "two", "--m", "2", "--n", "3", "--p", "0.1"],
         ],
     )
     def test_config_errors_exit_2(self, bad, tmp_path, capsys):
