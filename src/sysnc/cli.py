@@ -306,6 +306,10 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[str]:
             n_partial = n_full if m == k else analysis.min_packets_for_target(
                 _partial_prob_fn(cfg, m, p, n_cap), p_hat, m, n_cap
             )
+            if cfg.scheme == "straightforward" and n_full is not None:
+                # Full recovery recovers any M, so a simulated estimate's
+                # sampling noise may not put partial recovery past it.
+                n_partial = n_full if n_partial is None else min(n_partial, n_full)
             metrics = analysis.TargetMetrics(p_hat, n_partial, n_full)
             rows.append(
                 (cfg.scheme, k, m, p, p_hat,
@@ -415,6 +419,10 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if not isinstance(file_values, dict):
             raise ConfigError("config file must hold a JSON object")
         file_values.pop("mode", None)  # the subcommand decides the mode
+        readable = {flag.replace("-", "_") for flag in _MODE_FLAGS[args.mode]}
+        unread = sorted(set(file_values) - readable)
+        if unread:
+            raise ConfigError(f"config keys not read by {args.mode}: {unread}")
     flag_values = {
         key: value for key, value in vars(args).items()
         if key in _FIELD_TYPES and value is not None

@@ -169,16 +169,6 @@ class ProgressiveDecoder:
     def recovered_payloads(self) -> dict[int, bytes]:
         return dict(self._recovered)
 
-    @property
-    def workspace(self) -> BitMatrix:
-        """Current nonzero rows (at most k) in leading-column order, with payloads."""
-        cols = sorted(self._pivot_rows)
-        return BitMatrix(
-            self.k,
-            [CodingVector(self.k, self._pivot_rows[c]) for c in cols],
-            [self._pivot_pay[c].to_bytes(self.payload_len, "big") for c in cols],
-        )
-
     def receive(self, pkt: TransmittedPacket) -> set[int]:
         """Fold one packet into the state; returns the newly decoded indices."""
         if pkt.coding_vector.length != self.k:

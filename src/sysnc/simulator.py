@@ -15,6 +15,10 @@ any parallel scheduling of trials.
 A trial counts decoded packets from its coding vectors alone, which fix the
 decodable set, so it builds no payload. The vectors come from
 :func:`codec.coding_word`, the one scheme rule the packet encoders use too.
+The count-only kernel :func:`_first_reach` keeps just the row space (a
+decoded-column bitmask plus the non-unit pivot rows) and reports the first n
+at which each count is reached; :class:`codec.ProgressiveDecoder` stays the
+payload decoder, and the tests hold the kernel to it.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .codec import (
     SCHEME_ENCODERS,
@@ -102,43 +107,81 @@ class EmpiricalCurve:
         raise KeyError(f"no point at n={n}")
 
 
-def _trial_counts(
+def _first_reach(
     scheme: str, k: int, n_hi: int, p: float, seed: int, trial_index: int
 ) -> list[int]:
-    """Decoded count after each n in [1, n_hi] for one trial.
+    """For each count c in [0, k], the first n in [0, n_hi] at which one
+    trial has c packets decoded, or n_hi + 1 if it never gets there.
 
     Which packets are decodable depends only on the received coding vectors,
-    so the decoder is fed each vector with a zero payload. The count can only
-    stay at k after full recovery, so the loop stops there.
+    so the state is their row space alone: ``decoded``, a bitmask of the
+    decoded columns, and ``rows``, the other pivot rows keyed by their lowest
+    set bit (as a power of two), whose keys make up the bitmask ``pivots``.
+    No row holds a decoded column or another row's key, so an arrival masked
+    by ``~decoded`` is reduced by one XOR per set bit of ``vec & pivots``,
+    and a packet is decoded exactly when its row is a unit vector.
+    Ordered-uncoded sends only unit vectors, so it never keeps a row and its
+    count is the number of distinct ones received.
     """
     encoder = derive_stream(seed, trial_index, "encoder")
     channel = derive_stream(seed, trial_index, "channel").random
-    receive = ProgressiveDecoder(k, 1).receive_words
-    counts = [0] * (n_hi + 1)
-    done = 0
+    first = [n_hi + 1] * (k + 1)
+    first[0] = 0
+    done = decoded = pivots = 0
+    rows: dict[int, int] = {}
     for n in range(1, n_hi + 1):
-        vec = coding_word(scheme, k, n, encoder)
-        if channel() >= p and vec:
-            done += len(receive(vec, 0))
-        counts[n] = done
+        vec = coding_word(scheme, k, n, encoder) & ~decoded
+        if channel() < p or not vec:
+            continue
+        if not rows and not vec & (vec - 1):
+            # A new unit vector and no row to clear its column from.
+            decoded |= vec
+            done += 1
+            first[done] = n
+        else:
+            hits = vec & pivots
+            while hits:
+                low = hits & -hits
+                vec ^= rows[low]
+                hits ^= low
+            if not vec:
+                continue  # already in the row space
+            low = vec & -vec
+            units = []
+            for key, row in rows.items():
+                if row & low:
+                    rows[key] = row = row ^ vec
+                    if row == key:
+                        units.append(key)
+            if vec == low:
+                units.append(low)
+            else:
+                rows[low] = vec
+                pivots |= low
+            if not units:
+                continue
+            for key in units:
+                rows.pop(key, None)
+                decoded |= key
+            pivots &= ~decoded
+            first[done + 1:done + len(units) + 1] = [n] * len(units)
+            done += len(units)
         if done == k:
-            counts[n + 1:] = [k] * (n_hi - n)
             break
-    return counts
+    return first
 
 
 def _count_block(args) -> list[list[int]]:
-    """Aggregate success counts for a contiguous block of trials (worker unit)."""
+    """Success counts per (M, n) for a contiguous block of trials (worker
+    unit): each trial adds one hit per M at the first n that reaches it, and
+    one prefix sum over n turns hits into counts."""
     scheme, k, n_hi, p, seed, start, stop, m_list = args
-    success = [[0] * (n_hi + 1) for _ in m_list]
+    hits = [[0] * (n_hi + 2) for _ in m_list]  # index n_hi + 1: never reached
     for trial in range(start, stop):
-        counts = _trial_counts(scheme, k, n_hi, p, seed, trial)
-        for mi, m in enumerate(m_list):
-            row = success[mi]
-            for n in range(1, n_hi + 1):
-                if counts[n] >= m:
-                    row[n] += 1
-    return success
+        first = _first_reach(scheme, k, n_hi, p, seed, trial)
+        for row, m in zip(hits, m_list):
+            row[first[m]] += 1
+    return [list(accumulate(row[:n_hi + 1])) for row in hits]
 
 
 def run_trials(
@@ -154,10 +197,10 @@ def run_trials(
     """Estimate P[decoded >= m] for each m and each n in n_range.
 
     Each trial draws the coding vector of every packet, drops packets through
-    the channel, and feeds the surviving vectors incrementally to a
-    progressive decoder, sampling the decoded count at every n (one decoder
-    pass per trial). Trials are independent and carry their own derived
-    streams, so any ``workers`` partitioning yields bit-identical results.
+    the channel, and eliminates the surviving vectors incrementally, noting
+    the first n at which each decoded count is reached (one pass per trial).
+    Trials are independent and carry their own derived streams, so any
+    ``workers`` partitioning yields bit-identical results.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")

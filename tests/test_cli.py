@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
+import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sysnc.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    MODES,
     ExperimentConfig,
+    _FLAGS,
     main,
 )
 
@@ -210,6 +216,18 @@ class TestMetrics:
         assert int(rows["2"][5]) <= int(rows["2"][6])
         assert rows["4"][5] == rows["4"][6]  # partial==full when M=K
 
+    def test_sf_partial_never_past_full(self, capsys):
+        # one simulated trial misses M=1 until n=8, while the closed form
+        # reaches full recovery at n=6
+        code, out, err = run_cli(
+            ["metrics", "--scheme", "straightforward", "--k", "2", "--m", "1,2",
+             "--p", "0.5", "--p-hat", "0.5", "--trials", "1", "--seed", "0"],
+            capsys,
+        )
+        assert code == EXIT_OK, err
+        rows = {r.split(",")[2]: r.split(",") for r in out.strip().splitlines()[1:]}
+        assert rows["1"][5:] == [rows["2"][6], rows["2"][6], "0"]
+
 
 class TestBench:
     def test_shape_and_comment_header(self, capsys):
@@ -294,6 +312,11 @@ class TestConfigHandling:
             ["simulate", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--trials", "1", "--seed", "1", "--p-hat", "0.5"],
             # a malformed value is one line too, not a usage message
             ["analyze", "--scheme", "systematic", "--k", "two", "--m", "2", "--n", "3", "--p", "0.1"],
+            # config-file keys the subcommand does not read
+            ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", {"p_hat": 0.5, "trials": 9, "seed": 3}],
+            ["simulate", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--trials", "1", "--seed", "1", {"p_hat": 0.5}],
+            ["metrics", "--scheme", "systematic", "--k", "4", "--m", "2", "--p", "0.1", "--p-hat", "0.7", {"n_min": 50}],
+            ["bench", "--k", "2", "--trials", "1", {"workers": 2}],
         ],
     )
     def test_config_errors_exit_2(self, bad, tmp_path, capsys):
@@ -317,3 +340,70 @@ class TestConfigHandling:
         assert code == EXIT_OK
         text = out.read_bytes().decode("utf-8")
         assert text.endswith("\n") and "\r" not in text
+
+
+# Small valid commands, so that fuzzed flags appended to them reach past the
+# parser into validation and the run itself.
+_BASES = {
+    "analyze": ["--scheme", "systematic", "--k", "3", "--m", "2,3", "--n", "4", "--p", "0.1"],
+    "simulate": ["--scheme", "straightforward", "--k", "3", "--m", "2,3", "--n", "4",
+                 "--p", "0.1", "--trials", "3", "--seed", "1"],
+    "metrics": ["--scheme", "straightforward", "--k", "3", "--m", "2,3", "--p", "0.1",
+                "--p-hat", "0.5", "--trials", "3", "--seed", "1"],
+    "bench": ["--k", "2", "--trials", "1"],
+}
+_FLAG_TOKENS = [f"--{flag}" for flag in _FLAGS] + ["--bogus", "--n-m", "-k", "-h"]
+_VALUES = ["0", "1", "2", "3", "0.1", "0.5", "2,3", "0,0.3", "systematic",
+           "straightforward", "ordered-uncoded"]
+_GARBAGE = ["-1", "1.5", "nan", "inf", "1e3", "1,,2", "", ",", "x"]
+_PATHS = {
+    "--out": ["{tmp}/out.csv", "{tmp}", "{tmp}/missing/out.csv"],
+    "--config": ["{tmp}/good.json", "{tmp}/list.json", "{tmp}/broken.json",
+                 "{tmp}/unread.json", "{tmp}/missing.json"],
+}
+_PAIRS = st.one_of(
+    st.tuples(st.sampled_from(_FLAG_TOKENS), st.sampled_from(_VALUES)),
+    st.tuples(st.sampled_from(_FLAG_TOKENS), st.sampled_from(_GARBAGE)),
+    *(st.tuples(st.just(flag), st.sampled_from(paths)) for flag, paths in _PATHS.items()),
+)
+
+
+class TestArgvFuzz:
+    @pytest.fixture(scope="class")
+    def tmp(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("argv")
+        (path / "good.json").write_text(json.dumps({"k": 3, "m": [3], "p": [0.2]}))
+        (path / "list.json").write_text("[1, 2]")
+        (path / "broken.json").write_text("{")
+        (path / "unread.json").write_text(json.dumps({"p_hat": 0.5, "trials": 2}))
+        return path
+
+    @given(
+        st.sampled_from(MODES + ("bogus",)),
+        st.booleans(),
+        st.lists(_PAIRS, max_size=3),
+        st.lists(st.sampled_from(_FLAG_TOKENS + _VALUES + _GARBAGE), max_size=2),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_exit_0_or_one_config_error_line(self, tmp, mode, based, pairs, tail):
+        """Any argv of real subcommands and flags with small or garbage
+        values exits 0, or exits 2 with one ``config error:`` line on stderr
+        and nothing on stdout; no exception escapes ``main``."""
+        words = [mode, *_BASES.get(mode, []) * based]
+        words += [word for pair in pairs for word in pair] + tail
+        argv = [word.format(tmp=tmp) for word in words]
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(tmp)  # a fuzzed --out value is a path relative to tmp
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:  # -h prints help and exits
+            code = exc.code
+        finally:
+            os.chdir(cwd)
+        if code == EXIT_CONFIG:
+            assert err.getvalue().startswith("config error:"), argv
+            assert err.getvalue().count("\n") == 1 and out.getvalue() == "", argv
+        else:
+            assert code == EXIT_OK and err.getvalue() == "", (argv, code, err.getvalue())

@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sysnc.analysis import full_decode_prob, ou_partial_decode_prob
-from sysnc.codec import SCHEME_ENCODERS, SCHEMES, rref_decodable_set
+from sysnc.codec import (
+    SCHEME_ENCODERS,
+    SCHEMES,
+    ProgressiveDecoder,
+    coding_word,
+    rref_decodable_set,
+)
 from sysnc.simulator import (
     ChannelConfig,
     EmpiricalCurve,
@@ -11,8 +17,16 @@ from sysnc.simulator import (
     make_test_message,
     run_trials,
     scheme_seed,
-    _trial_counts,
+    _count_block,
+    _first_reach,
 )
+
+
+def first_reach_of(counts, k):
+    """First n at which each count c in [0, k] is reached, from the decoded
+    count after every n (counts[0] = 0); len(counts) if never."""
+    return [next((n for n, d in enumerate(counts) if d >= c), len(counts))
+            for c in range(k + 1)]
 
 
 class TestErase:
@@ -65,15 +79,41 @@ class TestTrialPaths:
             if channel() >= p:
                 received.append(pkt.coding_vector)
             expected.append(len(rref_decodable_set(received, k)))
-        assert _trial_counts(scheme, k, n_hi, p, sub, trial) == expected
+        assert _first_reach(scheme, k, n_hi, p, sub, trial) == first_reach_of(expected, k)
 
     @given(st.sampled_from(SCHEMES), st.integers(1, 8), st.integers(0, 100))
     @settings(max_examples=120, deadline=None)
     def test_counts_monotone_and_bounded(self, scheme, k, trial):
-        counts = _trial_counts(scheme, k, 2 * k + 3, 0.3, 5, trial)
-        assert len(counts) == 2 * k + 4 and counts[0] == 0
-        assert all(0 <= c <= k for c in counts)
-        assert all(a <= b for a, b in zip(counts, counts[1:]))
+        n_hi = 2 * k + 3
+        first = _first_reach(scheme, k, n_hi, 0.3, 5, trial)
+        assert len(first) == k + 1 and first[0] == 0
+        assert all(1 <= n <= n_hi + 1 for n in first[1:])
+        assert all(a <= b for a, b in zip(first, first[1:]))
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("k", [1, 2, 40, 63, 64, 65, 128])
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 1.0])
+    def test_kernel_matches_progressive_decoder(self, scheme, k, p):
+        """The count-only kernel and its aggregation against the payload
+        decoder, fed the same coding_word vectors and channel stream, across
+        the one- and two-machine-word boundaries of k."""
+        n_hi, trials, m_list = 2 * k + 8, 4, sorted({1, (k + 1) // 2, k})
+        sub = scheme_seed(2015, scheme)
+        success = [[0] * (n_hi + 1) for _ in m_list]
+        for trial in range(trials):
+            encoder = derive_stream(sub, trial, "encoder")
+            channel = derive_stream(sub, trial, "channel").random
+            receive = ProgressiveDecoder(k, 1).receive_words
+            counts = [0]
+            for n in range(1, n_hi + 1):
+                vec = coding_word(scheme, k, n, encoder)
+                counts.append(counts[-1] + (len(receive(vec, 0)) if channel() >= p else 0))
+            assert _first_reach(scheme, k, n_hi, p, sub, trial) == first_reach_of(counts, k)
+            for row, m in zip(success, m_list):
+                for n in range(1, n_hi + 1):
+                    row[n] += counts[n] >= m
+        block = (scheme, k, n_hi, p, sub, 0, trials, tuple(m_list))
+        assert _count_block(block) == success
 
 
 class TestRunTrials:
