@@ -82,6 +82,12 @@ GOLDEN = {
          "--p", "0.1", "--p-hat", "0.7", "--trials", "1000", "--seed", "7"),
         "e5f0ff6a69af3731d0e39e34e856e633d601a013e18e0308f1b634623d26fed2",
     ),
+    # Several M < K at several p: each p's simulated column covers every M.
+    "metrics-straightforward-multi-m": (
+        ("metrics", "--scheme", "straightforward", "--k", "12", "--m", "3,6,9,12",
+         "--p", "0.1,0.3", "--p-hat", "0.7", "--trials", "1000", "--seed", "7"),
+        "fe3f09555a3997848762910943a5827a99564427c5619f07c39a3e5d9c3b5521",
+    ),
 }
 
 CASES = [
