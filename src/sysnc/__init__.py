@@ -31,12 +31,10 @@ from .codec import (
     ProgressiveDecoder,
     SourceMessage,
     TransmittedPacket,
-    back_substitute,
     encode_ordered_uncoded,
     encode_straightforward,
     encode_systematic,
     full_rank_decode,
-    rref_decodable_set,
 )
 from .gf2 import (
     MAX_LENGTH,

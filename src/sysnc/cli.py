@@ -268,27 +268,37 @@ def _full_prob_fn(cfg: ExperimentConfig, p: float) -> Callable[[int], float]:
     return lambda n: float(analysis.ou_partial_decode_prob(k, k, n, p))
 
 
-def _partial_prob_fn(
-    cfg: ExperimentConfig, m: int, p: float, n_cap: int
-) -> Callable[[int], float]:
-    """n -> P[at least m < K packets recovered after n sends]."""
+def _partial_prob_fns(
+    cfg: ExperimentConfig, p: float, n_cap: int
+) -> dict[int, Callable[[int], float]]:
+    """For every M < K of the config, n -> P[at least M packets recovered
+    after n sends]. A simulated scheme runs one set of trials for all of them."""
     assert cfg.scheme and cfg.k
     k, q = cfg.k, cfg.q
+    partial = sorted({m for m in cfg.m if m < k})
     if cfg.scheme == "systematic":
-        return lambda n: analysis.partial_decode_prob_approx(k, m, n, p, q)
-    if cfg.scheme == "straightforward":
-        assert cfg.trials is not None and cfg.seed is not None
-        [curve] = run_trials(
-            cfg.scheme,
-            k,
-            [m],
-            (m, n_cap),
-            ChannelConfig(p, cfg.seed),
-            cfg.trials,
-            workers=cfg.workers,
-        )
-        return curve.estimate_at
-    return lambda n: float(analysis.ou_partial_decode_prob(k, m, n, p))
+        return {
+            m: lambda n, m=m: analysis.partial_decode_prob_approx(k, m, n, p, q)
+            for m in partial
+        }
+    if cfg.scheme == "ordered-uncoded":
+        return {
+            m: lambda n, m=m: float(analysis.ou_partial_decode_prob(k, m, n, p))
+            for m in partial
+        }
+    if not partial:
+        return {}
+    assert cfg.trials is not None and cfg.seed is not None
+    curves = run_trials(
+        cfg.scheme,
+        k,
+        partial,
+        (partial[0], n_cap),
+        ChannelConfig(p, cfg.seed),
+        cfg.trials,
+        workers=cfg.workers,
+    )
+    return {curve.m: curve.estimate_at for curve in curves}
 
 
 def cmd_metrics(cfg: ExperimentConfig) -> list[str]:
@@ -302,9 +312,10 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[str]:
     for p in cfg.p:
         # Full recovery does not depend on M; for M = K it is the partial value too.
         n_full = analysis.min_packets_for_target(_full_prob_fn(cfg, p), p_hat, k, n_cap)
+        partial = _partial_prob_fns(cfg, p, n_cap)
         for m in cfg.m:
             n_partial = n_full if m == k else analysis.min_packets_for_target(
-                _partial_prob_fn(cfg, m, p, n_cap), p_hat, m, n_cap
+                partial[m], p_hat, m, n_cap
             )
             if cfg.scheme == "straightforward" and n_full is not None:
                 # Full recovery recovers any M, so a simulated estimate's

@@ -6,14 +6,28 @@ packets first and uniform random GF(2) combinations afterwards,
 ``ordered-uncoded`` cycles through the plain source packets. Uniform sampling
 deliberately includes the all-zero vector; decoders absorb it as a no-op.
 
-Decoding comes in three flavours:
+Decoding comes in two flavours:
 
 * :class:`ProgressiveDecoder` eliminates incrementally on every arrival and
   releases each source packet as soon as its unit vector enters the row
   space of the received coding vectors.
 * :func:`full_rank_decode` is the classical all-or-nothing batch eliminator.
-* :func:`rref_decodable_set` is a deliberately independent list-based RREF
-  used as ground truth in tests; it shares no code with the decoder above.
+
+Both key each pivot row by its lowest set bit, as a power of two. The
+progressive decoder, and the count-only trial kernel
+``simulator._first_reach`` with it, keep the row space in one reduced form:
+
+* ``decoded`` is a bitmask of the decoded columns, whose unit rows are not
+  stored;
+* ``rows`` maps the key of every other pivot row to the row, and the keys
+  make up the bitmask ``pivots``;
+* no row holds a decoded column or another row's key.
+
+An arrival is therefore reduced by one XOR per set bit of
+``vec & (pivots | decoded)``, in any order, since no XOR brings in a bit of
+either mask. A nonzero remainder becomes the row of its lowest set bit, that
+bit is cleared from every other row, and a packet is decoded exactly when its
+row is a unit vector.
 """
 
 from __future__ import annotations
@@ -22,14 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .gf2 import (
-    MAX_LENGTH,
-    BitMatrix,
-    CodingVector,
-    DimensionError,
-    degree,
-    leftmost_one,
-)
+from .gf2 import MAX_LENGTH, CodingVector, DimensionError
 
 SCHEMES = ("systematic", "straightforward", "ordered-uncoded")
 
@@ -74,6 +81,11 @@ class TransmittedPacket:
         if self.sequence_index < 1:
             raise ValueError("sequence_index is 1-based")
 
+    @cached_property
+    def payload_word(self) -> int:
+        """The payload as one big-endian integer; the encoders preset it."""
+        return int.from_bytes(self.payload, "big")
+
 
 def combine_words(packet_words: Sequence[int], vector_word: int) -> int:
     """XOR of the payload words selected by the set bits of ``vector_word``."""
@@ -101,8 +113,15 @@ def coding_word(scheme: str, k: int, n: int, rng) -> int:
 
 def _encode(scheme: str, msg: SourceMessage, n: int, rng) -> TransmittedPacket:
     word = coding_word(scheme, msg.k, n, rng)
-    payload = combine_words(msg.packet_words, word).to_bytes(msg.payload_len, "big")
-    return TransmittedPacket(CodingVector(msg.k, word), payload, n)
+    if word and not word & (word - 1):  # a unit vector carries its source packet
+        i = word.bit_length() - 1
+        payload, pay = msg.packets[i], msg.packet_words[i]
+    else:
+        pay = combine_words(msg.packet_words, word)
+        payload = pay.to_bytes(msg.payload_len, "big")
+    pkt = TransmittedPacket(CodingVector(msg.k, word), payload, n)
+    pkt.__dict__["payload_word"] = pay  # preset the cached_property
+    return pkt
 
 
 def encode_systematic(msg: SourceMessage, n: int, rng) -> TransmittedPacket:
@@ -130,16 +149,13 @@ SCHEME_ENCODERS: dict[str, Callable[..., TransmittedPacket]] = {
 class ProgressiveDecoder:
     """Per-arrival GF(2) eliminator with partial recovery.
 
-    The receiver state is the reduced row space of everything received so
-    far, kept as one pivot row per leading column: entries of an incoming
-    vector that match decoded packets are cleared first (their recovered
-    payloads are XORed into the incoming payload), the remainder is reduced
-    against the pivot rows, a surviving remainder becomes a new pivot and its
-    column is cleared from the other rows, and every row left with a single
-    coefficient releases the corresponding source packet. Linearly dependent
-    arrivals reduce to zero and are absorbed. The decoded set therefore
-    grows monotonically and never misses a packet whose unit vector lies in
-    the received row space.
+    The state is the reduced row space of the module docstring, with a
+    payload word carried alongside every row and every decoded column. An
+    arrival is reduced against it, payload and all; a dependent or zero
+    arrival reduces to zero and is absorbed. Each row that becomes a unit
+    vector releases its source packet, converted to bytes once, so the
+    decoded set grows monotonically and never misses a packet whose unit
+    vector lies in the received row space.
 
     A decoder is single-owner state: one session mutates it from one thread;
     distinct sessions are independent.
@@ -152,18 +168,19 @@ class ProgressiveDecoder:
             raise ValueError("payload_len must be positive")
         self.k = k
         self.payload_len = payload_len
-        self._pivot_rows: dict[int, int] = {}  # leading column -> row word
-        self._pivot_pay: dict[int, int] = {}  # leading column -> payload word
-        self._decoded: set[int] = set()
+        self._decoded = 0  # bitmask of the decoded columns
+        self._pivots = 0  # bitmask of the keys of _rows
+        self._rows: dict[int, int] = {}  # lowest set bit -> non-unit row
+        self._words: dict[int, int] = {}  # row key or decoded bit -> payload word
         self._recovered: dict[int, bytes] = {}
 
     @property
     def decoded_indices(self) -> frozenset[int]:
-        return frozenset(self._decoded)
+        return frozenset(self._recovered)
 
     @property
     def decoded_count(self) -> int:
-        return len(self._decoded)
+        return len(self._recovered)
 
     @property
     def recovered_payloads(self) -> dict[int, bytes]:
@@ -179,68 +196,43 @@ class ProgressiveDecoder:
             raise DimensionError(
                 f"payload length {len(pkt.payload)} != {self.payload_len}"
             )
-        return self.receive_words(
-            pkt.coding_vector.word, int.from_bytes(pkt.payload, "big")
-        )
+        return self.receive_words(pkt.coding_vector.word, pkt.payload_word)
 
     def receive_words(self, vec: int, pay: int) -> set[int]:
         """Packed-word fast path of :meth:`receive` (no packet object needed)."""
-        rows = self._pivot_rows
-        pays = self._pivot_pay
-        # Reduce against existing pivot rows, scanning columns left to right.
-        # Decoded packets are unit pivot rows, so this also masks them out of
-        # the incoming vector while folding their payloads in.
-        pivot_col = 0
-        col = 0
-        while True:
-            high = vec >> col
-            if not high:
-                break
-            col += (high & -high).bit_length()
-            row = rows.get(col)
-            if row is not None:
-                vec ^= row
-                pay ^= pays[col]
-            elif not pivot_col:
-                pivot_col = col
+        rows = self._rows
+        words = self._words
+        hits = vec & (self._pivots | self._decoded)
+        while hits:
+            low = hits & -hits
+            vec ^= rows.get(low, low)  # a decoded column's row is its unit vector
+            pay ^= words[low]
+            hits ^= low
         if not vec:
             return set()  # dependent or zero packet: nothing new
-        rows[pivot_col] = vec
-        pays[pivot_col] = pay
-        # Clear the new leading column from every other row that carries it.
-        changed = [pivot_col]
-        bit = 1 << (pivot_col - 1)
-        for c, row in rows.items():
-            if row & bit and c != pivot_col:
-                rows[c] = row ^ vec
-                pays[c] ^= pay
-                changed.append(c)
+        low = vec & -vec
+        units = []
+        for key, row in rows.items():
+            if row & low:
+                rows[key] = row = row ^ vec
+                words[key] ^= pay
+                if row == key:
+                    units.append(key)
+        words[low] = pay
+        if vec == low:
+            units.append(low)
+        else:
+            rows[low] = vec
+            self._pivots |= low
         newly: set[int] = set()
-        for c in changed:
-            if rows[c].bit_count() == 1 and c not in self._decoded:
-                self._decoded.add(c)
-                self._recovered[c] = pays[c].to_bytes(self.payload_len, "big")
-                newly.add(c)
+        for key in units:
+            rows.pop(key, None)
+            self._decoded |= key
+            col = key.bit_length()
+            self._recovered[col] = words[key].to_bytes(self.payload_len, "big")
+            newly.add(col)
+        self._pivots &= ~self._decoded
         return newly
-
-
-def back_substitute(m: BitMatrix, k: int) -> BitMatrix:
-    """Propagate every single-coefficient row among the top k rows.
-
-    Scanning rows k down to 1, a row of degree 1 has its column cleared from
-    all other rows in that range (payloads XORed alike). Returns ``m``,
-    modified in place.
-    """
-    top = min(k, m.row_count)
-    for i in range(top, 0, -1):
-        if degree(m.row(i)) != 1:
-            continue
-        j = leftmost_one(m.row(i))
-        assert j is not None
-        for other in range(1, top + 1):
-            if other != i and m.row(other).coefficient(j) == 1:
-                m.xor_into(i, other)
-    return m
 
 
 def full_rank_decode(
@@ -250,11 +242,12 @@ def full_rank_decode(
 
     Returns ``{index: payload}`` for every source packet when the stacked
     coding vectors have rank k, else None. Rank-deficient batches recover
-    nothing even when individual packets would be decodable.
+    nothing even when individual packets would be decodable. Every packet is
+    validated before any elimination.
     """
-    rows: list[list[int]] = []
+    batch = list(packets)
     payload_len: int | None = None
-    for pkt in packets:
+    for pkt in batch:
         if pkt.coding_vector.length != k:
             raise DimensionError(
                 f"coding vector length {pkt.coding_vector.length} != k={k}"
@@ -263,62 +256,37 @@ def full_rank_decode(
             payload_len = len(pkt.payload)
         elif len(pkt.payload) != payload_len:
             raise DimensionError("mixed payload lengths in one batch")
-        rows.append([pkt.coding_vector.word, int.from_bytes(pkt.payload, "big")])
-    # Forward elimination to echelon form, pivoting column by column.
-    rank = 0
-    for col in range(1, k + 1):
-        bit = 1 << (col - 1)
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][0] & bit), None)
-        if pivot is None:
-            return None  # early exit: this column can never gain a pivot
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        vec, pay = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][0] & bit:
-                rows[r][0] ^= vec
-                rows[r][1] ^= pay
-        rank += 1
-    # Back substitution: clear above each pivot, leaving unit rows.
-    for i in range(rank - 1, -1, -1):
-        vec, pay = rows[i]
-        bit = vec & -vec
-        for r in range(i):
-            if rows[r][0] & bit:
-                rows[r][0] ^= vec
-                rows[r][1] ^= pay
+    # Forward elimination into an echelon keyed by lowest set bit, until rank k.
+    rows: dict[int, int] = {}
+    words: dict[int, int] = {}
+    for pkt in batch:
+        if len(rows) == k:
+            break
+        vec, pay = pkt.coding_vector.word, pkt.payload_word
+        while vec:
+            low = vec & -vec
+            row = rows.get(low)
+            if row is None:
+                rows[low] = vec
+                words[low] = pay
+                break
+            vec ^= row
+            pay ^= words[low]
+    if len(rows) < k:
+        return None
+    # Back substitution from the highest column down: every other bit of a
+    # row is the key of a row already reduced to its unit vector.
+    for col in range(k, 0, -1):
+        key = 1 << (col - 1)
+        rest = rows[key] ^ key
+        pay = words[key]
+        while rest:
+            low = rest & -rest
+            pay ^= words[low]
+            rest ^= low
+        words[key] = pay
     assert payload_len is not None
     return {
-        rows[i][0].bit_length(): rows[i][1].to_bytes(payload_len, "big")
-        for i in range(rank)
-    }
-
-
-def rref_decodable_set(vectors: Iterable[CodingVector], k: int) -> set[int]:
-    """Ground-truth decodable set: indices whose unit vector lies in the row space.
-
-    Textbook reduced-row-echelon form over coefficient lists. Kept free of
-    the packed-integer machinery on purpose so it can serve as an oracle for
-    the progressive decoder.
-    """
-    mat: list[list[int]] = []
-    for v in vectors:
-        if v.length != k:
-            raise DimensionError(f"vector length {v.length} != k={k}")
-        mat.append(v.coefficients())
-    pivot_cols: list[int] = []
-    row = 0
-    for col in range(k):
-        pivot = next((r for r in range(row, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        for r in range(len(mat)):
-            if r != row and mat[r][col]:
-                mat[r] = [a ^ b for a, b in zip(mat[r], mat[row])]
-        pivot_cols.append(col)
-        row += 1
-    return {
-        col + 1
-        for r, col in enumerate(pivot_cols)
-        if sum(mat[r]) == 1
+        col: words[1 << (col - 1)].to_bytes(payload_len, "big")
+        for col in range(1, k + 1)
     }

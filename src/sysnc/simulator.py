@@ -15,10 +15,10 @@ any parallel scheduling of trials.
 A trial counts decoded packets from its coding vectors alone, which fix the
 decodable set, so it builds no payload. The vectors come from
 :func:`codec.coding_word`, the one scheme rule the packet encoders use too.
-The count-only kernel :func:`_first_reach` keeps just the row space (a
-decoded-column bitmask plus the non-unit pivot rows) and reports the first n
-at which each count is reached; :class:`codec.ProgressiveDecoder` stays the
-payload decoder, and the tests hold the kernel to it.
+The count-only kernel :func:`_first_reach` keeps just the row space, in the
+form :class:`codec.ProgressiveDecoder` keeps with payloads, and reports the
+first n at which each count is reached; the tests hold the kernel to the
+decoder.
 """
 
 from __future__ import annotations
@@ -114,12 +114,10 @@ def _first_reach(
     trial has c packets decoded, or n_hi + 1 if it never gets there.
 
     Which packets are decodable depends only on the received coding vectors,
-    so the state is their row space alone: ``decoded``, a bitmask of the
-    decoded columns, and ``rows``, the other pivot rows keyed by their lowest
-    set bit (as a power of two), whose keys make up the bitmask ``pivots``.
-    No row holds a decoded column or another row's key, so an arrival masked
-    by ``~decoded`` is reduced by one XOR per set bit of ``vec & pivots``,
-    and a packet is decoded exactly when its row is a unit vector.
+    so the state is their row space alone, in the reduced form of the
+    :mod:`codec` module docstring that ``ProgressiveDecoder`` keeps too
+    (``decoded``, ``rows`` and ``pivots``), without payloads. An arrival is
+    masked by ``~decoded`` first, so only ``vec & pivots`` needs reducing.
     Ordered-uncoded sends only unit vectors, so it never keeps a row and its
     count is the number of distinct ones received.
     """

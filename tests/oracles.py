@@ -5,6 +5,8 @@ enumeration, exact rational arithmetic) so the closed-form implementations
 can be checked against values they had no hand in producing. The ``*_loop``
 functions are the plain float loops of the closed forms, term by term in
 their stated order: the float implementations must equal them bit for bit.
+``rref_decodable_set`` is a list-based RREF that shares no code with the
+packed decoders it judges.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
+from typing import Iterable
+
+from sysnc.gf2 import CodingVector, DimensionError
 
 
 def insert_rank(words: list[int]) -> int:
@@ -27,6 +32,37 @@ def insert_rank(words: list[int]) -> int:
                 pivots[low] = w
                 break
     return len(pivots)
+
+
+def rref_decodable_set(vectors: Iterable[CodingVector], k: int) -> set[int]:
+    """Ground-truth decodable set: indices whose unit vector lies in the row space.
+
+    Textbook reduced-row-echelon form over coefficient lists. Kept free of
+    the packed-integer machinery on purpose so it can serve as an oracle for
+    the decoders.
+    """
+    mat: list[list[int]] = []
+    for v in vectors:
+        if v.length != k:
+            raise DimensionError(f"vector length {v.length} != k={k}")
+        mat.append(v.coefficients())
+    pivot_cols: list[int] = []
+    row = 0
+    for col in range(k):
+        pivot = next((r for r in range(row, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[row], mat[pivot] = mat[pivot], mat[row]
+        for r in range(len(mat)):
+            if r != row and mat[r][col]:
+                mat[r] = [a ^ b for a, b in zip(mat[r], mat[row])]
+        pivot_cols.append(col)
+        row += 1
+    return {
+        col + 1
+        for r, col in enumerate(pivot_cols)
+        if sum(mat[r]) == 1
+    }
 
 
 def rowspace(words: list[int]) -> set[int]:

@@ -8,8 +8,27 @@ match it call for call; tests diff the two.
 
 from __future__ import annotations
 
-from sysnc.codec import TransmittedPacket, back_substitute
+from sysnc.codec import TransmittedPacket
 from sysnc.gf2 import BitMatrix, CodingVector, degree, leftmost_one, swap_rows
+
+
+def back_substitute(m: BitMatrix, k: int) -> BitMatrix:
+    """Propagate every single-coefficient row among the top k rows.
+
+    Scanning rows k down to 1, a row of degree 1 has its column cleared from
+    all other rows in that range (payloads XORed alike). Returns ``m``,
+    modified in place.
+    """
+    top = min(k, m.row_count)
+    for i in range(top, 0, -1):
+        if degree(m.row(i)) != 1:
+            continue
+        j = leftmost_one(m.row(i))
+        assert j is not None
+        for other in range(1, top + 1):
+            if other != i and m.row(other).coefficient(j) == 1:
+                m.xor_into(i, other)
+    return m
 
 
 class DenseProgressiveDecoder:

@@ -9,14 +9,13 @@ import math
 import random
 from fractions import Fraction
 
-from oracles import cond_full_oracle
+from oracles import cond_full_oracle, rref_decodable_set
 from sysnc import analysis, cli
 from sysnc.codec import (
     ProgressiveDecoder,
     SourceMessage,
     encode_straightforward,
     encode_systematic,
-    rref_decodable_set,
 )
 from sysnc.simulator import ChannelConfig, bench_decode, run_trials
 

@@ -6,6 +6,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sysnc import cli
 from sysnc.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -14,6 +15,7 @@ from sysnc.cli import (
     _FLAGS,
     main,
 )
+from sysnc.simulator import run_trials
 
 
 def run_cli(args, capsys):
@@ -227,6 +229,23 @@ class TestMetrics:
         assert code == EXIT_OK, err
         rows = {r.split(",")[2]: r.split(",") for r in out.strip().splitlines()[1:]}
         assert rows["1"][5:] == [rows["2"][6], rows["2"][6], "0"]
+
+    def test_sf_partial_simulates_once_per_p(self, monkeypatch, capsys):
+        calls = []
+
+        def counting_run_trials(scheme, k, m_list, *args, **kwargs):
+            calls.append(list(m_list))
+            return run_trials(scheme, k, m_list, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_trials", counting_run_trials)
+        code, out, err = run_cli(
+            ["metrics", "--scheme", "straightforward", "--k", "6", "--m", "4,2,6,4",
+             "--p", "0.1,0.3", "--p-hat", "0.7", "--trials", "200", "--seed", "5"],
+            capsys,
+        )
+        assert code == EXIT_OK, err
+        assert calls == [[2, 4], [2, 4]]
+        assert len(out.strip().splitlines()) == 1 + 2 * 4
 
 
 class TestBench:

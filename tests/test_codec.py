@@ -3,18 +3,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import decodable_by_rowspace, insert_rank
-from reference_decoder import DenseProgressiveDecoder
+from oracles import decodable_by_rowspace, insert_rank, rref_decodable_set
+from reference_decoder import DenseProgressiveDecoder, back_substitute
+from sysnc import codec
 from sysnc.codec import (
+    SCHEME_ENCODERS,
     ProgressiveDecoder,
     SourceMessage,
     TransmittedPacket,
-    back_substitute,
     encode_ordered_uncoded,
     encode_straightforward,
     encode_systematic,
     full_rank_decode,
-    rref_decodable_set,
 )
 from sysnc.gf2 import BitMatrix, CodingVector, DimensionError
 
@@ -49,11 +49,12 @@ def make_packet(coeffs, payload, n=1):
 
 
 def decoder_rows(dec):
-    """The decoder's nonzero rows: leading column -> (row word, payload)."""
-    return {
-        col: (row, dec._pivot_pay[col].to_bytes(dec.payload_len, "big"))
-        for col, row in dec._pivot_rows.items()
-    }
+    """The decoder's nonzero rows: leading column -> (row word, payload),
+    with each decoded column as its unit row."""
+    rows = {col: (1 << (col - 1), pay) for col, pay in dec.recovered_payloads.items()}
+    for key, row in dec._rows.items():
+        rows[key.bit_length()] = (row, dec._words[key].to_bytes(dec.payload_len, "big"))
+    return rows
 
 
 class TestEncoders:
@@ -99,6 +100,31 @@ class TestEncoders:
                 encode(MSG3, 0, StubBits(0))
         with pytest.raises(ValueError):
             encode_ordered_uncoded(MSG3, 0)
+
+    def test_unit_packets_reuse_the_source_packet(self, monkeypatch):
+        def no_combining(*args):
+            raise AssertionError("a unit packet combined payloads")
+
+        monkeypatch.setattr(codec, "combine_words", no_combining)
+        for pkt, i in [
+            (encode_systematic(MSG3, 2, StubBits()), 1),
+            (encode_straightforward(MSG3, 1, StubBits(word(0, 0, 1))), 2),
+            (encode_ordered_uncoded(MSG3, 4), 0),
+        ]:
+            assert pkt.payload is MSG3.packets[i]
+            assert pkt.payload_word == MSG3.packet_words[i]
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_payload_word_is_the_payload(self, seed):
+        rng = random.Random(seed)
+        msg, packets = random_instance(rng)
+        packets.append(encode_ordered_uncoded(msg, rng.randint(1, 3 * msg.k)))
+        for pkt in packets:
+            hand = TransmittedPacket(pkt.coding_vector, pkt.payload, pkt.sequence_index)
+            assert hand == pkt
+            for p in (pkt, hand):
+                assert p.payload_word == int.from_bytes(p.payload, "big")
 
     def test_message_validation(self):
         with pytest.raises(ValueError):
@@ -265,6 +291,34 @@ class TestFullRankDecode:
             make_packet([1, 1], xor_bytes(b"a", b"b"), 2),
         ]
         assert full_rank_decode(packets, 2) == {1: b"a", 2: b"b"}
+
+    def test_every_packet_validated_after_full_rank(self):
+        full = [make_packet([1, 0], b"a", 1), make_packet([0, 1], b"b", 2)]
+        with pytest.raises(DimensionError):
+            full_rank_decode([*full, make_packet([1, 0, 0], b"a", 3)], 2)
+        with pytest.raises(DimensionError):
+            full_rank_decode([*full, make_packet([1, 1], b"ab", 3)], 2)
+
+    @pytest.mark.parametrize("scheme", ["systematic", "straightforward"])
+    @pytest.mark.parametrize("k", [63, 64, 65, 128])
+    def test_matches_progressive_decoder_across_word_boundaries(self, scheme, k):
+        rng = random.Random(f"{scheme}|{k}")
+        msg = SourceMessage(tuple(rng.randbytes(5) for _ in range(k)))
+        source = dict(enumerate(msg.packets, 1))
+        dec = ProgressiveDecoder(k, msg.payload_len)
+        received = []
+        for n in range(1, 4 * k + 1):
+            pkt = SCHEME_ENCODERS[scheme](msg, n, rng)
+            if rng.random() < 0.2:
+                continue  # erased
+            received.append(pkt)
+            for i in dec.receive(pkt):
+                assert dec.recovered_payloads[i] == source[i]
+            if dec.decoded_count == k:
+                break
+        assert dec.recovered_payloads == source
+        assert full_rank_decode(received, k) == source
+        assert full_rank_decode(received[:-1], k) is None
 
     def test_rank_deficient_recovers_nothing(self):
         assert full_rank_decode([make_packet([1, 1], b"x")], 2) is None

@@ -1,13 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import rref_decodable_set
 from sysnc.analysis import full_decode_prob, ou_partial_decode_prob
 from sysnc.codec import (
     SCHEME_ENCODERS,
     SCHEMES,
     ProgressiveDecoder,
     coding_word,
-    rref_decodable_set,
 )
 from sysnc.simulator import (
     ChannelConfig,
