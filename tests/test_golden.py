@@ -49,6 +49,20 @@ GOLDEN = {
         ("analyze", "--scheme", "straightforward", "--m", "30", *_ANA_WIDE),
         "a817c61a64ec5ed81f96a7e59f2cf41c8bb6375e93e4cfc3808fbb3e18854e9f",
     ),
+    # N runs from below K across the wraps at N = K, 2K and 3K, where the
+    # copy count of every packet has grown by one.
+    "analyze-ordered-uncoded-wide": (
+        ("analyze", "--scheme", "ordered-uncoded", "--k", "10", "--m", "1,5,10",
+         "--n-min", "1", "--n-max", "35", "--p", "0,0.1,0.5"),
+        "5e8ad6384b1be57066c9eea6d8ca160b9963e769ed38c0b4c3c3f6d0a2a7776a",
+    ),
+    # The M < K approximation rows run from N < K to N well past K, where
+    # they read N only through min(K, N).
+    "analyze-systematic-partial": (
+        ("analyze", "--scheme", "systematic", "--k", "60", "--m", "30,60",
+         "--n-min", "40", "--n-max", "130", "--p", "0.1,0.3"),
+        "994ea66f1174143e0b790b4fc19fc4b2604e22066acd6c5686d76a8c38dbc7fc",
+    ),
     "simulate-systematic": (
         ("simulate", "--scheme", "systematic", *_SIM),
         "73c38f4d49dfc8f5b7621763f06d28970c2cf2dd9721bf0faddda1edcd2a1c2e",
