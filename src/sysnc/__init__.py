@@ -2,9 +2,7 @@
 closed-form decoding probabilities, and an erasure-channel simulator."""
 
 from .analysis import (
-    AnalysisParams,
     InvariantViolation,
-    ReceptionProfile,
     TargetMetrics,
     ThresholdUnreachableWarning,
     binomial,
@@ -21,6 +19,7 @@ from .analysis import (
     min_packets_for_target,
     ou_partial_decode_prob,
     ou_partial_decode_probs,
+    ou_partial_decode_sweep,
     partial_decode_prob_approx,
     poisson_binomial_tail,
     sf_full_decode_prob,

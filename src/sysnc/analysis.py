@@ -25,9 +25,25 @@ exactly 1.0, and multiplying by an exact 1.0 changes nothing, so only the
 factors below that t need storing (see ``_rank_rows``). That table is the
 only state kept between calls. Work shared across p, M or N (the ``*_probs``
 functions) lives inside one call and is returned, never cached, so repeating
-a computation repeats its work. The ``*_exact`` paths may use any
-algebraically equal form, such as a prefix product, since exact arithmetic
-has no rounding to keep.
+a computation repeats its work. Float sums are written-out left folds:
+since Python 3.12 the builtin ``sum`` of floats is compensated and rounds
+differently from the loop. The ``*_exact`` paths may use any algebraically
+equal form, such as a prefix product, since exact arithmetic has no rounding
+to keep.
+
+Three kinds of work are skipped because they provably cannot change a bit:
+
+* Carry (``ou_partial_decode_sweep``). From n - 1 sends to n, only packet
+  i = ((n - 1) mod k) + 1 gains a copy, so the Poisson-binomial state after
+  packets 1..i-1 is the one already computed for n - 1; the sweep keeps the
+  state after packet i for n + 1 (after packet k, n + 1 starts afresh).
+* Band. The recovered count can grow by at most one per packet, so after
+  packet t no count below min(ms) - (k - t) can reach a requested tail; the
+  DP step drops it. Every count it keeps is the full program's
+  ``dist[j] * stay + dist[j - 1] * s``, the same operations in the same order.
+* Past-mode cut (``_cond_full``). Once the hypergeometric quotients fall and
+  one is below half an ulp of the running sum, no later term can move the
+  sum; the argument is stated at the cut.
 """
 
 from __future__ import annotations
@@ -206,7 +222,10 @@ def partial_decode_prob_approx(
         return 0.0
     if m == k:
         return full_decode_prob(k, n, p, q)
-    return min(sum(_receive_pmf(n_min, r, p) for r in range(m, n_min + 1)), 1.0)
+    total = 0  # a left fold, as ``sum`` was before Python 3.12
+    for r in range(m, n_min + 1):
+        total = total + _receive_pmf(n_min, r, p)
+    return min(total, 1.0)
 
 
 def sf_full_decode_prob(k: int, n: int, p: float, q: int = 2) -> float:
@@ -232,54 +251,90 @@ def ou_partial_decode_prob(k: int, m: int, n: int, p) -> float | Fraction:
     Packet i goes out ``(n - i) // k + 1`` times (0 if i > n) and survives
     with probability 1 - p^copies; the recovered count is a sum of
     independent non-identical Bernoullis, evaluated with the standard
-    Poisson-binomial dynamic program. Works in whatever arithmetic ``p``
-    supports (float or Fraction).
+    Poisson-binomial dynamic program and summed as a left fold from count m
+    up. Works in whatever arithmetic ``p`` supports (float or Fraction).
     """
-    [prob] = ou_partial_decode_probs(k, (m,), n, p)
+    [[prob]] = ou_partial_decode_sweep(k, (m,), n, n, p)
     return prob
 
 
 def ou_partial_decode_probs(k: int, ms, n: int, p) -> list:
     """``ou_partial_decode_prob(k, m, n, p)`` for each m of ``ms``, all read
     from one distribution of the recovered count."""
+    [probs] = ou_partial_decode_sweep(k, ms, n, n, p)
+    return probs
+
+
+def ou_partial_decode_sweep(k: int, ms, n_lo: int, n_hi: int, p) -> list[list]:
+    """``ou_partial_decode_probs(k, ms, n, p)`` for n = n_lo..n_hi, in that order.
+
+    Bit-identical to one full dynamic program per n, but the DP state before
+    the packet that n's send repeats is carried over from n - 1, and counts
+    that cannot reach min(ms) are dropped (see the module docstring).
+    """
     for m in ms:
         if not 1 <= m <= k:
             raise ValueError(f"need 1 <= m <= k, got m={m}, k={k}")
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if not 1 <= n_lo <= n_hi:
+        raise ValueError(f"bad N range [{n_lo}, {n_hi}]")
     if not 0 <= p <= 1:
         raise ValueError(f"erasure probability {p} outside [0, 1]")
-    survive = []
-    for i in range(1, k + 1):
+    m_lo = min(ms, default=k)
+    # Packet t keeps count 0 while t <= k - m_lo; each later packet drops the
+    # lowest count, so the final state holds counts m_lo..k.
+    keep_zero = k - m_lo
+
+    def survive(i: int, n: int):
         copies = (n - i) // k + 1 if i <= n else 0
-        survive.append(1 - p**copies if copies else 0)
-    dist = _poisson_binomial_pmf(survive)
-    tails = [_pmf_tail(dist, m) for m in ms]
-    # the DP can overshoot 1 by an ulp
-    return [min(max(t, 0.0), 1.0) if isinstance(t, float) else t for t in tails]
+        return 1 - p**copies if copies else 0
+
+    prefix = [1]  # the DP state after packets 1..i-1, i = ((n - 1) mod k) + 1
+    for t in range(1, (n_lo - 1) % k + 1):
+        prefix = _pb_step(prefix, survive(t, n_lo), t <= keep_zero)
+    sweep = []
+    for n in range(n_lo, n_hi + 1):
+        i = (n - 1) % k + 1  # the one packet whose copy count n - 1 -> n raises
+        dist = _pb_step(prefix, survive(i, n), i <= keep_zero)
+        prefix = dist if i < k else [1]
+        for t in range(i + 1, k + 1):
+            dist = _pb_step(dist, survive(t, n), t <= keep_zero)
+        tails = [_tail(dist, m - m_lo) for m in ms]
+        # the DP can overshoot 1 by an ulp
+        sweep.append(
+            [min(max(x, 0.0), 1.0) if isinstance(x, float) else x for x in tails]
+        )
+    return sweep
 
 
 def poisson_binomial_tail(probs, threshold: int):
     """P[at least ``threshold`` successes] for independent Bernoulli trials ``probs``."""
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
-    return _pmf_tail(_poisson_binomial_pmf(probs), threshold)
-
-
-def _poisson_binomial_pmf(probs) -> list:
-    """P[exactly j successes], j = 0..len(probs), by the standard dynamic program."""
-    dist = [1]
+    dist = [1]  # P[exactly j successes], by the standard dynamic program
     for s in probs:
-        stay = 1 - s
-        nxt = [dist[0] * stay]
-        nxt.extend(dist[j] * stay + dist[j - 1] * s for j in range(1, len(dist)))
-        nxt.append(dist[-1] * s)
-        dist = nxt
-    return dist
+        dist = _pb_step(dist, s, True)
+    return _tail(dist, threshold)
 
 
-def _pmf_tail(dist: list, threshold: int):
-    return sum(dist[threshold:], dist[0] * 0)
+def _pb_step(dist: list, s, keep_low: bool) -> list:
+    """One packet of the Poisson-binomial program: entry j becomes
+    ``dist[j] * stay + dist[j - 1] * s``, the top one ``dist[-1] * s``. Without
+    ``keep_low`` the lowest entry, ``dist[0] * stay``, is not computed, so
+    the result starts one count higher than ``dist``."""
+    stay = 1 - s
+    nxt = [dist[0] * stay] if keep_low else []
+    nxt.extend([hi * stay + lo * s for hi, lo in zip(dist[1:], dist)])
+    nxt.append(dist[-1] * s)
+    return nxt
+
+
+def _tail(dist: list, start: int):
+    """dist[start] + dist[start + 1] + ..., a left fold from a zero of the
+    entries' own type (``sum`` of floats is compensated since Python 3.12)."""
+    acc = dist[0] * 0
+    for x in dist[start:]:
+        acc = acc + x
+    return acc
 
 
 def decode_prob_ratio(k: int, r: int, n: int, q: int = 2) -> float:
@@ -346,57 +401,6 @@ class TargetMetrics:
         return self.n_full - self.n_partial
 
 
-@dataclass(frozen=True)
-class ReceptionProfile:
-    """Receive-side counts for one session: r packets arrived, h of them systematic."""
-
-    k: int
-    n: int
-    r: int
-    h: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-        if not 0 <= self.r <= self.n:
-            raise ValueError(f"receive count r={self.r} outside [0, {self.n}]")
-        if not self.h_min <= self.h <= min(self.k, self.r):
-            raise ValueError(
-                f"systematic count h={self.h} outside "
-                f"[{self.h_min}, {min(self.k, self.r)}]"
-            )
-
-    @property
-    def h_min(self) -> int:
-        """Fewest systematic packets an r-packet reception can contain."""
-        return max(0, self.r - (self.n - self.k))
-
-
-@dataclass(frozen=True)
-class AnalysisParams:
-    """Validated parameter bundle for one analysis row."""
-
-    k: int
-    n: int
-    m: int
-    p: float
-    q: int = 2
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("generation size k must be positive")
-        if not 1 <= self.m <= self.k:
-            raise ValueError(f"need 1 <= m <= k, got m={self.m}, k={self.k}")
-        if self.n < 1:
-            raise ValueError("transmission count n must be positive")
-        _check_erasure(self.p)
-        _check_field(self.q)
-
-    @property
-    def n_min(self) -> int:
-        return min(self.k, self.n)
-
-
 # Per-q tables of the rank product, built on first use and kept for the life
 # of the process. Each depends on q alone; it is the only state this module
 # keeps between calls.
@@ -454,14 +458,26 @@ def _cond_full(
 ) -> float:
     """``cond_full_decode_prob`` from the binomial rows ck[h] = C(k, h) and
     cnk[s] = C(n - k, s) and the rank table. Every float operation is the
-    term-by-term sum's, in its order; W(k - h, r - h) only comes from the table."""
+    term-by-term sum's, in its order; W(k - h, r - h) only comes from the
+    table, and the sum stops where no remaining term can change it."""
     den = math.comb(n, r)
     e = r - k
     row = rows[e] if e < len(rows) else [1.0]
     w = row + [row[-1]] * (k + 1 - len(row))  # w[j] = W(j, j + e), j = 0..k
     acc = cnk[e] / den
+    prev = 0.0
     for h in range(max(0, r - n + k), k):
-        acc += ck[h] * cnk[r - h] / den * w[k - h]
+        quot = ck[h] * cnk[r - h] / den
+        # Past-mode cut: no later term can change acc. C(k,h) C(n-k,r-h) is
+        # log-concave in h (a hypergeometric pmf), so once it falls it keeps
+        # falling. Rounding is monotone, so quot < prev shows the fall, and
+        # every later quotient is <= quot; W <= 1, so every later term is <=
+        # its quotient. acc never decreases, so each later term stays below
+        # half an ulp of the acc it meets and the addition rounds back to acc.
+        if quot < prev and quot < math.ulp(acc) / 2:
+            break
+        acc += quot * w[k - h]
+        prev = quot
     return min(acc, 1.0)
 
 

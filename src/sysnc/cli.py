@@ -172,35 +172,46 @@ def _fmt_p(p: float) -> str:
     return f"{p:g}"
 
 
-def _analyze_points(cfg: ExperimentConfig, n: int) -> list[tuple[int, float, float, str]]:
-    """(M, p, probability, kind) of every analysis row at N = n. A row family
+def _analyze_points(cfg: ExperimentConfig):
+    """(M, N, p, probability, kind) of every analysis row. A row family
     starts at N = M, or at N = 1 for ordered-uncoded."""
-    assert cfg.scheme and cfg.k
+    assert cfg.scheme and cfg.k and cfg.n_min and cfg.n_max
     k, q, scheme = cfg.k, cfg.q, cfg.scheme
-    ms = [m for m in cfg.m if scheme == "ordered-uncoded" or n >= m]
-    if not ms:
-        return []
-    points = []
+    ns = range(cfg.n_min, cfg.n_max + 1)
     if scheme == "ordered-uncoded":
+        # One sweep per p carries the recovered-count program from N to N + 1.
         for p in cfg.p:
-            probs = analysis.ou_partial_decode_probs(k, ms, n, p)
-            points.extend((m, p, float(prob), "exact") for m, prob in zip(ms, probs))
-    elif scheme == "straightforward":  # every M is K
-        for p in cfg.p:
-            prob = analysis.sf_full_decode_prob(k, n, p, q)
-            points.extend((m, p, prob, "exact") for m in ms)
-    else:
+            sweep = analysis.ou_partial_decode_sweep(k, cfg.m, cfg.n_min, cfg.n_max, p)
+            for n, probs in zip(ns, sweep):
+                for m, prob in zip(cfg.m, probs):
+                    yield m, n, p, float(prob), "exact"
+        return
+    # The M < K approximation reads N only through min(K, N), so one value
+    # per (M, p, min(K, N)) serves every N of this call.
+    approx: dict[tuple[int, float, int], float] = {}
+    # N outermost: each N's conditional decoding probabilities serve every p.
+    for n in ns:
+        ms = [m for m in cfg.m if n >= m]
+        if not ms:
+            continue
+        if scheme == "straightforward":  # every M is K
+            for p in cfg.p:
+                prob = analysis.sf_full_decode_prob(k, n, p, q)
+                for m in ms:
+                    yield m, n, p, prob, "exact"
+            continue
         full = [None] * len(cfg.p)
         if k in ms:
             full = analysis.full_decode_probs(k, n, cfg.p, q)
         for p, full_p in zip(cfg.p, full):
             for m in ms:
                 if m == k:
-                    points.append((m, p, full_p, "exact"))
-                else:
-                    prob = analysis.partial_decode_prob_approx(k, m, n, p, q)
-                    points.append((m, p, prob, "approx"))
-    return points
+                    yield m, n, p, full_p, "exact"
+                    continue
+                key = (m, p, min(k, n))
+                if key not in approx:
+                    approx[key] = analysis.partial_decode_prob_approx(k, m, n, p, q)
+                yield m, n, p, approx[key], "approx"
 
 
 def cmd_analyze(cfg: ExperimentConfig) -> list[str]:
@@ -215,11 +226,9 @@ def cmd_analyze(cfg: ExperimentConfig) -> list[str]:
                 f"no valid N in [{cfg.n_min}, {cfg.n_max}] for "
                 f"scheme={cfg.scheme}, M={m}"
             )
-    # N outermost: each N's conditional decoding probabilities serve every p.
     rows = [
         (cfg.scheme, cfg.k, m, n, p, cfg.q, prob, kind)
-        for n in range(cfg.n_min, cfg.n_max + 1)
-        for m, p, prob, kind in _analyze_points(cfg, n)
+        for m, n, p, prob, kind in _analyze_points(cfg)
     ]
     rows.sort(key=lambda r: r[:6])
     lines = ["scheme,K,M,N,p,q,prob,kind"]

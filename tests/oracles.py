@@ -183,3 +183,34 @@ def sf_full_decode_loop(k: int, n: int, p: float, q: int, pmf) -> float:
         if w:
             total += w * rank_product_loop(k, r, q)
     return min(total, 1.0)
+
+
+def approx_tail_loop(k: int, m: int, n: int, p: float, pmf) -> float:
+    """The systematic small-p approximation for m < k: pmf(min(k, n), r, p)
+    summed for r = m..min(k, n) as a left fold, clamped to 1."""
+    total = 0.0
+    for r in range(m, min(k, n) + 1):
+        total += pmf(min(k, n), r, p)
+    return min(total, 1.0)
+
+
+def ou_tail_loop(k: int, ms: list[int], n: int, p) -> list:
+    """Ordered-uncoded P[at least m of k recovered after n sends] for each m of
+    ``ms``: the whole Poisson-binomial program over packets 1..k, then each
+    tail summed from count m up as a left fold, clamped to [0, 1] in floats."""
+    dist = [1]
+    for i in range(1, k + 1):
+        copies = (n - i) // k + 1 if i <= n else 0
+        s = 1 - p**copies if copies else 0
+        nxt = [dist[0] * (1 - s)]
+        for j in range(1, len(dist)):
+            nxt.append(dist[j] * (1 - s) + dist[j - 1] * s)
+        nxt.append(dist[-1] * s)
+        dist = nxt
+    tails = []
+    for m in ms:
+        acc = dist[0] * 0
+        for j in range(m, k + 1):
+            acc = acc + dist[j]
+        tails.append(min(max(acc, 0.0), 1.0) if isinstance(acc, float) else acc)
+    return tails

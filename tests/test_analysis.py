@@ -6,20 +6,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    approx_tail_loop,
     at_least_oracle,
     cond_full_oracle,
     cond_sum_loop,
     full_decode_loop,
     full_decode_oracle,
     full_rank_prob_oracle,
+    ou_tail_loop,
     rank_product_loop,
     sf_full_decode_loop,
 )
 from sysnc import analysis
 from sysnc.analysis import (
-    AnalysisParams,
     InvariantViolation,
-    ReceptionProfile,
     TargetMetrics,
     ThresholdUnreachableWarning,
     binomial,
@@ -35,6 +35,8 @@ from sysnc.analysis import (
     log_binomial,
     min_packets_for_target,
     ou_partial_decode_prob,
+    ou_partial_decode_probs,
+    ou_partial_decode_sweep,
     partial_decode_prob_approx,
     poisson_binomial_tail,
     sf_full_decode_prob,
@@ -175,6 +177,52 @@ class TestBitwiseAgainstLoops:
             for p in ps:
                 assert full_decode_prob(k, n, p, q) == full_decode_loop(k, n, p, q, pmf)
                 assert sf_full_decode_prob(k, n, p, q) == sf_full_decode_loop(k, n, p, q, pmf)
+        # Large k: the hypergeometric terms pass their mode long before
+        # h = k - 1, so the past-mode cut in the conditional sum fires. With
+        # n > 2k the first terms of some rows are also far below the running
+        # sum, which a cut that did not wait for the mode would skip.
+        for k, n in ((60, 200), (150, 190), (150, 300), (150, 330)):
+            row = cond_full_decode_probs(k, n, q)
+            assert row == [cond_sum_loop(k, r, n, q) for r in range(k, n + 1)], (k, n)
+
+    def test_partial_approx(self):
+        """A left fold on every Python; the builtin ``sum`` of floats is
+        compensated from Python 3.12 on and would differ there."""
+        pmf = analysis._receive_pmf
+        for k in (5, 20, 40, 150):
+            for n in range(2, 2 * k + 2, 3):
+                for p in (0.1, 0.3, 0.5):
+                    for m in {1, min(k - 1, n) // 2 + 1, min(k - 1, n)}:
+                        assert partial_decode_prob_approx(k, m, n, p) == approx_tail_loop(
+                            k, m, n, p, pmf
+                        ), (k, m, n, p)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 40, 150])
+    def test_ou_sweep(self, k):
+        """The carried, band-limited ordered-uncoded sweep and its one-N
+        forms equal one whole Poisson-binomial program per N, across the
+        wraps at N = K, 2K and 3K."""
+        n_hi = 3 * k + 1
+        mid = (k + 1) // 2
+        msets = [(1,), (k,), (k, mid), (1, k // 3 + 1, k)]
+        every = sorted({m for ms in msets for m in ms})
+        one_n = range(1, n_hi + 1, 1 if k < 40 else 13)
+        for p in (0.0, 0.1, 0.5, 1.0):
+            loop = {
+                n: dict(zip(every, ou_tail_loop(k, every, n, p)))
+                for n in range(1, n_hi + 1)
+            }
+            for ms in msets:
+                expect = [[loop[n][m] for m in ms] for n in range(1, n_hi + 1)]
+                assert ou_partial_decode_sweep(k, ms, 1, n_hi, p) == expect, (ms, p)
+                # a sweep that starts inside the first round and crosses N = K
+                n_lo, n_to = mid + 1, mid + k + 2
+                assert ou_partial_decode_sweep(k, ms, n_lo, n_to, p) == expect[n_lo - 1:n_to]
+                for n in one_n:
+                    assert ou_partial_decode_probs(k, ms, n, p) == expect[n - 1], (ms, n, p)
+            for n in one_n:
+                for m in every:
+                    assert ou_partial_decode_prob(k, m, n, p) == loop[n][m], (m, n, p)
 
 
 class TestExactPaths:
@@ -267,6 +315,15 @@ class TestOuPartialDecodeProb:
     def test_untransmitted_packets_cannot_be_recovered(self):
         # full recovery impossible while some packet was never sent
         assert ou_partial_decode_prob(3, 3, 2, 0.0) == 0
+
+    def test_domain(self):
+        for args in ((3, (1,), 5, 4), (3, (1,), 0, 4), (3, (0,), 1, 4), (3, (4,), 1, 4)):
+            with pytest.raises(ValueError):
+                ou_partial_decode_sweep(*args, 0.1)
+        with pytest.raises(ValueError):
+            ou_partial_decode_sweep(3, (1,), 1, 4, 1.5)
+        with pytest.raises(ValueError):
+            ou_partial_decode_prob(3, 1, 0, 0.1)
 
     @given(
         st.integers(1, 5),
@@ -375,27 +432,6 @@ class TestTargetMetrics:
     def test_ordering_enforced(self):
         with pytest.raises(InvariantViolation):
             TargetMetrics(0.7, 10, 9)
-
-
-class TestParameterBundles:
-    def test_reception_profile_h_bounds(self):
-        prof = ReceptionProfile(k=3, n=4, r=4, h=3)
-        assert prof.h_min == 3
-        with pytest.raises(ValueError):
-            ReceptionProfile(k=3, n=4, r=4, h=2)  # too few systematic
-        with pytest.raises(ValueError):
-            ReceptionProfile(k=3, n=6, r=2, h=3)  # h > r
-
-    def test_h_min_branches(self):
-        assert ReceptionProfile(k=3, n=8, r=3, h=0).h_min == 0
-        assert ReceptionProfile(k=4, n=6, r=5, h=3).h_min == 3
-
-    def test_analysis_params(self):
-        with pytest.raises(ValueError):
-            AnalysisParams(k=4, n=5, m=5, p=0.1)
-        with pytest.raises(ValueError):
-            AnalysisParams(k=4, n=5, m=2, p=1.5)
-        assert AnalysisParams(k=4, n=3, m=2, p=0.1).n_min == 3
 
 
 class TestRangeAndMonotonicity:
