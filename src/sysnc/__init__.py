@@ -50,6 +50,7 @@ from .simulator import (
     ChannelConfig,
     EmpiricalCurve,
     bench_decode,
+    bench_decoders,
     derive_stream,
     make_test_message,
     run_trials,

@@ -23,7 +23,7 @@ from .gf2 import MAX_LENGTH
 from .simulator import (
     BENCH_DECODERS,
     ChannelConfig,
-    bench_decode,
+    bench_decoders,
     run_trials,
 )
 
@@ -346,11 +346,9 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[str]:
 
 def cmd_bench(cfg: ExperimentConfig) -> list[str]:
     assert cfg.k and cfg.trials is not None and cfg.seed is not None
-    results = []
-    for decoder in BENCH_DECODERS:
-        results.extend(
-            bench_decode(list(range(1, cfg.k + 1)), decoder, cfg.trials, seed=cfg.seed)
-        )
+    results = bench_decoders(
+        list(range(1, cfg.k + 1)), BENCH_DECODERS, cfg.trials, seed=cfg.seed
+    )
     results.sort(key=lambda r: (r.decoder, r.k))
     lines = [
         "# timing values are hardware-relative; compare decoders within one run only",

@@ -149,13 +149,15 @@ SCHEME_ENCODERS: dict[str, Callable[..., TransmittedPacket]] = {
 class ProgressiveDecoder:
     """Per-arrival GF(2) eliminator with partial recovery.
 
-    The state is the reduced row space of the module docstring, with a
-    payload word carried alongside every row and every decoded column. An
-    arrival is reduced against it, payload and all; a dependent or zero
-    arrival reduces to zero and is absorbed. Each row that becomes a unit
-    vector releases its source packet, converted to bytes once, so the
-    decoded set grows monotonically and never misses a packet whose unit
-    vector lies in the received row space.
+    The state is the reduced row space of the module docstring. Each row
+    carries its payload word above its k coding bits, ``row | pay << k``, so
+    one XOR combines a row and its payload; a decoded column keeps its
+    payload word on its own. An arrival is reduced against the state,
+    payload and all; a dependent or zero arrival reduces to zero and is
+    absorbed. Each row that becomes a unit vector releases its source
+    packet, converted to bytes once, so the decoded set grows monotonically
+    and never misses a packet whose unit vector lies in the received row
+    space.
 
     A decoder is single-owner state: one session mutates it from one thread;
     distinct sessions are independent.
@@ -168,10 +170,11 @@ class ProgressiveDecoder:
             raise ValueError("payload_len must be positive")
         self.k = k
         self.payload_len = payload_len
+        self._mask = (1 << k) - 1  # the coding bits of a row
         self._decoded = 0  # bitmask of the decoded columns
         self._pivots = 0  # bitmask of the keys of _rows
-        self._rows: dict[int, int] = {}  # lowest set bit -> non-unit row
-        self._words: dict[int, int] = {}  # row key or decoded bit -> payload word
+        self._rows: dict[int, int] = {}  # lowest set bit -> non-unit row | pay << k
+        self._words: dict[int, int] = {}  # decoded bit -> payload word
         self._recovered: dict[int, bytes] = {}
 
     @property
@@ -188,50 +191,71 @@ class ProgressiveDecoder:
 
     def receive(self, pkt: TransmittedPacket) -> set[int]:
         """Fold one packet into the state; returns the newly decoded indices."""
-        if pkt.coding_vector.length != self.k:
-            raise DimensionError(
-                f"coding vector length {pkt.coding_vector.length} != k={self.k}"
-            )
+        vector = pkt.coding_vector
+        if vector.length != self.k:
+            raise DimensionError(f"coding vector length {vector.length} != k={self.k}")
         if len(pkt.payload) != self.payload_len:
             raise DimensionError(
                 f"payload length {len(pkt.payload)} != {self.payload_len}"
             )
-        return self.receive_words(pkt.coding_vector.word, pkt.payload_word)
+        return self.receive_words(vector.word, pkt.payload_word)
 
     def receive_words(self, vec: int, pay: int) -> set[int]:
         """Packed-word fast path of :meth:`receive` (no packet object needed)."""
+        k = self.k
+        done = vec & self._decoded
+        if done:  # a decoded column's row is its unit vector
+            words = self._words
+            vec ^= done
+            while done:
+                low = done & -done
+                pay ^= words[low]
+                done ^= low
         rows = self._rows
-        words = self._words
-        hits = vec & (self._pivots | self._decoded)
+        if not rows and vec and not vec & (vec - 1):
+            # A new unit vector and no row to clear its column from.
+            self._decoded |= vec
+            self._words[vec] = pay
+            col = vec.bit_length()
+            self._recovered[col] = pay.to_bytes(self.payload_len, "big")
+            return {col}
+        row = vec | pay << k
+        hits = vec & self._pivots
         while hits:
             low = hits & -hits
-            vec ^= rows.get(low, low)  # a decoded column's row is its unit vector
-            pay ^= words[low]
+            row ^= rows[low]
             hits ^= low
+        mask = self._mask
+        vec = row & mask
         if not vec:
             return set()  # dependent or zero packet: nothing new
         low = vec & -vec
-        units = []
-        for key, row in rows.items():
-            if row & low:
-                rows[key] = row = row ^ vec
-                words[key] ^= pay
-                if row == key:
-                    units.append(key)
-        words[low] = pay
+        found = 0  # keys of the rows that become unit vectors
+        for key, r in rows.items():
+            if r & low:
+                rows[key] = r = r ^ row
+                if r & mask == key:
+                    found |= key
+        rows[low] = row
         if vec == low:
-            units.append(low)
+            found |= low
         else:
-            rows[low] = vec
             self._pivots |= low
+            if not found:
+                return set()
+        self._decoded |= found
+        self._pivots &= ~found
+        words = self._words
+        recovered = self._recovered
         newly: set[int] = set()
-        for key in units:
-            rows.pop(key, None)
-            self._decoded |= key
+        while found:
+            key = found & -found
+            found ^= key
+            pay = rows.pop(key) >> k
+            words[key] = pay
             col = key.bit_length()
-            self._recovered[col] = words[key].to_bytes(self.payload_len, "big")
+            recovered[col] = pay.to_bytes(self.payload_len, "big")
             newly.add(col)
-        self._pivots &= ~self._decoded
         return newly
 
 

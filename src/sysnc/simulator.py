@@ -30,6 +30,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import Sequence
 
 from .codec import (
     SCHEME_ENCODERS,
@@ -264,36 +265,62 @@ def bench_decode(
     seed: int = 0,
     payload_len: int = 8,
 ) -> list[BenchResult]:
+    """Time full recovery from a lossless stream of straightforward packets:
+    the one-decoder case of :func:`bench_decoders`."""
+    return bench_decoders(
+        k_values, (decoder,), repetitions, seed=seed, payload_len=payload_len
+    )
+
+
+def bench_decoders(
+    k_values: list[int],
+    decoders: Sequence[str],
+    repetitions: int,
+    *,
+    seed: int = 0,
+    payload_len: int = 8,
+) -> list[BenchResult]:
     """Time full recovery from a lossless stream of straightforward packets.
 
     For each k, pre-built packet streams are fed to the decoder until all k
     source packets are out: the progressive decoder eliminates per arrival,
     while the batch eliminator reruns from scratch on every arrival from the
     k-th onward (the receiver cannot know the rank without eliminating).
-    Each stream is built outside the timed section, and streams are shared
-    across decoders for a given seed. Repetitions form the outer loop and
-    every k is timed once per repetition, so a change in host speed during
-    the run hits all k alike. Medians and quartiles over ``repetitions``
-    runs; absolute numbers are hardware-relative and only the ordering
-    between decoders on one host is meaningful.
+    Each stream is built outside the timed section and decoded by every
+    decoder in turn, in the given order on even repetitions and reversed on
+    odd ones. Repetitions form the outer loop and every k is timed once per
+    repetition, so a change in host speed during the run hits all decoders
+    and all k alike. Medians and quartiles over ``repetitions`` runs, one
+    result per (decoder, k) in the order given; absolute numbers are
+    hardware-relative and only the ordering between decoders on one host is
+    meaningful.
     """
-    if decoder not in BENCH_DECODERS:
-        raise ValueError(f"unknown decoder {decoder!r}; expected one of {BENCH_DECODERS}")
+    decoders = tuple(decoders)
+    for decoder in decoders:
+        if decoder not in BENCH_DECODERS:
+            raise ValueError(
+                f"unknown decoder {decoder!r}; expected one of {BENCH_DECODERS}"
+            )
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
     # One stream at a time: all of them would be repetitions * sum(k + 96) packets.
     msgs = [make_test_message(k, payload_len) for k in k_values]
     for k, msg in zip(k_values, msgs):
-        _timed_decode(decoder, k, _bench_stream(msg, k, seed, 0))  # warm-up, discarded
-    times: list[list[int]] = [[] for _ in k_values]
+        stream = _bench_stream(msg, k, seed, 0)
+        for decoder in decoders:
+            _timed_decode(decoder, k, stream)  # warm-up, discarded
+    times = [[[] for _ in k_values] for _ in decoders]  # [decoder][k]
+    turns = list(enumerate(decoders))
     for rep in range(repetitions):
-        for k, msg, k_times in zip(k_values, msgs, times):
+        for i, (k, msg) in enumerate(zip(k_values, msgs)):
             stream = _bench_stream(msg, k, seed, rep)
-            k_times.append(_timed_decode(decoder, k, stream))
+            for d, decoder in turns if rep % 2 == 0 else turns[::-1]:
+                times[d][i].append(_timed_decode(decoder, k, stream))
     results = []
-    for k, k_times in zip(k_values, times):
-        p25, med, p75 = _quartiles(k_times)
-        results.append(BenchResult(decoder, k, med, p25, p75, repetitions))
+    for decoder, d_times in zip(decoders, times):
+        for k, k_times in zip(k_values, d_times):
+            p25, med, p75 = _quartiles(k_times)
+            results.append(BenchResult(decoder, k, med, p25, p75, repetitions))
     return results
 
 

@@ -53,7 +53,8 @@ def decoder_rows(dec):
     with each decoded column as its unit row."""
     rows = {col: (1 << (col - 1), pay) for col, pay in dec.recovered_payloads.items()}
     for key, row in dec._rows.items():
-        rows[key.bit_length()] = (row, dec._words[key].to_bytes(dec.payload_len, "big"))
+        pay = (row >> dec.k).to_bytes(dec.payload_len, "big")
+        rows[key.bit_length()] = (row & dec._mask, pay)
     return rows
 
 

@@ -9,10 +9,12 @@ from sysnc.codec import (
     ProgressiveDecoder,
     coding_word,
 )
+from sysnc import simulator
 from sysnc.simulator import (
     ChannelConfig,
     EmpiricalCurve,
     bench_decode,
+    bench_decoders,
     derive_stream,
     make_test_message,
     run_trials,
@@ -192,3 +194,31 @@ class TestBenchDecode:
     def test_unknown_decoder_rejected(self):
         with pytest.raises(ValueError):
             bench_decode([2], "bp", 1)
+        with pytest.raises(ValueError):
+            bench_decoders([2], ("ge", "bp"), 1)
+
+    def test_decoders_share_each_stream_in_alternating_order(self, monkeypatch):
+        calls = []
+
+        def fake(decoder, k, stream):
+            calls.append((decoder, k, stream))
+            return 1
+
+        monkeypatch.setattr(simulator, "_timed_decode", fake)
+        rows = bench_decoders([2, 5], ("ge", "gepd"), 3, seed=9)
+        assert [(r.decoder, r.k, r.repetitions) for r in rows] == [
+            ("ge", 2, 3), ("ge", 5, 3), ("gepd", 2, 3), ("gepd", 5, 3)
+        ]
+        warm, timed = calls[:4], calls[4:]
+        assert [(d, k) for d, k, _ in warm] == [
+            ("ge", 2), ("gepd", 2), ("ge", 5), ("gepd", 5)
+        ]
+        assert [(d, k) for d, k, _ in timed] == [
+            ("ge", 2), ("gepd", 2), ("ge", 5), ("gepd", 5),
+            ("gepd", 2), ("ge", 2), ("gepd", 5), ("ge", 5),
+            ("ge", 2), ("gepd", 2), ("ge", 5), ("gepd", 5),
+        ]
+        for first, second in zip(timed[::2], timed[1::2]):
+            assert first[2] is second[2]
+        words = [[p.coding_vector.word for p in s] for _, _, s in timed[::2]]
+        assert words[0] != words[2]  # a fresh stream per repetition
