@@ -11,11 +11,11 @@ with loss probability p:
   recovery, which is available through simulation only);
 * ordered-uncoded: exact partial/full recovery via a Poisson-binomial tail.
 
-All probability functions are pure. Two arithmetic paths are provided where
-precision matters: float functions (exact integer binomials with one
-correctly rounded division per term, log-space weights once factorials
-overflow doubles) and ``*_exact`` variants over ``fractions.Fraction`` for
-oracle-scale parameters.
+All probability functions are pure. They compute in floats: exact integer
+binomials with one correctly rounded division per term, and log-space
+weights once factorials overflow doubles. The ``*_exact`` paths over
+``fractions.Fraction`` that judge them live with the other oracles in
+``tests/oracles.py``.
 
 Every float result is bit-identical to the plain term-by-term loop its
 docstring states, so tables and sweeps may share work but never reorder a
@@ -27,9 +27,7 @@ only state kept between calls. Work shared across p, M or N (the ``*_probs``
 functions) lives inside one call and is returned, never cached, so repeating
 a computation repeats its work. Float sums are written-out left folds:
 since Python 3.12 the builtin ``sum`` of floats is compensated and rounds
-differently from the loop. The ``*_exact`` paths may use any algebraically
-equal form, such as a prefix product, since exact arithmetic has no rounding
-to keep.
+differently from the loop.
 
 Three kinds of work are skipped because they provably cannot change a bit:
 
@@ -67,13 +65,6 @@ class ThresholdUnreachableWarning(UserWarning):
     """The recovery threshold m exceeds what the approximation can ever reach."""
 
 
-def binomial(n: int, k: int) -> int:
-    """Exact C(n, k). Raises for k outside [0, n]; callers clamp their sums."""
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"C({n}, {k}) is outside the supported domain")
-    return math.comb(n, k)
-
-
 def log_binomial(n: int, k: int) -> float:
     """ln C(n, k) via lgamma, for ranges where the exact value overflows a double."""
     if n < 0 or k < 0 or k > n:
@@ -100,17 +91,6 @@ def full_rank_prob(k: int, r: int, q: int = 2) -> float:
     if r < k:
         return 0.0
     return _rank_lookup(_rank_rows(q), k, r - k)
-
-
-def full_rank_prob_exact(k: int, r: int, q: int = 2) -> Fraction:
-    _check_field(q)
-    if k < 0 or r < 0:
-        raise ValueError("counts must be non-negative")
-    if k == 0:
-        return Fraction(1)
-    if r < k:
-        return Fraction(0)
-    return _rank_prefix_exact(k, r - k, q)[k]
 
 
 def cond_full_decode_prob(k: int, r: int, n: int, q: int = 2) -> float:
@@ -143,19 +123,6 @@ def cond_full_decode_probs(k: int, n: int, q: int = 2) -> list[float]:
     return [_cond_full(k, r, n, ck, cnk, rows) for r in range(k, n + 1)]
 
 
-def cond_full_decode_prob_exact(k: int, r: int, n: int, q: int = 2) -> Fraction:
-    _check_field(q)
-    if not 1 <= k <= r <= n:
-        raise ValueError(f"need 1 <= k <= r <= n, got k={k}, r={r}, n={n}")
-    den = math.comb(n, r)
-    h_min = max(0, r - n + k)
-    w = _rank_prefix_exact(k - h_min, r - k, q)
-    acc = Fraction(math.comb(n - k, r - k), den)
-    for h in range(h_min, k):
-        acc += Fraction(math.comb(k, h) * math.comb(n - k, r - h), den) * w[k - h]
-    return acc
-
-
 def full_decode_prob(k: int, n: int, p: float, q: int = 2) -> float:
     """Probability that a systematic-scheme receiver recovers all k packets
     after n transmissions over an erasure channel with loss probability p."""
@@ -180,18 +147,6 @@ def full_decode_probs(k: int, n: int, ps, q: int = 2) -> list[float]:
                 total += w * cond[r - k]
         probs.append(min(total, 1.0))
     return probs
-
-
-def full_decode_prob_exact(k: int, n: int, p: Fraction, q: int = 2) -> Fraction:
-    if not 0 <= p <= 1:
-        raise ValueError(f"erasure probability {p} outside [0, 1]")
-    if n < k:
-        raise ValueError(f"need n >= k, got n={n}, k={k}")
-    total = Fraction(0)
-    for r in range(k, n + 1):
-        weight = math.comb(n, r) * (1 - p) ** r * p ** (n - r)
-        total += weight * cond_full_decode_prob_exact(k, r, n, q)
-    return total
 
 
 def partial_decode_prob_approx(
@@ -258,15 +213,10 @@ def ou_partial_decode_prob(k: int, m: int, n: int, p) -> float | Fraction:
     return prob
 
 
-def ou_partial_decode_probs(k: int, ms, n: int, p) -> list:
-    """``ou_partial_decode_prob(k, m, n, p)`` for each m of ``ms``, all read
-    from one distribution of the recovered count."""
-    [probs] = ou_partial_decode_sweep(k, ms, n, n, p)
-    return probs
-
-
 def ou_partial_decode_sweep(k: int, ms, n_lo: int, n_hi: int, p) -> list[list]:
-    """``ou_partial_decode_probs(k, ms, n, p)`` for n = n_lo..n_hi, in that order.
+    """``ou_partial_decode_prob(k, m, n, p)`` for each m of ``ms``, for
+    n = n_lo..n_hi, in that order: one list per n, all read from one
+    distribution of the recovered count.
 
     Bit-identical to one full dynamic program per n, but the DP state before
     the packet that n's send repeats is carried over from n - 1, and counts
@@ -304,16 +254,6 @@ def ou_partial_decode_sweep(k: int, ms, n_lo: int, n_hi: int, p) -> list[list]:
             [min(max(x, 0.0), 1.0) if isinstance(x, float) else x for x in tails]
         )
     return sweep
-
-
-def poisson_binomial_tail(probs, threshold: int):
-    """P[at least ``threshold`` successes] for independent Bernoulli trials ``probs``."""
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
-    dist = [1]  # P[exactly j successes], by the standard dynamic program
-    for s in probs:
-        dist = _pb_step(dist, s, True)
-    return _tail(dist, threshold)
 
 
 def _pb_step(dist: list, s, keep_low: bool) -> list:
@@ -438,15 +378,6 @@ def _rank_lookup(rows: list[list[float]], k: int, e: int) -> float:
         return 1.0
     row = rows[e]
     return row[min(k, len(row) - 1)]
-
-
-def _rank_prefix_exact(j_max: int, e: int, q: int) -> list[Fraction]:
-    """W(j, j + e) in exact arithmetic for j = 0..j_max, by the prefix product
-    W(j + 1, j + 1 + e) = W(j, j + e) * (1 - q^-(e + j + 1))."""
-    w = [Fraction(1)]
-    for t in range(e + 1, e + j_max + 1):
-        w.append(w[-1] * (1 - Fraction(1, q**t)))
-    return w
 
 
 def _comb_row(n: int) -> list[int]:

@@ -74,23 +74,6 @@ class ExperimentConfig:
     out: str | None = None
     workers: int = 1
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "scheme": self.scheme,
-            "k": self.k,
-            "m": list(self.m),
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "p": list(self.p),
-            "q": self.q,
-            "trials": self.trials,
-            "seed": self.seed,
-            "p_hat": self.p_hat,
-            "out": self.out,
-            "workers": self.workers,
-        }
-
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         known = {f.name for f in fields(cls)}
@@ -110,6 +93,10 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("K must be at least 1")
     if cfg.q < 2:
         raise ConfigError("q must be at least 2")
+    try:
+        float(cfg.q)  # the closed forms compute in floats of q
+    except OverflowError:
+        raise ConfigError("q is too large for a float") from None
     if cfg.workers < 1:
         raise ConfigError("--workers must be at least 1")
     if cfg.out is not None:
@@ -432,7 +419,9 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         try:
             with open(args.config_file, encoding="utf-8") as fh:
                 file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
+            # ValueError covers malformed JSON and bytes that are not UTF-8;
+            # RecursionError, JSON nested deeper than the parser recurses.
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -469,8 +458,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:  # validation cannot foresee a full device
+            print(f"config error: cannot write --out {cfg.out!r}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -1,10 +1,11 @@
 """Transmission schemes and decoders for binary network coding.
 
-Three encoders share one packet format: ``systematic`` sends the source
-packets first and uniform random GF(2) combinations afterwards,
-``straightforward`` sends uniform random combinations from the start, and
-``ordered-uncoded`` cycles through the plain source packets. Uniform sampling
-deliberately includes the all-zero vector; decoders absorb it as a no-op.
+One encoder, :func:`encode`, serves three schemes with one packet format:
+``systematic`` sends the source packets first and uniform random GF(2)
+combinations afterwards, ``straightforward`` sends uniform random
+combinations from the start, and ``ordered-uncoded`` cycles through the plain
+source packets. Uniform sampling deliberately includes the all-zero vector;
+decoders absorb it as a no-op.
 
 Decoding comes in two flavours:
 
@@ -33,7 +34,7 @@ row is a unit vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Sequence
 
 from .gf2 import MAX_LENGTH, CodingVector, DimensionError
@@ -111,7 +112,11 @@ def coding_word(scheme: str, k: int, n: int, rng) -> int:
     return rng.getrandbits(k)
 
 
-def _encode(scheme: str, msg: SourceMessage, n: int, rng) -> TransmittedPacket:
+def encode(scheme: str, msg: SourceMessage, n: int, rng) -> TransmittedPacket:
+    """Packet n (1-based) of ``scheme`` for ``msg``, its coding vector drawn by
+    :func:`coding_word` from ``rng``; ordered-uncoded never draws."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     word = coding_word(scheme, msg.k, n, rng)
     if word and not word & (word - 1):  # a unit vector carries its source packet
         i = word.bit_length() - 1
@@ -124,25 +129,9 @@ def _encode(scheme: str, msg: SourceMessage, n: int, rng) -> TransmittedPacket:
     return pkt
 
 
-def encode_systematic(msg: SourceMessage, n: int, rng) -> TransmittedPacket:
-    """Packet n is source packet n for n <= k, a uniform random combination after."""
-    return _encode("systematic", msg, n, rng)
-
-
-def encode_straightforward(msg: SourceMessage, n: int, rng) -> TransmittedPacket:
-    """Every packet is a uniform random combination of the source packets."""
-    return _encode("straightforward", msg, n, rng)
-
-
-def encode_ordered_uncoded(msg: SourceMessage, n: int, rng=None) -> TransmittedPacket:
-    """Cyclic repetition of the source packets: packet n carries s_((n-1) mod k)+1."""
-    return _encode("ordered-uncoded", msg, n, rng)
-
-
+# One ``encoder(msg, n, rng)`` per scheme, for callers that pick it by name.
 SCHEME_ENCODERS: dict[str, Callable[..., TransmittedPacket]] = {
-    "systematic": encode_systematic,
-    "straightforward": encode_straightforward,
-    "ordered-uncoded": encode_ordered_uncoded,
+    scheme: partial(encode, scheme) for scheme in SCHEMES
 }
 
 

@@ -257,21 +257,6 @@ class BenchResult:
     repetitions: int
 
 
-def bench_decode(
-    k_values: list[int],
-    decoder: str,
-    repetitions: int,
-    *,
-    seed: int = 0,
-    payload_len: int = 8,
-) -> list[BenchResult]:
-    """Time full recovery from a lossless stream of straightforward packets:
-    the one-decoder case of :func:`bench_decoders`."""
-    return bench_decoders(
-        k_values, (decoder,), repetitions, seed=seed, payload_len=payload_len
-    )
-
-
 def bench_decoders(
     k_values: list[int],
     decoders: Sequence[str],

@@ -2,9 +2,12 @@
 
 Everything here recomputes quantities from first principles (exhaustive
 enumeration, exact rational arithmetic) so the closed-form implementations
-can be checked against values they had no hand in producing. The ``*_loop``
-functions are the plain float loops of the closed forms, term by term in
-their stated order: the float implementations must equal them bit for bit.
+can be checked against values they had no hand in producing. The ``*_exact``
+functions are the closed forms over ``Fraction``; they may use any
+algebraically equal form, such as a prefix product, since exact arithmetic
+has no rounding to keep. The ``*_loop`` functions are the plain float loops
+of the closed forms, term by term in their stated order: the float
+implementations must equal them bit for bit.
 ``rref_decodable_set`` is a list-based RREF that shares no code with the
 packed decoders it judges.
 """
@@ -142,6 +145,56 @@ def at_least_oracle(probs: list[Fraction], threshold: int) -> Fraction:
             term *= s if (pattern >> i) & 1 else 1 - s
         acc += term
     return acc
+
+
+def full_rank_prob_exact(k: int, r: int, q: int = 2) -> Fraction:
+    """``analysis.full_rank_prob`` in exact arithmetic."""
+    if q < 2:
+        raise ValueError(f"field size q={q} must be at least 2")
+    if k < 0 or r < 0:
+        raise ValueError("counts must be non-negative")
+    if k == 0:
+        return Fraction(1)
+    if r < k:
+        return Fraction(0)
+    return _rank_prefix_exact(k, r - k, q)[k]
+
+
+def cond_full_decode_prob_exact(k: int, r: int, n: int, q: int = 2) -> Fraction:
+    """``analysis.cond_full_decode_prob`` in exact arithmetic."""
+    if q < 2:
+        raise ValueError(f"field size q={q} must be at least 2")
+    if not 1 <= k <= r <= n:
+        raise ValueError(f"need 1 <= k <= r <= n, got k={k}, r={r}, n={n}")
+    den = comb(n, r)
+    h_min = max(0, r - n + k)
+    w = _rank_prefix_exact(k - h_min, r - k, q)
+    acc = Fraction(comb(n - k, r - k), den)
+    for h in range(h_min, k):
+        acc += Fraction(comb(k, h) * comb(n - k, r - h), den) * w[k - h]
+    return acc
+
+
+def full_decode_prob_exact(k: int, n: int, p: Fraction, q: int = 2) -> Fraction:
+    """``analysis.full_decode_prob`` in exact arithmetic."""
+    if not 0 <= p <= 1:
+        raise ValueError(f"erasure probability {p} outside [0, 1]")
+    if n < k:
+        raise ValueError(f"need n >= k, got n={n}, k={k}")
+    total = Fraction(0)
+    for r in range(k, n + 1):
+        weight = comb(n, r) * (1 - p) ** r * p ** (n - r)
+        total += weight * cond_full_decode_prob_exact(k, r, n, q)
+    return total
+
+
+def _rank_prefix_exact(j_max: int, e: int, q: int) -> list[Fraction]:
+    """W(j, j + e) in exact arithmetic for j = 0..j_max, by the prefix product
+    W(j + 1, j + 1 + e) = W(j, j + e) * (1 - q^-(e + j + 1))."""
+    w = [Fraction(1)]
+    for t in range(e + 1, e + j_max + 1):
+        w.append(w[-1] * (1 - Fraction(1, q**t)))
+    return w
 
 
 def rank_product_loop(k: int, r: int, q: int) -> float:

@@ -9,14 +9,9 @@ import math
 import random
 from fractions import Fraction
 
-from oracles import cond_full_oracle, rref_decodable_set
+from oracles import cond_full_decode_prob_exact, cond_full_oracle, rref_decodable_set
 from sysnc import analysis, cli
-from sysnc.codec import (
-    ProgressiveDecoder,
-    SourceMessage,
-    encode_straightforward,
-    encode_systematic,
-)
+from sysnc.codec import ProgressiveDecoder, SourceMessage, encode
 from sysnc.simulator import ChannelConfig, bench_decoders, run_trials
 
 MASTER_SEED = 20150501
@@ -38,7 +33,7 @@ def test_criterion_1_closed_form_matches_enumeration():
                 got = analysis.cond_full_decode_prob(k, r, n, 2)
                 worst = max(worst, abs(got - float(expected)))
                 points += 1
-                exact = analysis.cond_full_decode_prob_exact(k, r, n, 2)
+                exact = cond_full_decode_prob_exact(k, r, n, 2)
                 assert exact == expected, (k, r, n)
     ok = worst <= 1e-12
     _report(1, ok, f"{points} grid points, max |float - enumeration| = {worst:.2e}")
@@ -207,9 +202,9 @@ def test_criterion_5_progressive_decoder_is_oracle_optimal():
         packets = []
         for n in range(1, rng.randint(0, 2 * k + 4) + 1):
             if rng.random() < 0.45:
-                packets.append(encode_systematic(msg, rng.randint(1, k), rng))
+                packets.append(encode("systematic", msg, rng.randint(1, k), rng))
             else:
-                packets.append(encode_straightforward(msg, n, rng))
+                packets.append(encode("straightforward", msg, n, rng))
         rng.shuffle(packets)
         decoder = ProgressiveDecoder(k, msg.payload_len)
         for pkt in packets:
@@ -238,10 +233,10 @@ def test_criterion_6_binomial_sum_identities():
             for r in range(k, n + 1):
                 h_min = max(0, r - n + k)
                 total = sum(
-                    analysis.binomial(k, h) * analysis.binomial(n - k, r - h)
+                    math.comb(k, h) * math.comb(n - k, r - h)
                     for h in range(h_min, min(k, r) + 1)
                 )
-                assert total == analysis.binomial(n, r), (k, n, r)
+                assert total == math.comb(n, r), (k, n, r)
                 points += 1
     _report(6, True, f"{points} exact identities on both branches")
 

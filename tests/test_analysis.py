@@ -8,10 +8,13 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     approx_tail_loop,
     at_least_oracle,
+    cond_full_decode_prob_exact,
     cond_full_oracle,
     cond_sum_loop,
     full_decode_loop,
     full_decode_oracle,
+    full_decode_prob_exact,
+    full_rank_prob_exact,
     full_rank_prob_oracle,
     ou_tail_loop,
     rank_product_loop,
@@ -22,23 +25,17 @@ from sysnc.analysis import (
     InvariantViolation,
     TargetMetrics,
     ThresholdUnreachableWarning,
-    binomial,
     cond_full_decode_prob,
-    cond_full_decode_prob_exact,
     cond_full_decode_probs,
     decode_prob_ratio,
     full_decode_prob,
-    full_decode_prob_exact,
     full_decode_probs,
     full_rank_prob,
-    full_rank_prob_exact,
     log_binomial,
     min_packets_for_target,
     ou_partial_decode_prob,
-    ou_partial_decode_probs,
     ou_partial_decode_sweep,
     partial_decode_prob_approx,
-    poisson_binomial_tail,
     sf_full_decode_prob,
 )
 
@@ -219,7 +216,9 @@ class TestBitwiseAgainstLoops:
                 n_lo, n_to = mid + 1, mid + k + 2
                 assert ou_partial_decode_sweep(k, ms, n_lo, n_to, p) == expect[n_lo - 1:n_to]
                 for n in one_n:
-                    assert ou_partial_decode_probs(k, ms, n, p) == expect[n - 1], (ms, n, p)
+                    assert ou_partial_decode_sweep(k, ms, n, n, p) == [expect[n - 1]], (
+                        ms, n, p
+                    )
             for n in one_n:
                 for m in every:
                     assert ou_partial_decode_prob(k, m, n, p) == loop[n][m], (m, n, p)
@@ -339,16 +338,6 @@ class TestOuPartialDecodeProb:
         assert ou_partial_decode_prob(k, m, n, p) == at_least_oracle(survive, m)
 
 
-class TestPoissonBinomialTail:
-    def test_matches_enumeration(self):
-        probs = [Fraction(1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(1, 5)]
-        for t in range(6):
-            assert poisson_binomial_tail(probs, t) == at_least_oracle(probs, t)
-
-    def test_threshold_zero_is_certain(self):
-        assert poisson_binomial_tail([0.3, 0.9], 0) == pytest.approx(1.0)
-
-
 class TestDecodeProbRatio:
     def test_frozen_examples(self):
         assert decode_prob_ratio(2, 2, 3, 2) == pytest.approx(16 / 9, abs=1e-12)
@@ -372,13 +361,6 @@ class TestBinomials:
         assert log_binomial(7, 0) == 0.0
         assert math.exp(log_binomial(4, 2)) == pytest.approx(6.0, abs=1e-12)
 
-    def test_exact_binomial(self):
-        assert binomial(10, 3) == 120
-        with pytest.raises(ValueError):
-            binomial(4, 5)
-        with pytest.raises(ValueError):
-            binomial(4, -1)
-
     @pytest.mark.parametrize("k,n", [(3, 10), (5, 8), (4, 4), (6, 9)])
     def test_hypergeometric_sum_collapses(self, k, n):
         # the support-weighted binomial products over the systematic count
@@ -386,10 +368,10 @@ class TestBinomials:
         for r in range(k, n + 1):
             h_min = max(0, r - n + k)
             total = sum(
-                binomial(k, h) * binomial(n - k, r - h)
+                math.comb(k, h) * math.comb(n - k, r - h)
                 for h in range(h_min, min(k, r) + 1)
             )
-            assert total == binomial(n, r)
+            assert total == math.comb(n, r)
 
 
 class TestMinPacketsForTarget:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -270,8 +271,9 @@ class TestConfigHandling:
             n_max=8, p=(0.1, 0.3), q=2, trials=100, seed=7, p_hat=None,
             out="x.csv", workers=2,
         )
-        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
-        assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+        raw = dataclasses.asdict(cfg)
+        assert ExperimentConfig.from_dict(raw) == cfg
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(raw))) == cfg
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -336,14 +338,25 @@ class TestConfigHandling:
             ["simulate", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--trials", "1", "--seed", "1", {"p_hat": 0.5}],
             ["metrics", "--scheme", "systematic", "--k", "4", "--m", "2", "--p", "0.1", "--p-hat", "0.7", {"n_min": 50}],
             ["bench", "--k", "2", "--trials", "1", {"workers": 2}],
+            # an --out that passes validation but cannot be written
+            pytest.param(
+                ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--out", "/dev/full"],
+                marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+            ),
+            # config files that are not UTF-8, or nested past the recursion limit
+            ["analyze", b"\xff\xfe{"],
+            ["analyze", b"[" * 200000],
+            # a q too large for a float
+            ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--q", "1" + "0" * 400],
+            ["metrics", "--scheme", "systematic", "--k", "2", "--m", "2", "--p", "0.1", "--p-hat", "0.5", "--q", "1" + "0" * 400],
         ],
     )
     def test_config_errors_exit_2(self, bad, tmp_path, capsys):
         argv = []
         for arg in bad:
-            if isinstance(arg, dict):  # the contents of a config file
+            if isinstance(arg, (dict, bytes)):  # the contents of a config file
                 path = tmp_path / "cfg.json"
-                path.write_text(json.dumps(arg))
+                path.write_bytes(arg if isinstance(arg, bytes) else json.dumps(arg).encode())
                 argv += ["--config", str(path)]
             else:
                 argv.append(arg.format(tmp=tmp_path))

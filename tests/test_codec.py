@@ -4,19 +4,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import decodable_by_rowspace, insert_rank, rref_decodable_set
-from reference_decoder import DenseProgressiveDecoder, back_substitute
+from reference_decoder import BitMatrix, DenseProgressiveDecoder, back_substitute
 from sysnc import codec
 from sysnc.codec import (
     SCHEME_ENCODERS,
+    SCHEMES,
     ProgressiveDecoder,
     SourceMessage,
     TransmittedPacket,
-    encode_ordered_uncoded,
-    encode_straightforward,
-    encode_systematic,
+    encode,
     full_rank_decode,
 )
-from sysnc.gf2 import BitMatrix, CodingVector, DimensionError
+from sysnc.gf2 import CodingVector, DimensionError
 
 
 class StubBits:
@@ -60,47 +59,49 @@ def decoder_rows(dec):
 
 class TestEncoders:
     def test_systematic_phase_is_the_source_packet(self):
-        pkt = encode_systematic(MSG3, 2, StubBits())
+        pkt = encode("systematic", MSG3, 2, StubBits())
         assert pkt.coding_vector.coefficients() == [0, 1, 0]
         assert pkt.payload == b"bb"
         assert pkt.sequence_index == 2
 
     def test_systematic_coded_phase_draws_uniform_vector(self):
-        pkt = encode_systematic(MSG3, 5, StubBits(word(1, 0, 1)))
+        pkt = encode("systematic", MSG3, 5, StubBits(word(1, 0, 1)))
         assert pkt.coding_vector.coefficients() == [1, 0, 1]
         assert pkt.payload == xor_bytes(b"aa", b"cc")
 
     def test_systematic_zero_draw_is_legal(self):
-        pkt = encode_systematic(MSG3, 4, StubBits(0))
+        pkt = encode("systematic", MSG3, 4, StubBits(0))
         assert pkt.coding_vector.word == 0
         assert pkt.payload == b"\x00\x00"
 
     def test_straightforward_always_coded(self):
         msg = SourceMessage((b"a", b"b"))
-        pkt = encode_straightforward(msg, 1, StubBits(word(1, 1)))
+        pkt = encode("straightforward", msg, 1, StubBits(word(1, 1)))
         assert pkt.payload == xor_bytes(b"a", b"b")
-        assert encode_straightforward(msg, 7, StubBits(0)).coding_vector.word == 0
+        assert encode("straightforward", msg, 7, StubBits(0)).coding_vector.word == 0
 
     def test_straightforward_independent_draws(self):
         rng = random.Random(5)
-        first = encode_straightforward(MSG3, 1, rng)
-        second = encode_straightforward(MSG3, 2, rng)
+        first = encode("straightforward", MSG3, 1, rng)
+        second = encode("straightforward", MSG3, 2, rng)
         rng2 = random.Random(5)
-        assert encode_straightforward(MSG3, 1, rng2) == first
-        assert encode_straightforward(MSG3, 2, rng2) == second
+        assert encode("straightforward", MSG3, 1, rng2) == first
+        assert encode("straightforward", MSG3, 2, rng2) == second
 
     @pytest.mark.parametrize("n,expected", [(1, 0), (4, 0), (6, 2), (3, 2), (5, 1)])
     def test_ordered_uncoded_cycles(self, n, expected):
-        pkt = encode_ordered_uncoded(MSG3, n)
+        pkt = encode("ordered-uncoded", MSG3, n, None)
         assert pkt.payload == MSG3.packets[expected]
         assert pkt.coding_vector == CodingVector.unit(3, expected + 1)
 
     def test_indices_are_one_based(self):
-        for encode in (encode_systematic, encode_straightforward):
+        for scheme in SCHEMES:
             with pytest.raises(ValueError):
-                encode(MSG3, 0, StubBits(0))
+                encode(scheme, MSG3, 0, StubBits(0))
+
+    def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
-            encode_ordered_uncoded(MSG3, 0)
+            encode("systematc", MSG3, 1, StubBits(0))
 
     def test_unit_packets_reuse_the_source_packet(self, monkeypatch):
         def no_combining(*args):
@@ -108,9 +109,9 @@ class TestEncoders:
 
         monkeypatch.setattr(codec, "combine_words", no_combining)
         for pkt, i in [
-            (encode_systematic(MSG3, 2, StubBits()), 1),
-            (encode_straightforward(MSG3, 1, StubBits(word(0, 0, 1))), 2),
-            (encode_ordered_uncoded(MSG3, 4), 0),
+            (encode("systematic", MSG3, 2, StubBits()), 1),
+            (encode("straightforward", MSG3, 1, StubBits(word(0, 0, 1))), 2),
+            (encode("ordered-uncoded", MSG3, 4, None), 0),
         ]:
             assert pkt.payload is MSG3.packets[i]
             assert pkt.payload_word == MSG3.packet_words[i]
@@ -120,7 +121,7 @@ class TestEncoders:
     def test_payload_word_is_the_payload(self, seed):
         rng = random.Random(seed)
         msg, packets = random_instance(rng)
-        packets.append(encode_ordered_uncoded(msg, rng.randint(1, 3 * msg.k)))
+        packets.append(encode("ordered-uncoded", msg, rng.randint(1, 3 * msg.k), None))
         for pkt in packets:
             hand = TransmittedPacket(pkt.coding_vector, pkt.payload, pkt.sequence_index)
             assert hand == pkt
@@ -173,7 +174,7 @@ class TestProgressiveDecoder:
         rng = random.Random(3)
         msg = SourceMessage((b"x", b"y"))
         for n in range(1, 40):
-            dec.receive(encode_straightforward(msg, n, rng))
+            dec.receive(encode("straightforward", msg, n, rng))
         assert len(decoder_rows(dec)) <= 2
         assert dec.decoded_indices == frozenset({1, 2})
 
@@ -187,9 +188,9 @@ def random_instance(rng, max_k=8):
     packets = []
     for n in range(1, rng.randint(0, 2 * k + 3) + 1):
         if rng.random() < 0.45:
-            packets.append(encode_systematic(msg, rng.randint(1, k), rng))
+            packets.append(encode("systematic", msg, rng.randint(1, k), rng))
         else:
-            packets.append(encode_straightforward(msg, n, rng))
+            packets.append(encode("straightforward", msg, n, rng))
     rng.shuffle(packets)
     return msg, packets
 

@@ -13,7 +13,6 @@ from sysnc import simulator
 from sysnc.simulator import (
     ChannelConfig,
     EmpiricalCurve,
-    bench_decode,
     bench_decoders,
     derive_stream,
     make_test_message,
@@ -175,7 +174,7 @@ class TestRunTrials:
 
 class TestBenchDecode:
     def test_single_repetition_no_aggregation_failure(self):
-        rows = bench_decode([1, 2, 3], "gepd", repetitions=1)
+        rows = bench_decoders([1, 2, 3], ("gepd",), 1)
         assert [r.k for r in rows] == [1, 2, 3]
         for r in rows:
             assert r.median_ns == r.p25_ns == r.p75_ns > 0
@@ -184,7 +183,7 @@ class TestBenchDecode:
     def test_medians_grow_with_k_up_to_timer_noise(self):
         # workload grows with k; allow generous slack for scheduler jitter,
         # and ignore the sub-microsecond regime below k=5 entirely
-        rows = bench_decode(list(range(1, 31, 3)) + [30], "gepd", repetitions=50)
+        rows = bench_decoders(list(range(1, 31, 3)) + [30], ("gepd",), 50)
         meds = {r.k: r.median_ns for r in rows}
         ks = sorted(meds)
         for prev, cur in zip(ks, ks[1:]):
@@ -193,7 +192,7 @@ class TestBenchDecode:
 
     def test_unknown_decoder_rejected(self):
         with pytest.raises(ValueError):
-            bench_decode([2], "bp", 1)
+            bench_decoders([2], ("bp",), 1)
         with pytest.raises(ValueError):
             bench_decoders([2], ("ge", "bp"), 1)
 
