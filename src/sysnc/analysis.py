@@ -49,8 +49,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
+
+if TYPE_CHECKING:  # annotations only; never evaluated at run time
+    from fractions import Fraction
 
 # Above this n the erasure-channel weights C(n,r)(1-p)^r p^(n-r) switch to
 # log space; below it, exact integer binomials keep full double precision.

@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 configuration error, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -99,9 +98,13 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("q is too large for a float") from None
     if cfg.workers < 1:
         raise ConfigError("--workers must be at least 1")
+    cpus = os.cpu_count() or 1
+    if cfg.workers > cpus:
+        # The pool would start every worker process at once.
+        raise ConfigError(f"--workers {cfg.workers} exceeds the {cpus} CPUs of this host")
     if cfg.out is not None:
         out_dir = os.path.dirname(os.path.abspath(cfg.out))
-        if os.path.isdir(cfg.out) or not os.access(out_dir, os.W_OK):
+        if not cfg.out or os.path.isdir(cfg.out) or not os.access(out_dir, os.W_OK):
             raise ConfigError(f"cannot write --out {cfg.out!r}")
     simulates = cfg.mode == "simulate" or (
         cfg.mode == "metrics"
@@ -253,15 +256,33 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
     return lines
 
 
-def _full_prob_fn(cfg: ExperimentConfig, p: float) -> Callable[[int], float]:
-    """n -> P[all K packets recovered after n sends]."""
+def _full_probs_fn(cfg: ExperimentConfig) -> Callable[[int, list[float]], list[float]]:
+    """(n, ps) -> P[all K packets recovered after n sends] for each p of ps."""
     assert cfg.scheme and cfg.k
     k, q = cfg.k, cfg.q
-    if cfg.scheme == "systematic":
-        return lambda n: analysis.full_decode_prob(k, n, p, q)
+    if cfg.scheme == "systematic":  # one conditional row per n serves every p
+        return lambda n, ps: analysis.full_decode_probs(k, n, ps, q)
     if cfg.scheme == "straightforward":
-        return lambda n: analysis.sf_full_decode_prob(k, n, p, q)
-    return lambda n: float(analysis.ou_partial_decode_prob(k, k, n, p))
+        return lambda n, ps: [analysis.sf_full_decode_prob(k, n, p, q) for p in ps]
+    return lambda n, ps: [float(analysis.ou_partial_decode_prob(k, k, n, p)) for p in ps]
+
+
+def _full_targets(cfg: ExperimentConfig, n_cap: int) -> dict[float, int | None]:
+    """p -> smallest n in [K, n_cap] at which full recovery reaches P_hat, or
+    None if none does. N steps once for all p still searching, the way
+    ``min_packets_for_target`` steps it for one."""
+    assert cfg.k and cfg.p_hat
+    probs_at = _full_probs_fn(cfg)
+    found: dict[float, int | None] = dict.fromkeys(cfg.p)
+    searching = list(found)
+    for n in range(cfg.k, n_cap + 1):
+        for p, prob in zip(searching, probs_at(n, searching)):
+            if prob >= cfg.p_hat:
+                found[p] = n
+        searching = [p for p in searching if found[p] is None]
+        if not searching:
+            break
+    return found
 
 
 def _partial_prob_fns(
@@ -304,10 +325,11 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[str]:
     if n_cap < k:
         raise ConfigError(f"search cap {n_cap} is below K={k}")
     cell = lambda v: "unreachable" if v is None else str(v)
+    # Full recovery does not depend on M; for M = K it is the partial value too.
+    n_fulls = _full_targets(cfg, n_cap)
     rows = []
     for p in cfg.p:
-        # Full recovery does not depend on M; for M = K it is the partial value too.
-        n_full = analysis.min_packets_for_target(_full_prob_fn(cfg, p), p_hat, k, n_cap)
+        n_full = n_fulls[p]
         partial = _partial_prob_fns(cfg, p, n_cap)
         for m in cfg.m:
             n_partial = n_full if m == k else analysis.min_packets_for_target(
@@ -416,6 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     file_values: dict = {}
     if args.config_file:
+        import json  # only a --config run reads JSON
+
         try:
             with open(args.config_file, encoding="utf-8") as fh:
                 file_values = json.load(fh)
@@ -457,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
     except analysis.InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    if cfg.out:
+    if cfg.out is not None:
         try:
             with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)

@@ -25,9 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
@@ -224,6 +222,10 @@ def run_trials(
             for start in range(0, trials, step)
         ]
         success = [[0] * (n_hi + 1) for _ in m_tuple]
+        # Imported here: the pool's 35 modules would add about a quarter
+        # to the start-up of every single-process run.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for block in pool.map(_count_block, blocks):
                 for mi, row in enumerate(block):
@@ -340,6 +342,8 @@ def _timed_decode(decoder: str, k: int, stream: list[TransmittedPacket]) -> int:
 def _quartiles(times: list[int]) -> tuple[int, int, int]:
     if len(times) == 1:
         return times[0], times[0], times[0]
+    import statistics  # only bench reaches here
+
     q = statistics.quantiles(times, n=4, method="inclusive")
     return round(q[0]), round(statistics.median(times)), round(q[2])
 

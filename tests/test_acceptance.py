@@ -257,8 +257,11 @@ def test_criterion_7_progressive_decoder_not_slower_than_batch():
     assert ok
 
 
-def test_criterion_8_simulation_is_deterministic(tmp_path):
+def test_criterion_8_simulation_is_deterministic(tmp_path, monkeypatch):
     """Byte-identical simulate CSV across repeated runs and worker counts."""
+    # --workers is capped at the CPU count; lift the cap so that three
+    # workers run on a smaller host too.
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     args = ["simulate", "--scheme", "systematic", "--k", "8", "--m", "4,8",
             "--n-min", "8", "--n-max", "20", "--p", "0.2,0.4",
             "--trials", "3000", "--seed", "3117"]

@@ -7,7 +7,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sysnc import cli
+from sysnc import analysis, cli, simulator
 from sysnc.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -17,6 +17,8 @@ from sysnc.cli import (
     main,
 )
 from sysnc.simulator import run_trials
+
+_CPUS = os.cpu_count() or 1
 
 
 def run_cli(args, capsys):
@@ -248,6 +250,29 @@ class TestMetrics:
         assert calls == [[2, 4], [2, 4]]
         assert len(out.strip().splitlines()) == 1 + 2 * 4
 
+    def test_systematic_full_search_builds_each_row_once(self, monkeypatch, capsys):
+        argv = ["metrics", "--scheme", "systematic", "--k", "100", "--m", "100",
+                "--p-hat", "0.99", "--p"]
+        ps = ["0.1", "0.15", "0.3"]
+        alone = []
+        for p in ps:
+            code, out, err = run_cli(argv + [p], capsys)
+            assert code == EXIT_OK, err
+            alone.append(out.strip().splitlines()[1])
+        rows_built = []
+
+        def counting_rows(k, n, *args):
+            rows_built.append(n)
+            return cond_full_decode_probs(k, n, *args)
+
+        cond_full_decode_probs = analysis.cond_full_decode_probs
+        monkeypatch.setattr(analysis, "cond_full_decode_probs", counting_rows)
+        code, out, err = run_cli(argv + [",".join(ps)], capsys)
+        assert code == EXIT_OK, err
+        assert out.strip().splitlines()[1:] == alone
+        n_full = max(int(row.split(",")[6]) for row in alone)
+        assert rows_built == list(range(100, n_full + 1))
+
 
 class TestBench:
     def test_shape_and_comment_header(self, capsys):
@@ -349,9 +374,22 @@ class TestConfigHandling:
             # a q too large for a float
             ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--q", "1" + "0" * 400],
             ["metrics", "--scheme", "systematic", "--k", "2", "--m", "2", "--p", "0.1", "--p-hat", "0.5", "--q", "1" + "0" * 400],
+            # an empty --out names no file
+            ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--out", ""],
+            ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", {"out": ""}],
+            # more workers than CPUs
+            ["simulate", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--trials", "4", "--seed", "1", "--workers", str(_CPUS + 1)],
+            ["metrics", "--scheme", "straightforward", "--k", "4", "--m", "2", "--p", "0.1", "--p-hat", "0.5", "--trials", "4", "--seed", "1", {"workers": _CPUS + 1}],
         ],
     )
-    def test_config_errors_exit_2(self, bad, tmp_path, capsys):
+    def test_config_errors_exit_2(self, bad, tmp_path, capsys, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a rejected config started a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", no_pool, raising=False)
         argv = []
         for arg in bad:
             if isinstance(arg, (dict, bytes)):  # the contents of a config file
