@@ -33,6 +33,10 @@ EXIT_INVARIANT = 3
 MODES = ("analyze", "simulate", "metrics", "bench")
 DEFAULT_REPETITIONS = 100
 SEARCH_CAP_FACTOR = 8  # metrics mode scans n up to 8k unless --n-max narrows it
+# Work-size caps of the closed forms (analyze, and metrics' searches): each N
+# builds big-integer binomial rows of lengths up to K and N - K.
+MAX_CLOSED_FORM_K = 10_000
+MAX_CLOSED_FORM_N = 100_000
 
 
 class ConfigError(ValueError):
@@ -113,6 +117,15 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     )
     if (simulates or cfg.mode == "bench") and cfg.k > MAX_LENGTH:
         raise ConfigError(f"K={cfg.k} exceeds the decoder limit of {MAX_LENGTH}")
+    if cfg.mode in ("analyze", "metrics"):
+        if cfg.k > MAX_CLOSED_FORM_K:
+            raise ConfigError(
+                f"K={cfg.k} exceeds the closed-form limit of {MAX_CLOSED_FORM_K}"
+            )
+        if cfg.n_max is not None and cfg.n_max > MAX_CLOSED_FORM_N:
+            raise ConfigError(
+                f"N={cfg.n_max} exceeds the closed-form limit of {MAX_CLOSED_FORM_N}"
+            )
     if simulates and cfg.q != 2:
         raise ConfigError(f"the simulator is GF(2) only; q={cfg.q} is not supported")
     if cfg.mode == "bench":

@@ -29,15 +29,26 @@ An arrival is therefore reduced by one XOR per set bit of
 either mask. A nonzero remainder becomes the row of its lowest set bit, that
 bit is cleared from every other row, and a packet is decoded exactly when its
 row is a unit vector.
+
+Payload folds that select many words by one mask walk the mask in C:
+``itertools.compress(words, gf2.bit_flags(mask))`` yields the words at the
+set bits of ``mask``, lowest first, from a list indexed by column (bit i
+selects ``words[i]``). The encoder's :func:`combine_words`, the decoder's
+fold of decoded columns over ``_words`` and the back substitution of
+:func:`full_rank_decode` are such folds; each costs one XOR per set bit,
+as a lowest-bit loop would, without its interpreter steps per bit. The
+list must be at least ``mask.bit_length()`` long: ``compress`` stops at the
+shorter input without an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import compress
 from typing import Callable, Iterable, Sequence
 
-from .gf2 import MAX_LENGTH, CodingVector, DimensionError
+from .gf2 import MAX_LENGTH, CodingVector, DimensionError, bit_flags
 
 SCHEMES = ("systematic", "straightforward", "ordered-uncoded")
 
@@ -89,13 +100,12 @@ class TransmittedPacket:
 
 
 def combine_words(packet_words: Sequence[int], vector_word: int) -> int:
-    """XOR of the payload words selected by the set bits of ``vector_word``."""
+    """XOR of the payload words selected by the set bits of ``vector_word``:
+    bit i selects ``packet_words[i]``. Needs ``0 <= vector_word <
+    2**len(packet_words)``; a higher bit would be dropped, not rejected."""
     acc = 0
-    w = vector_word
-    while w:
-        low = w & -w
-        acc ^= packet_words[low.bit_length() - 1]
-        w ^= low
+    for w in compress(packet_words, bit_flags(vector_word)):
+        acc ^= w
     return acc
 
 
@@ -163,12 +173,8 @@ class ProgressiveDecoder:
         self._decoded = 0  # bitmask of the decoded columns
         self._pivots = 0  # bitmask of the keys of _rows
         self._rows: dict[int, int] = {}  # lowest set bit -> non-unit row | pay << k
-        self._words: dict[int, int] = {}  # decoded bit -> payload word
+        self._words = [0] * k  # payload word of each decoded column, by column
         self._recovered: dict[int, bytes] = {}
-
-    @property
-    def decoded_indices(self) -> frozenset[int]:
-        return frozenset(self._recovered)
 
     @property
     def decoded_count(self) -> int:
@@ -194,18 +200,15 @@ class ProgressiveDecoder:
         k = self.k
         done = vec & self._decoded
         if done:  # a decoded column's row is its unit vector
-            words = self._words
             vec ^= done
-            while done:
-                low = done & -done
-                pay ^= words[low]
-                done ^= low
+            for w in compress(self._words, bit_flags(done)):
+                pay ^= w
         rows = self._rows
         if not rows and vec and not vec & (vec - 1):
             # A new unit vector and no row to clear its column from.
             self._decoded |= vec
-            self._words[vec] = pay
             col = vec.bit_length()
+            self._words[col - 1] = pay
             self._recovered[col] = pay.to_bytes(self.payload_len, "big")
             return {col}
         row = vec | pay << k
@@ -241,8 +244,8 @@ class ProgressiveDecoder:
             key = found & -found
             found ^= key
             pay = rows.pop(key) >> k
-            words[key] = pay
             col = key.bit_length()
+            words[col - 1] = pay
             recovered[col] = pay.to_bytes(self.payload_len, "big")
             newly.add(col)
         return newly
@@ -288,18 +291,15 @@ def full_rank_decode(
     if len(rows) < k:
         return None
     # Back substitution from the highest column down: every other bit of a
-    # row is the key of a row already reduced to its unit vector.
-    for col in range(k, 0, -1):
-        key = 1 << (col - 1)
-        rest = rows[key] ^ key
+    # row lies above its key, in a column already solved.
+    solved = [0] * k  # payload word of each column, by column
+    for col in range(k - 1, -1, -1):
+        key = 1 << col
         pay = words[key]
-        while rest:
-            low = rest & -rest
-            pay ^= words[low]
-            rest ^= low
-        words[key] = pay
+        for w in compress(solved, bit_flags(rows[key] ^ key)):
+            pay ^= w
+        solved[col] = pay
     assert payload_len is not None
     return {
-        col: words[1 << (col - 1)].to_bytes(payload_len, "big")
-        for col in range(1, k + 1)
+        col: pay.to_bytes(payload_len, "big") for col, pay in enumerate(solved, 1)
     }

@@ -9,7 +9,9 @@ has no rounding to keep. The ``*_loop`` functions are the plain float loops
 of the closed forms, term by term in their stated order: the float
 implementations must equal them bit for bit.
 ``rref_decodable_set`` is a list-based RREF that shares no code with the
-packed decoders it judges.
+packed decoders it judges. ``set_bits`` and ``combine_words_loop`` walk a
+mask one lowest set bit at a time, the loop that the C-level mask walks of
+``gf2.bit_flags`` and ``codec.combine_words`` must equal.
 """
 
 from __future__ import annotations
@@ -21,6 +23,26 @@ from math import comb
 from typing import Iterable
 
 from sysnc.gf2 import CodingVector, DimensionError
+
+
+def set_bits(word: int) -> list[int]:
+    """Indices of the set bits of ``word``, lowest first, by the lowest-bit
+    loop: isolate the lowest set bit, record it, clear it."""
+    bits = []
+    while word:
+        low = word & -word
+        bits.append(low.bit_length() - 1)
+        word ^= low
+    return bits
+
+
+def combine_words_loop(packet_words: list[int], vector_word: int) -> int:
+    """XOR of ``packet_words[i]`` over the set bits i of ``vector_word``, one
+    lowest-bit step at a time; a bit past the list raises IndexError."""
+    acc = 0
+    for i in set_bits(vector_word):
+        acc ^= packet_words[i]
+    return acc
 
 
 def insert_rank(words: list[int]) -> int:
@@ -48,7 +70,7 @@ def rref_decodable_set(vectors: Iterable[CodingVector], k: int) -> set[int]:
     for v in vectors:
         if v.length != k:
             raise DimensionError(f"vector length {v.length} != k={k}")
-        mat.append(v.coefficients())
+        mat.append([(v.word >> i) & 1 for i in range(k)])
     pivot_cols: list[int] = []
     row = 0
     for col in range(k):

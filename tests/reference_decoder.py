@@ -4,14 +4,56 @@ Kept deliberately naive: a persistent k-row augmented matrix, one appended
 row per arrival, explicit swap/eliminate/back-substitute/truncate phases
 built from the row operations below. The packed production decoder must
 match it call for call; tests diff the two.
+
+The coefficient-level view of a ``CodingVector`` (building one from a
+coefficient list, reading coefficients back, zero and unit vectors) lives
+here too: the package itself only builds ``CodingVector(k, word)``.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from sysnc.codec import TransmittedPacket
+from sysnc.codec import ProgressiveDecoder, TransmittedPacket
 from sysnc.gf2 import MAX_LENGTH, CodingVector, DimensionError
+
+
+def from_coefficients(coefficients: Iterable[int]) -> CodingVector:
+    """The vector whose coefficient i+1 is ``coefficients[i]``."""
+    word = 0
+    length = 0
+    for i, c in enumerate(coefficients):
+        if c not in (0, 1):
+            raise ValueError(f"coefficient {c!r} at position {i + 1} is not a bit")
+        word |= c << i
+        length = i + 1
+    return CodingVector(length, word)
+
+
+def zero(length: int) -> CodingVector:
+    return CodingVector(length, 0)
+
+
+def unit(length: int, index: int) -> CodingVector:
+    """Standard basis vector with a single 1 at ``index`` (1-based)."""
+    if not 1 <= index <= length:
+        raise IndexError(f"unit index {index} outside [1, {length}]")
+    return CodingVector(length, 1 << (index - 1))
+
+
+def coefficient(v: CodingVector, index: int) -> int:
+    if not 1 <= index <= v.length:
+        raise IndexError(f"index {index} outside [1, {v.length}]")
+    return (v.word >> (index - 1)) & 1
+
+
+def coefficients(v: CodingVector) -> list[int]:
+    return [(v.word >> i) & 1 for i in range(v.length)]
+
+
+def decoded_indices(dec: ProgressiveDecoder) -> frozenset[int]:
+    """The 1-based indices the decoder has released."""
+    return frozenset(dec.recovered_payloads)
 
 
 def degree(v: CodingVector) -> int:
@@ -155,7 +197,7 @@ def back_substitute(m: BitMatrix, k: int) -> BitMatrix:
         j = leftmost_one(m.row(i))
         assert j is not None
         for other in range(1, top + 1):
-            if other != i and m.row(other).coefficient(j) == 1:
+            if other != i and coefficient(m.row(other), j) == 1:
                 m.xor_into(i, other)
     return m
 
@@ -165,7 +207,7 @@ class DenseProgressiveDecoder:
         self.k = k
         self.payload_len = payload_len
         self.matrix = BitMatrix(
-            k, [CodingVector.zero(k)] * k, [bytes(payload_len)] * k
+            k, [zero(k)] * k, [bytes(payload_len)] * k
         )
         self.recovered: dict[int, bytes] = {}
 
@@ -190,7 +232,7 @@ class DenseProgressiveDecoder:
         m.append_row(CodingVector(k, word), bytes(payload))  # row k+1
         for i in range(1, k + 1):
             one_in_diag = True
-            if m.row(i).coefficient(i) == 0:
+            if coefficient(m.row(i), i) == 0:
                 one_in_diag = False
                 j = i + 1
                 while True:
@@ -202,7 +244,7 @@ class DenseProgressiveDecoder:
                         break
             if one_in_diag:
                 for j in range(1, k + 2):
-                    if j != i and m.row(j).coefficient(i) == 1:
+                    if j != i and coefficient(m.row(j), i) == 1:
                         m.xor_into(i, j)
         back_substitute(m, k)
         m.truncate(k)

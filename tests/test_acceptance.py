@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 from oracles import cond_full_decode_prob_exact, cond_full_oracle, rref_decodable_set
+from reference_decoder import decoded_indices
 from sysnc import analysis, cli
 from sysnc.codec import ProgressiveDecoder, SourceMessage, encode
 from sysnc.simulator import ChannelConfig, bench_decoders, run_trials
@@ -210,14 +211,14 @@ def test_criterion_5_progressive_decoder_is_oracle_optimal():
         for pkt in packets:
             decoder.receive(pkt)
         oracle = rref_decodable_set([p.coding_vector for p in packets], k)
-        if decoder.decoded_indices != frozenset(oracle):
+        if decoded_indices(decoder) != frozenset(oracle):
             _report(5, False, f"decoded-set mismatch at instance {instance}")
             raise AssertionError(
                 f"instance {instance}: k={k}, "
                 f"vectors={[p.coding_vector.word for p in packets]}, "
-                f"decoder={sorted(decoder.decoded_indices)}, oracle={sorted(oracle)}"
+                f"decoder={sorted(decoded_indices(decoder))}, oracle={sorted(oracle)}"
             )
-        for i in decoder.decoded_indices:
+        for i in decoded_indices(decoder):
             if decoder.recovered_payloads[i] != msg.packets[i - 1]:
                 _report(5, False, f"payload mismatch at instance {instance}")
                 raise AssertionError(f"instance {instance}: payload {i} corrupted")

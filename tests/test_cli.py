@@ -380,6 +380,11 @@ class TestConfigHandling:
             # more workers than CPUs
             ["simulate", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--trials", "4", "--seed", "1", "--workers", str(_CPUS + 1)],
             ["metrics", "--scheme", "straightforward", "--k", "4", "--m", "2", "--p", "0.1", "--p-hat", "0.5", "--trials", "4", "--seed", "1", {"workers": _CPUS + 1}],
+            # work sizes past the closed-form caps
+            ["analyze", "--scheme", "systematic", "--k", "10001", "--m", "1", "--n", "1", "--p", "0.5"],
+            ["analyze", "--scheme", "ordered-uncoded", "--k", "1", "--m", "1", "--n", "100001", "--p", "0.5"],
+            ["metrics", "--scheme", "straightforward", "--k", "10001", "--m", "10001", "--p", "0.5", "--p-hat", "0.5", "--n-max", "10001"],
+            ["metrics", "--scheme", "systematic", "--k", "1", "--m", "1", "--p", "0.5", "--p-hat", "0.5", "--n-max", "100001"],
         ],
     )
     def test_config_errors_exit_2(self, bad, tmp_path, capsys, monkeypatch):
@@ -431,10 +436,14 @@ _PATHS = {
     "--config": ["{tmp}/good.json", "{tmp}/list.json", "{tmp}/broken.json",
                  "{tmp}/unread.json", "{tmp}/missing.json"],
 }
+# Work sizes just past the closed-form caps, which analyze and metrics reject
+# before any work; no other subcommand runs long on them.
+_CAPPED = {"--k": ["10001"], "--n": ["100001"], "--n-max": ["100001"]}
 _PAIRS = st.one_of(
     st.tuples(st.sampled_from(_FLAG_TOKENS), st.sampled_from(_VALUES)),
     st.tuples(st.sampled_from(_FLAG_TOKENS), st.sampled_from(_GARBAGE)),
-    *(st.tuples(st.just(flag), st.sampled_from(paths)) for flag, paths in _PATHS.items()),
+    *(st.tuples(st.just(flag), st.sampled_from(values))
+      for flag, values in {**_PATHS, **_CAPPED}.items()),
 )
 
 

@@ -3,8 +3,22 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import decodable_by_rowspace, insert_rank, rref_decodable_set
-from reference_decoder import BitMatrix, DenseProgressiveDecoder, back_substitute
+from oracles import (
+    combine_words_loop,
+    decodable_by_rowspace,
+    insert_rank,
+    rref_decodable_set,
+)
+from reference_decoder import (
+    BitMatrix,
+    DenseProgressiveDecoder,
+    back_substitute,
+    coefficients,
+    decoded_indices,
+    from_coefficients,
+    unit,
+    zero,
+)
 from sysnc import codec
 from sysnc.codec import (
     SCHEME_ENCODERS,
@@ -12,10 +26,11 @@ from sysnc.codec import (
     ProgressiveDecoder,
     SourceMessage,
     TransmittedPacket,
+    combine_words,
     encode,
     full_rank_decode,
 )
-from sysnc.gf2 import CodingVector, DimensionError
+from sysnc.gf2 import MAX_LENGTH, CodingVector, DimensionError
 
 
 class StubBits:
@@ -44,7 +59,7 @@ def xor_bytes(*parts):
 
 
 def make_packet(coeffs, payload, n=1):
-    return TransmittedPacket(CodingVector.from_coefficients(coeffs), payload, n)
+    return TransmittedPacket(from_coefficients(coeffs), payload, n)
 
 
 def decoder_rows(dec):
@@ -60,13 +75,13 @@ def decoder_rows(dec):
 class TestEncoders:
     def test_systematic_phase_is_the_source_packet(self):
         pkt = encode("systematic", MSG3, 2, StubBits())
-        assert pkt.coding_vector.coefficients() == [0, 1, 0]
+        assert coefficients(pkt.coding_vector) == [0, 1, 0]
         assert pkt.payload == b"bb"
         assert pkt.sequence_index == 2
 
     def test_systematic_coded_phase_draws_uniform_vector(self):
         pkt = encode("systematic", MSG3, 5, StubBits(word(1, 0, 1)))
-        assert pkt.coding_vector.coefficients() == [1, 0, 1]
+        assert coefficients(pkt.coding_vector) == [1, 0, 1]
         assert pkt.payload == xor_bytes(b"aa", b"cc")
 
     def test_systematic_zero_draw_is_legal(self):
@@ -92,7 +107,7 @@ class TestEncoders:
     def test_ordered_uncoded_cycles(self, n, expected):
         pkt = encode("ordered-uncoded", MSG3, n, None)
         assert pkt.payload == MSG3.packets[expected]
-        assert pkt.coding_vector == CodingVector.unit(3, expected + 1)
+        assert pkt.coding_vector == unit(3, expected + 1)
 
     def test_indices_are_one_based(self):
         for scheme in SCHEMES:
@@ -137,6 +152,41 @@ class TestEncoders:
             SourceMessage((b"", b""))
 
 
+# Generation sizes on either side of a 30-bit CPython digit and of 64-bit
+# machine words, up to the cap.
+COMBINE_KS = [1, 29, 30, 31, 60, 63, 64, 65, MAX_LENGTH]
+
+
+def edge_words(k):
+    """Zero, all-ones, top-bit-only and bottom-bit-only words of k bits."""
+    return [0, (1 << k) - 1, 1 << (k - 1), 1]
+
+
+class TestCombineWords:
+    @pytest.mark.parametrize("k", COMBINE_KS)
+    def test_edge_words_match_the_lowest_bit_loop(self, k):
+        rng = random.Random(k)
+        packet_words = [rng.getrandbits(64) for _ in range(k)]
+        for w in edge_words(k):
+            assert combine_words(packet_words, w) == combine_words_loop(packet_words, w)
+
+    @given(
+        st.sampled_from(COMBINE_KS).flatmap(
+            lambda k: st.tuples(
+                st.just(k),
+                st.integers(0, 2**32 - 1),
+                st.one_of(st.sampled_from(edge_words(k)), st.integers(0, 2**k - 1)),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_lowest_bit_loop(self, case):
+        k, seed, w = case
+        rng = random.Random(seed)
+        packet_words = [rng.getrandbits(rng.choice((8, 64, 1500 * 8))) for _ in range(k)]
+        assert combine_words(packet_words, w) == combine_words_loop(packet_words, w)
+
+
 class TestProgressiveDecoder:
     def test_systematic_packet_decodes_immediately(self):
         dec = ProgressiveDecoder(3, 2)
@@ -154,7 +204,7 @@ class TestProgressiveDecoder:
         dec.receive(make_packet([1, 1, 0], xor_bytes(b"aa", b"bb")))
         dec.receive(make_packet([0, 1, 1], xor_bytes(b"bb", b"cc")))
         dec.receive(make_packet([1, 0, 1], xor_bytes(b"aa", b"cc")))
-        assert dec.decoded_indices == frozenset()
+        assert decoded_indices(dec) == frozenset()
         assert len(decoder_rows(dec)) <= 3
 
     def test_dimension_mismatch(self):
@@ -176,7 +226,7 @@ class TestProgressiveDecoder:
         for n in range(1, 40):
             dec.receive(encode("straightforward", msg, n, rng))
         assert len(decoder_rows(dec)) <= 2
-        assert dec.decoded_indices == frozenset({1, 2})
+        assert decoded_indices(dec) == frozenset({1, 2})
 
 
 def random_instance(rng, max_k=8):
@@ -207,7 +257,7 @@ class TestDecoderProperties:
             newly = dec.receive(pkt)
             assert newly.isdisjoint(decoded), "an index decoded twice"
             decoded |= newly
-            assert dec.decoded_indices == frozenset(decoded)
+            assert decoded_indices(dec) == frozenset(decoded)
         oracle = rref_decodable_set([p.coding_vector for p in packets], msg.k)
         assert decoded == oracle
         for i in decoded:
@@ -223,7 +273,7 @@ class TestDecoderProperties:
         for pkt in packets:
             assert fast.receive(pkt) == dense.receive(pkt)
             assert set(decoder_rows(fast).values()) == dense.nonzero_rows()
-        assert fast.decoded_indices == dense.decoded_indices
+        assert decoded_indices(fast) == dense.decoded_indices
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
@@ -233,11 +283,11 @@ class TestDecoderProperties:
         dec = ProgressiveDecoder(msg.k, msg.payload_len)
         for pkt in packets:
             dec.receive(pkt)
-        before = dec.decoded_indices
+        before = decoded_indices(dec)
         rows = decoder_rows(dec)
         for pkt in packets:
             assert dec.receive(pkt) == set()
-        assert dec.decoded_indices == before
+        assert decoded_indices(dec) == before
         assert decoder_rows(dec) == rows
 
     @given(st.integers(0, 2**32 - 1))
@@ -251,7 +301,7 @@ class TestDecoderProperties:
             dec = ProgressiveDecoder(msg.k, msg.payload_len)
             for pkt in packets:
                 dec.receive(pkt)
-            final_sets.append(dec.decoded_indices)
+            final_sets.append(decoded_indices(dec))
         oracle = rref_decodable_set([p.coding_vector for p in packets], msg.k)
         assert all(s == frozenset(oracle) for s in final_sets)
 
@@ -260,25 +310,25 @@ class TestBackSubstitute:
     def test_clears_column_of_degree_one_row(self):
         m = BitMatrix(
             2,
-            [CodingVector.from_coefficients([1, 1]),
-             CodingVector.from_coefficients([0, 1])],
+            [from_coefficients([1, 1]),
+             from_coefficients([0, 1])],
             [xor_bytes(b"a", b"b"), b"b"],
         )
         back_substitute(m, 2)
-        assert [r.coefficients() for r in m.rows] == [[1, 0], [0, 1]]
+        assert [coefficients(r) for r in m.rows] == [[1, 0], [0, 1]]
         assert m.payloads == (b"a", b"b")
 
     def test_identity_is_fixed_point(self):
-        m = BitMatrix(2, [CodingVector.unit(2, 1), CodingVector.unit(2, 2)],
+        m = BitMatrix(2, [unit(2, 1), unit(2, 2)],
                       [b"a", b"b"])
         back_substitute(m, 2)
-        assert m.rows == (CodingVector.unit(2, 1), CodingVector.unit(2, 2))
+        assert m.rows == (unit(2, 1), unit(2, 2))
 
     def test_no_degree_one_rows_unchanged(self):
         rows = [
-            CodingVector.from_coefficients([1, 1, 0]),
-            CodingVector.from_coefficients([0, 1, 1]),
-            CodingVector.zero(3),
+            from_coefficients([1, 1, 0]),
+            from_coefficients([0, 1, 1]),
+            zero(3),
         ]
         m = BitMatrix(3, rows, [b"x", b"y", b"\x00"])
         back_substitute(m, 3)
@@ -301,9 +351,18 @@ class TestFullRankDecode:
         with pytest.raises(DimensionError):
             full_rank_decode([*full, make_packet([1, 1], b"ab", 3)], 2)
 
-    @pytest.mark.parametrize("scheme", ["systematic", "straightforward"])
-    @pytest.mark.parametrize("k", [63, 64, 65, 128])
-    def test_matches_progressive_decoder_across_word_boundaries(self, scheme, k):
+    # 30 and 31 sit on a 30-bit CPython digit, 63..65 and 128 on 64-bit words;
+    # MAX_LENGTH walks 1024-entry payload lists.
+    @pytest.mark.parametrize(
+        "k,scheme",
+        [
+            (k, scheme)
+            for k in (30, 31, 63, 64, 65, 128)
+            for scheme in ("systematic", "straightforward")
+        ]
+        + [(MAX_LENGTH, "systematic")],
+    )
+    def test_matches_progressive_decoder_across_word_boundaries(self, k, scheme):
         rng = random.Random(f"{scheme}|{k}")
         msg = SourceMessage(tuple(rng.randbytes(5) for _ in range(k)))
         source = dict(enumerate(msg.packets, 1))
@@ -351,11 +410,11 @@ class TestFullRankDecode:
 
 class TestRrefOracle:
     def test_examples(self):
-        rows = [CodingVector.from_coefficients(c) for c in ([1, 1, 0], [0, 1, 0])]
+        rows = [from_coefficients(c) for c in ([1, 1, 0], [0, 1, 0])]
         assert rref_decodable_set(rows, 3) == {1, 2}
-        identity = [CodingVector.unit(4, i) for i in range(1, 5)]
+        identity = [unit(4, i) for i in range(1, 5)]
         assert rref_decodable_set(identity, 4) == {1, 2, 3, 4}
-        assert rref_decodable_set([CodingVector.from_coefficients([1, 1])], 2) == set()
+        assert rref_decodable_set([from_coefficients([1, 1])], 2) == set()
 
     @given(st.integers(1, 4), st.lists(st.integers(0, 15), max_size=6))
     def test_matches_rowspace_enumeration(self, k, words):
