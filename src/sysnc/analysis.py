@@ -29,7 +29,7 @@ a computation repeats its work. Float sums are written-out left folds:
 since Python 3.12 the builtin ``sum`` of floats is compensated and rounds
 differently from the loop.
 
-Three kinds of work are skipped because they provably cannot change a bit:
+Four kinds of work are skipped because they provably cannot change a bit:
 
 * Carry (``ou_partial_decode_sweep``). From n - 1 sends to n, only packet
   i = ((n - 1) mod k) + 1 gains a copy, so the Poisson-binomial state after
@@ -39,6 +39,9 @@ Three kinds of work are skipped because they provably cannot change a bit:
   packet t no count below min(ms) - (k - t) can reach a requested tail; the
   DP step drops it. Every count it keeps is the full program's
   ``dist[j] * stay + dist[j - 1] * s``, the same operations in the same order.
+* Unsent packets (``ou_partial_decode_sweep``, N < K). A packet not yet sent
+  survives with probability 0, and its DP step only shifts the distribution
+  up by one count, so the sweep shifts once for all of them.
 * Past-mode cut (``_cond_full``). Once the hypergeometric quotients fall and
   one is below half an ulp of the running sum, no later term can move the
   sum; the argument is stated at the cut.
@@ -48,11 +51,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
-
-if TYPE_CHECKING:  # annotations only; never evaluated at run time
-    from fractions import Fraction
+from collections.abc import Callable
 
 # Above this n the erasure-channel weights C(n,r)(1-p)^r p^(n-r) switch to
 # log space; below it, exact integer binomials keep full double precision.
@@ -201,7 +200,7 @@ def sf_full_decode_prob(k: int, n: int, p: float, q: int = 2) -> float:
     return min(total, 1.0)
 
 
-def ou_partial_decode_prob(k: int, m: int, n: int, p) -> float | Fraction:
+def ou_partial_decode_prob(k: int, m: int, n: int, p) -> "float | fractions.Fraction":
     """Exact probability that cyclic repetition delivers at least m of k packets
     within n sends.
 
@@ -221,8 +220,9 @@ def ou_partial_decode_sweep(k: int, ms, n_lo: int, n_hi: int, p) -> list[list]:
     distribution of the recovered count.
 
     Bit-identical to one full dynamic program per n, but the DP state before
-    the packet that n's send repeats is carried over from n - 1, and counts
-    that cannot reach min(ms) are dropped (see the module docstring).
+    the packet that n's send repeats is carried over from n - 1, counts
+    that cannot reach min(ms) are dropped, and the packets not yet sent are
+    one shift (see the module docstring).
     """
     for m in ms:
         if not 1 <= m <= k:
@@ -248,8 +248,14 @@ def ou_partial_decode_sweep(k: int, ms, n_lo: int, n_hi: int, p) -> list[list]:
         i = (n - 1) % k + 1  # the one packet whose copy count n - 1 -> n raises
         dist = _pb_step(prefix, survive(i, n), i <= keep_zero)
         prefix = dist if i < k else [1]
-        for t in range(i + 1, k + 1):
+        for t in range(i + 1, min(n, k) + 1):
             dist = _pb_step(dist, survive(t, n), t <= keep_zero)
+        if n < k:
+            # Packets n+1..k are not yet sent: s = 0. Each such step keeps
+            # every entry (x * 1 + y * 0 == x for finite x, y) and appends
+            # dist[-1] * 0; a packet past keep_zero also drops the lowest.
+            unsent = [dist[-1] * 0] * (k - n)
+            dist = (dist + unsent)[k - max(n, keep_zero):]
         tails = [_tail(dist, m - m_lo) for m in ms]
         # the DP can overshoot 1 by an ulp
         sweep.append(
@@ -313,34 +319,17 @@ def min_packets_for_target(
     return None
 
 
-@dataclass(frozen=True)
-class TargetMetrics:
-    """Minimum transmissions to hit a target probability, for partial (m
+def delta_n(n_partial: int | None, n_full: int | None) -> int | None:
+    """Extra packets full recovery needs beyond partial recovery, from the
+    minimum transmissions to hit one target probability for partial (m
     packets) and full (k packets) recovery; None marks an unreachable target."""
-
-    p_hat: float
-    n_partial: int | None
-    n_full: int | None
-
-    def __post_init__(self) -> None:
-        if not 0 < self.p_hat <= 1:
-            raise ValueError(f"target probability {self.p_hat} outside (0, 1]")
-        if (
-            self.n_partial is not None
-            and self.n_full is not None
-            and self.n_partial > self.n_full
-        ):
-            raise InvariantViolation(
-                f"partial recovery needed {self.n_partial} packets but full "
-                f"recovery only {self.n_full}"
-            )
-
-    @property
-    def delta_n(self) -> int | None:
-        """Extra packets full recovery needs beyond partial recovery."""
-        if self.n_partial is None or self.n_full is None:
-            return None
-        return self.n_full - self.n_partial
+    if n_partial is None or n_full is None:
+        return None
+    if n_partial > n_full:
+        raise InvariantViolation(
+            f"partial recovery needed {n_partial} packets but full recovery only {n_full}"
+        )
+    return n_full - n_partial
 
 
 # Per-q tables of the rank product, built on first use and kept for the life

@@ -13,18 +13,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields, replace
-from typing import Callable
+from collections.abc import Callable
 
 from . import analysis
 from .codec import SCHEMES
 from .gf2 import MAX_LENGTH
-from .simulator import (
-    BENCH_DECODERS,
-    ChannelConfig,
-    bench_decoders,
-    run_trials,
-)
+from .simulator import BENCH_DECODERS, bench_decoders, run_trials
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,16 +37,18 @@ class ConfigError(ValueError):
     """Configuration that violates a precondition of the requested operation."""
 
 
-# Scalar type of each config field; "m" and "p" hold lists of it.
-_FIELD_TYPES = {
-    "mode": str, "scheme": str, "k": int, "m": int, "n_min": int, "n_max": int,
-    "p": float, "q": int, "trials": int, "seed": int, "p_hat": float,
-    "out": str, "workers": int,
+# Scalar type and default of each config field; "m" and "p" hold tuples of
+# their type.
+_FIELDS = {
+    "mode": (str, None), "scheme": (str, None), "k": (int, None), "m": (int, ()),
+    "n_min": (int, None), "n_max": (int, None), "p": (float, ()), "q": (int, 2),
+    "trials": (int, None), "seed": (int, None), "p_hat": (float, None),
+    "out": (str, None), "workers": (int, 1),
 }
 
 
 def _typed(key: str, value):
-    kind = _FIELD_TYPES[key]
+    kind = _FIELDS[key][0]
     fits = lambda x: type(x) is kind or (kind is float and type(x) is int)
     if key not in ("m", "p") and fits(value):
         return value
@@ -61,30 +57,25 @@ def _typed(key: str, value):
     raise ConfigError(f"config value {key}={value!r} has the wrong type")
 
 
-@dataclass(frozen=True)
 class ExperimentConfig:
-    mode: str
-    scheme: str | None = None
-    k: int | None = None
-    m: tuple[int, ...] = ()
-    n_min: int | None = None
-    n_max: int | None = None
-    p: tuple[float, ...] = ()
-    q: int = 2
-    trials: int | None = None
-    seed: int | None = None
-    p_hat: float | None = None
-    out: str | None = None
-    workers: int = 1
+    """The settings of one run: an attribute per field of ``_FIELDS``, each
+    type-checked, at its default when missing or None."""
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+    def __init__(self, /, **values) -> None:
+        unknown = values.keys() - _FIELDS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        # null reads as unset
-        return cls(**{key: _typed(key, v) for key, v in raw.items() if v is not None})
+        for key, (_, default) in _FIELDS.items():
+            value = values.get(key)
+            setattr(self, key, default if value is None else _typed(key, value))
+
+    def __eq__(self, other):
+        if type(other) is not ExperimentConfig:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return f"ExperimentConfig(**{vars(self)})"
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -132,7 +123,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         reps = cfg.trials if cfg.trials is not None else DEFAULT_REPETITIONS
         if reps < 1:
             raise ConfigError("repetitions (--trials) must be at least 1")
-        return replace(cfg, trials=reps, seed=cfg.seed if cfg.seed is not None else 0)
+        return ExperimentConfig(**{**vars(cfg), "trials": reps, "seed": cfg.seed or 0})
     if cfg.scheme is None:
         raise ConfigError("--scheme is required")
     if cfg.scheme not in SCHEMES:
@@ -245,21 +236,18 @@ def cmd_analyze(cfg: ExperimentConfig) -> list[str]:
 def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
     assert cfg.scheme and cfg.k and cfg.n_min and cfg.n_max
     assert cfg.trials is not None and cfg.seed is not None
+    trials, ns = cfg.trials, range(cfg.n_min, cfg.n_max + 1)
     rows = []
     for p in cfg.p:
-        curves = run_trials(
-            cfg.scheme,
-            cfg.k,
-            list(cfg.m),
-            (cfg.n_min, cfg.n_max),
-            ChannelConfig(p, cfg.seed),
-            cfg.trials,
-            workers=cfg.workers,
+        counts = run_trials(
+            cfg.scheme, cfg.k, list(cfg.m), (cfg.n_min, cfg.n_max), p, cfg.seed,
+            trials, workers=cfg.workers,
         )
-        for curve in curves:
-            for n, est, count in curve.points:
-                stderr = (est * (1.0 - est) / count) ** 0.5
-                rows.append((cfg.scheme, cfg.k, curve.m, n, p, count, cfg.seed, est, stderr))
+        for m, m_counts in zip(cfg.m, counts):
+            for n, count in zip(ns, m_counts):
+                est = count / trials
+                stderr = (est * (1.0 - est) / trials) ** 0.5
+                rows.append((cfg.scheme, cfg.k, m, n, p, trials, cfg.seed, est, stderr))
     rows.sort(key=lambda r: r[:5])
     lines = ["scheme,K,M,N,p,trials,seed,prob_sim,stderr"]
     lines.extend(
@@ -318,17 +306,15 @@ def _partial_prob_fns(
         }
     if not partial:
         return {}
-    assert cfg.trials is not None and cfg.seed is not None
-    curves = run_trials(
-        cfg.scheme,
-        k,
-        partial,
-        (partial[0], n_cap),
-        ChannelConfig(p, cfg.seed),
-        cfg.trials,
-        workers=cfg.workers,
+    trials, n_lo = cfg.trials, partial[0]
+    assert trials is not None and cfg.seed is not None
+    counts = run_trials(
+        cfg.scheme, k, partial, (n_lo, n_cap), p, cfg.seed, trials, workers=cfg.workers
     )
-    return {curve.m: curve.estimate_at for curve in curves}
+    return {
+        m: lambda n, c=m_counts: c[n - n_lo] / trials
+        for m, m_counts in zip(partial, counts)
+    }
 
 
 def cmd_metrics(cfg: ExperimentConfig) -> list[str]:
@@ -352,10 +338,9 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[str]:
                 # Full recovery recovers any M, so a simulated estimate's
                 # sampling noise may not put partial recovery past it.
                 n_partial = n_full if n_partial is None else min(n_partial, n_full)
-            metrics = analysis.TargetMetrics(p_hat, n_partial, n_full)
+            delta = analysis.delta_n(n_partial, n_full)
             rows.append(
-                (cfg.scheme, k, m, p, p_hat,
-                 cell(metrics.n_partial), cell(metrics.n_full), cell(metrics.delta_n))
+                (cfg.scheme, k, m, p, p_hat, cell(n_partial), cell(n_full), cell(delta))
             )
     rows.sort(key=lambda r: r[:4])
     lines = ["scheme,K,M,p,P_hat,N_hat_partial,N_hat_full,delta_N"]
@@ -371,15 +356,12 @@ def cmd_bench(cfg: ExperimentConfig) -> list[str]:
     results = bench_decoders(
         list(range(1, cfg.k + 1)), BENCH_DECODERS, cfg.trials, seed=cfg.seed
     )
-    results.sort(key=lambda r: (r.decoder, r.k))
+    results.sort()  # by decoder, then K
     lines = [
         "# timing values are hardware-relative; compare decoders within one run only",
         "decoder,K,median_ns,p25_ns,p75_ns,repetitions",
     ]
-    lines.extend(
-        f"{r.decoder},{r.k},{r.median_ns},{r.p25_ns},{r.p75_ns},{r.repetitions}"
-        for r in results
-    )
+    lines.extend(",".join(map(str, r)) for r in results)
     return lines
 
 
@@ -463,20 +445,31 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if not isinstance(file_values, dict):
             raise ConfigError("config file must hold a JSON object")
         file_values.pop("mode", None)  # the subcommand decides the mode
-        readable = {flag.replace("-", "_") for flag in _MODE_FLAGS[args.mode]}
+        readable = {
+            flag.replace("-", "_") for flag in _MODE_FLAGS[args.mode] if flag != "config"
+        }
         unread = sorted(set(file_values) - readable)
         if unread:
             raise ConfigError(f"config keys not read by {args.mode}: {unread}")
     flag_values = {
         key: value for key, value in vars(args).items()
-        if key in _FIELD_TYPES and value is not None
+        if key != "config_file" and value is not None
     }
-    if getattr(args, "n", None) is not None:
-        if "n_min" in flag_values or "n_max" in flag_values:
-            raise ConfigError("--n conflicts with --n-min/--n-max")
-        flag_values["n_min"] = flag_values["n_max"] = args.n
-    merged = {**file_values, **flag_values, "mode": args.mode}
-    return _validate(ExperimentConfig.from_dict(merged))
+    merged = {**_read_n(file_values), **_read_n(flag_values), "mode": args.mode}
+    return _validate(ExperimentConfig(**merged))
+
+
+def _read_n(values: dict) -> dict:
+    """``values`` with its ``n`` read as ``--n`` is: as both ``n_min`` and
+    ``n_max``, which it may not be given beside."""
+    n = values.pop("n", None)
+    if n is None:
+        return values
+    if type(n) is not int:
+        raise ConfigError(f"config value n={n!r} has the wrong type")
+    if values.get("n_min") is not None or values.get("n_max") is not None:
+        raise ConfigError("--n conflicts with --n-min/--n-max")
+    return {**values, "n_min": n, "n_max": n}
 
 
 def run(cfg: ExperimentConfig) -> str:

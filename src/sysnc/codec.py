@@ -43,60 +43,53 @@ shorter input without an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, partial
+from collections.abc import Callable, Iterable, Sequence
+from functools import partial
 from itertools import compress
-from typing import Callable, Iterable, Sequence
 
 from .gf2 import MAX_LENGTH, CodingVector, DimensionError, bit_flags
 
 SCHEMES = ("systematic", "straightforward", "ordered-uncoded")
 
 
-@dataclass(frozen=True)
 class SourceMessage:
-    """A message split into k equal-length source packets."""
+    """A message split into k equal-length source packets, ``packets``, each
+    also held as one big-endian integer in ``packet_words``."""
 
-    packets: tuple[bytes, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.packets) < 1:
+    def __init__(self, packets: tuple[bytes, ...]) -> None:
+        if len(packets) < 1:
             raise ValueError("a message needs at least one source packet")
-        lengths = {len(p) for p in self.packets}
+        lengths = {len(p) for p in packets}
         if len(lengths) != 1:
             raise ValueError(f"source packets have mixed lengths {sorted(lengths)}")
         if lengths == {0}:
             raise ValueError("source packets must carry at least one byte")
-
-    @property
-    def k(self) -> int:
-        return len(self.packets)
-
-    @property
-    def payload_len(self) -> int:
-        return len(self.packets[0])
-
-    @cached_property
-    def packet_words(self) -> tuple[int, ...]:
-        return tuple(int.from_bytes(p, "big") for p in self.packets)
+        self.packets = packets
+        self.k = len(packets)
+        self.payload_len = len(packets[0])
+        self.packet_words = tuple(int.from_bytes(p, "big") for p in packets)
 
 
-@dataclass(frozen=True)
 class TransmittedPacket:
-    """What crosses the channel: a coding vector, its payload, and the send index."""
+    """What crosses the channel: a coding vector, its payload, and the send
+    index. ``payload_word`` is the payload as one big-endian integer; a
+    caller that already holds it passes it in."""
 
-    coding_vector: CodingVector
-    payload: bytes
-    sequence_index: int
-
-    def __post_init__(self) -> None:
-        if self.sequence_index < 1:
+    def __init__(
+        self,
+        coding_vector: CodingVector,
+        payload: bytes,
+        sequence_index: int,
+        payload_word: int | None = None,
+    ) -> None:
+        if sequence_index < 1:
             raise ValueError("sequence_index is 1-based")
-
-    @cached_property
-    def payload_word(self) -> int:
-        """The payload as one big-endian integer; the encoders preset it."""
-        return int.from_bytes(self.payload, "big")
+        self.coding_vector = coding_vector
+        self.payload = payload
+        self.sequence_index = sequence_index
+        if payload_word is None:
+            payload_word = int.from_bytes(payload, "big")
+        self.payload_word = payload_word
 
 
 def combine_words(packet_words: Sequence[int], vector_word: int) -> int:
@@ -134,9 +127,7 @@ def encode(scheme: str, msg: SourceMessage, n: int, rng) -> TransmittedPacket:
     else:
         pay = combine_words(msg.packet_words, word)
         payload = pay.to_bytes(msg.payload_len, "big")
-    pkt = TransmittedPacket(CodingVector(msg.k, word), payload, n)
-    pkt.__dict__["payload_word"] = pay  # preset the cached_property
-    return pkt
+    return TransmittedPacket(CodingVector(msg.k, word), payload, n, pay)
 
 
 # One ``encoder(msg, n, rng)`` per scheme, for callers that pick it by name.

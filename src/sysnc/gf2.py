@@ -7,8 +7,6 @@ looping over coefficients. Public coefficient indices are 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 # Generation-size cap. Not a hard architectural limit: raise it before
 # building larger vectors if a sweep needs more headroom.
 MAX_LENGTH = 1024
@@ -30,17 +28,23 @@ def bit_flags(word: int) -> bytes:
     return bin(word)[:1:-1].encode().translate(_FLAG_BYTES)
 
 
-@dataclass(frozen=True)
 class CodingVector:
     """Length-``length`` vector over GF(2); coefficient i sits at bit i-1 of ``word``."""
 
-    length: int
-    word: int = 0
+    __slots__ = ("length", "word")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.length <= MAX_LENGTH:
-            raise DimensionError(
-                f"vector length {self.length} outside [1, {MAX_LENGTH}]"
-            )
-        if not 0 <= self.word < (1 << self.length):
-            raise ValueError(f"word {self.word:#x} does not fit in {self.length} bits")
+    def __init__(self, length: int, word: int = 0) -> None:
+        if not 1 <= length <= MAX_LENGTH:
+            raise DimensionError(f"vector length {length} outside [1, {MAX_LENGTH}]")
+        if not 0 <= word < (1 << length):
+            raise ValueError(f"word {word:#x} does not fit in {length} bits")
+        self.length = length
+        self.word = word
+
+    def __eq__(self, other):
+        if type(other) is not CodingVector:
+            return NotImplemented
+        return self.length == other.length and self.word == other.word
+
+    def __repr__(self) -> str:
+        return f"CodingVector({self.length}, {self.word:#x})"

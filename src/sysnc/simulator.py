@@ -18,7 +18,8 @@ decodable set, so it builds no payload. The vectors come from
 The count-only kernel :func:`_first_reach` keeps just the row space, in the
 form :class:`codec.ProgressiveDecoder` keeps with payloads, and reports the
 first n at which each count is reached; the tests hold the kernel to the
-decoder.
+decoder. :func:`run_trials` returns, for each M, the number of trials that
+decoded at least M packets after each N; a caller divides by the trial count.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import accumulate
-from typing import Sequence
 
 from .codec import (
     SCHEME_ENCODERS,
@@ -66,44 +66,6 @@ def make_test_message(k: int, payload_len: int) -> SourceMessage:
             for i in range(1, k + 1)
         )
     )
-
-
-@dataclass(frozen=True)
-class ChannelConfig:
-    """Memoryless packet erasure channel: each packet lost with probability p."""
-
-    p: float
-    seed: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.p <= 1:
-            raise ValueError(f"erasure probability {self.p} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class EmpiricalCurve:
-    """Estimated P[decoded >= m] per transmission count, from repeated trials."""
-
-    scheme: str
-    k: int
-    m: int
-    p: float
-    seed: int
-    trials: int
-    points: tuple[tuple[int, float, int], ...]  # (n, estimate, trials)
-
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
-        for _, est, count in self.points:
-            if not 0 <= est <= 1 or count < 1:
-                raise ValueError("estimates must lie in [0, 1] with trials > 0")
-
-    def estimate_at(self, n: int) -> float:
-        for point_n, est, _ in self.points:
-            if point_n == n:
-                return est
-        raise KeyError(f"no point at n={n}")
 
 
 def _first_reach(
@@ -186,12 +148,17 @@ def run_trials(
     k: int,
     m_list: list[int],
     n_range: tuple[int, int],
-    cfg: ChannelConfig,
+    p: float,
+    seed: int,
     trials: int,
     *,
     workers: int = 1,
-) -> list[EmpiricalCurve]:
-    """Estimate P[decoded >= m] for each m and each n in n_range.
+) -> list[list[int]]:
+    """Success counts behind the estimates of P[decoded >= m]: for each m of
+    ``m_list``, in order, the list of how many of ``trials`` trials had at
+    least m packets decoded after n sends, for n = n_lo..n_hi of ``n_range``
+    (entry n - n_lo). Each packet is erased with probability p; ``seed`` is
+    the master seed of the derived streams.
 
     Each trial draws the coding vector of every packet, drops packets through
     the channel, and eliminates the surviving vectors incrementally, noting
@@ -199,6 +166,8 @@ def run_trials(
     Trials are independent and carry their own derived streams, so any
     ``workers`` partitioning yields bit-identical results.
     """
+    if not 0 <= p <= 1:
+        raise ValueError(f"erasure probability {p} outside [0, 1]")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if trials < 1:
@@ -211,14 +180,14 @@ def run_trials(
     n_lo, n_hi = n_range
     if not 1 <= n_lo <= n_hi:
         raise ValueError(f"bad transmission range [{n_lo}, {n_hi}]")
-    sub_seed = scheme_seed(cfg.seed, scheme)
+    sub_seed = scheme_seed(seed, scheme)
     m_tuple = tuple(m_list)
     if workers == 1:
-        success = _count_block((scheme, k, n_hi, cfg.p, sub_seed, 0, trials, m_tuple))
+        success = _count_block((scheme, k, n_hi, p, sub_seed, 0, trials, m_tuple))
     else:
         step = -(-trials // workers)
         blocks = [
-            (scheme, k, n_hi, cfg.p, sub_seed, start, min(start + step, trials), m_tuple)
+            (scheme, k, n_hi, p, sub_seed, start, min(start + step, trials), m_tuple)
             for start in range(0, trials, step)
         ]
         success = [[0] * (n_hi + 1) for _ in m_tuple]
@@ -231,32 +200,7 @@ def run_trials(
                 for mi, row in enumerate(block):
                     for n, c in enumerate(row):
                         success[mi][n] += c
-    return [
-        EmpiricalCurve(
-            scheme,
-            k,
-            m,
-            cfg.p,
-            cfg.seed,
-            trials,
-            tuple(
-                (n, success[mi][n] / trials, trials) for n in range(n_lo, n_hi + 1)
-            ),
-        )
-        for mi, m in enumerate(m_tuple)
-    ]
-
-
-@dataclass(frozen=True)
-class BenchResult:
-    """Wall-time summary for one decoder at one generation size."""
-
-    decoder: str
-    k: int
-    median_ns: int
-    p25_ns: int
-    p75_ns: int
-    repetitions: int
+    return [row[n_lo:] for row in success]
 
 
 def bench_decoders(
@@ -266,7 +210,7 @@ def bench_decoders(
     *,
     seed: int = 0,
     payload_len: int = 8,
-) -> list[BenchResult]:
+) -> list[tuple[str, int, int, int, int, int]]:
     """Time full recovery from a lossless stream of straightforward packets.
 
     For each k, pre-built packet streams are fed to the decoder until all k
@@ -278,9 +222,9 @@ def bench_decoders(
     odd ones. Repetitions form the outer loop and every k is timed once per
     repetition, so a change in host speed during the run hits all decoders
     and all k alike. Medians and quartiles over ``repetitions`` runs, one
-    result per (decoder, k) in the order given; absolute numbers are
-    hardware-relative and only the ordering between decoders on one host is
-    meaningful.
+    ``(decoder, k, median_ns, p25_ns, p75_ns, repetitions)`` per (decoder, k)
+    in the order given; absolute numbers are hardware-relative and only the
+    ordering between decoders on one host is meaningful.
     """
     decoders = tuple(decoders)
     for decoder in decoders:
@@ -307,7 +251,7 @@ def bench_decoders(
     for decoder, d_times in zip(decoders, times):
         for k, k_times in zip(k_values, d_times):
             p25, med, p75 = _quartiles(k_times)
-            results.append(BenchResult(decoder, k, med, p25, p75, repetitions))
+            results.append((decoder, k, med, p25, p75, repetitions))
     return results
 
 

@@ -23,11 +23,11 @@ from oracles import (
 from sysnc import analysis
 from sysnc.analysis import (
     InvariantViolation,
-    TargetMetrics,
     ThresholdUnreachableWarning,
     cond_full_decode_prob,
     cond_full_decode_probs,
     decode_prob_ratio,
+    delta_n,
     full_decode_prob,
     full_decode_probs,
     full_rank_prob,
@@ -223,6 +223,33 @@ class TestBitwiseAgainstLoops:
                 for m in every:
                     assert ou_partial_decode_prob(k, m, n, p) == loop[n][m], (m, n, p)
 
+    @pytest.mark.parametrize("k", [2, 3, 9, 33])
+    def test_ou_sweep_before_every_packet_is_sent(self, k):
+        """At N < K the packets not yet sent shift the distribution once, for
+        float and Fraction p, with bands that drop counts before, among and
+        after them (min M above N + 1 drops the shifted-in zeros too): the
+        values and the types of one whole program per N."""
+        msets = [(1,), (k,), (k - 1, k), (k // 2 + 1,), (1, k // 3 + 1, k)]
+        for p in (0.0, 0.3, 1.0, Fraction(0), Fraction(1, 3), Fraction(1)):
+            for ms in msets:
+                expect = [ou_tail_loop(k, list(ms), n, p) for n in range(1, k)]
+                for got in (
+                    ou_partial_decode_sweep(k, ms, 1, k - 1, p),
+                    [ou_partial_decode_sweep(k, ms, n, n, p)[0] for n in range(1, k)],
+                ):
+                    assert got == expect, (ms, p)
+                    assert [list(map(type, r)) for r in got] == [
+                        list(map(type, r)) for r in expect
+                    ], (ms, p)
+
+    def test_ou_sweep_steps_only_sent_packets(self, monkeypatch):
+        """One DP step for the one packet sent, none for the K - 1 unsent."""
+        steps = []
+        step = analysis._pb_step
+        monkeypatch.setattr(analysis, "_pb_step", lambda *args: steps.append(1) or step(*args))
+        assert ou_partial_decode_prob(10**4, 1, 1, 0.5) == 0.5
+        assert len(steps) == 1
+
 
 class TestExactPaths:
     @pytest.mark.parametrize("q", [2, 3, 5])
@@ -404,16 +431,16 @@ class TestMinPacketsForTarget:
 
 class TestTargetMetrics:
     def test_delta(self):
-        assert TargetMetrics(0.7, 11, 39).delta_n == 28
-        assert TargetMetrics(0.7, 5, 5).delta_n == 0
+        assert delta_n(11, 39) == 28
+        assert delta_n(5, 5) == 0
 
     def test_unreachable_propagates(self):
-        assert TargetMetrics(0.7, None, 39).delta_n is None
-        assert TargetMetrics(0.7, 12, None).delta_n is None
+        assert delta_n(None, 39) is None
+        assert delta_n(12, None) is None
 
     def test_ordering_enforced(self):
         with pytest.raises(InvariantViolation):
-            TargetMetrics(0.7, 10, 9)
+            delta_n(10, 9)
 
 
 class TestRangeAndMonotonicity:

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -296,9 +295,11 @@ class TestConfigHandling:
             n_max=8, p=(0.1, 0.3), q=2, trials=100, seed=7, p_hat=None,
             out="x.csv", workers=2,
         )
-        raw = dataclasses.asdict(cfg)
-        assert ExperimentConfig.from_dict(raw) == cfg
-        assert ExperimentConfig.from_dict(json.loads(json.dumps(raw))) == cfg
+        raw = vars(cfg)
+        assert set(raw) == set(cli._FIELDS)
+        assert ExperimentConfig(**raw) == cfg
+        assert ExperimentConfig(**json.loads(json.dumps(raw))) == cfg
+        assert ExperimentConfig(**{**raw, "k": 5}) != cfg
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -318,6 +319,27 @@ class TestConfigHandling:
         code, _, err = run_cli(["analyze", "--config", str(path)], capsys)
         assert code == EXIT_CONFIG
         assert "mn" in err
+
+    def test_config_file_n_reads_as_the_flag(self, tmp_path, capsys):
+        """A config file holds the flags' keys, ``n`` among them: it sets
+        n_min and n_max as ``--n`` does, and a flag still overrides it."""
+        argv = ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--p", "0.1"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 3}))
+        for flags, file_and_flags in (
+            (["--n", "3"], ["--config", str(path)]),
+            (["--n-min", "3", "--n-max", "4"], ["--config", str(path), "--n-max", "4"]),
+        ):
+            code, expected, err = run_cli(argv + flags, capsys)
+            assert code == EXIT_OK, err
+            assert run_cli(argv + file_and_flags, capsys) == (EXIT_OK, expected, "")
+
+    def test_config_key_in_a_config_file_is_not_read(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"k": 2, "config": "other.json"}))
+        code, _, err = run_cli(["analyze", "--config", str(path)], capsys)
+        assert code == EXIT_CONFIG
+        assert err == "config error: config keys not read by analyze: ['config']\n"
 
     def test_n_shorthand_conflicts_with_range(self, capsys):
         code, _, err = run_cli(
@@ -385,6 +407,15 @@ class TestConfigHandling:
             ["analyze", "--scheme", "ordered-uncoded", "--k", "1", "--m", "1", "--n", "100001", "--p", "0.5"],
             ["metrics", "--scheme", "straightforward", "--k", "10001", "--m", "10001", "--p", "0.5", "--p-hat", "0.5", "--n-max", "10001"],
             ["metrics", "--scheme", "systematic", "--k", "1", "--m", "1", "--p", "0.5", "--p-hat", "0.5", "--n-max", "100001"],
+            # a config-file n is read as --n is: an int, not beside n_min/n_max,
+            # and only by the subcommands that take --n
+            ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--p", "0.1", {"n": 3, "n_min": 2}],
+            ["simulate", "--scheme", "systematic", "--k", "2", "--m", "2", "--p", "0.1", "--trials", "1", "--seed", "1", {"n": 3, "n_max": 4}],
+            ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--p", "0.1", {"n": "3"}],
+            ["metrics", "--scheme", "systematic", "--k", "4", "--m", "2", "--p", "0.1", "--p-hat", "0.7", {"n": 50}],
+            # a target probability outside (0, 1]
+            ["metrics", "--scheme", "systematic", "--k", "4", "--m", "2", "--p", "0.1", "--p-hat", "0"],
+            ["metrics", "--scheme", "ordered-uncoded", "--k", "4", "--m", "2", "--p", "0.1", "--p-hat", "1.5"],
         ],
     )
     def test_config_errors_exit_2(self, bad, tmp_path, capsys, monkeypatch):

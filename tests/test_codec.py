@@ -50,6 +50,10 @@ def word(*coeffs):
 MSG3 = SourceMessage((b"aa", b"bb", b"cc"))
 
 
+def packet_fields(pkt):
+    return pkt.coding_vector, pkt.payload, pkt.sequence_index, pkt.payload_word
+
+
 def xor_bytes(*parts):
     acc = bytearray(len(parts[0]))
     for part in parts:
@@ -100,8 +104,8 @@ class TestEncoders:
         first = encode("straightforward", MSG3, 1, rng)
         second = encode("straightforward", MSG3, 2, rng)
         rng2 = random.Random(5)
-        assert encode("straightforward", MSG3, 1, rng2) == first
-        assert encode("straightforward", MSG3, 2, rng2) == second
+        assert packet_fields(encode("straightforward", MSG3, 1, rng2)) == packet_fields(first)
+        assert packet_fields(encode("straightforward", MSG3, 2, rng2)) == packet_fields(second)
 
     @pytest.mark.parametrize("n,expected", [(1, 0), (4, 0), (6, 2), (3, 2), (5, 1)])
     def test_ordered_uncoded_cycles(self, n, expected):
@@ -139,7 +143,7 @@ class TestEncoders:
         packets.append(encode("ordered-uncoded", msg, rng.randint(1, 3 * msg.k), None))
         for pkt in packets:
             hand = TransmittedPacket(pkt.coding_vector, pkt.payload, pkt.sequence_index)
-            assert hand == pkt
+            assert packet_fields(hand) == packet_fields(pkt)
             for p in (pkt, hand):
                 assert p.payload_word == int.from_bytes(p.payload, "big")
 

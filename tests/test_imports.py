@@ -30,6 +30,9 @@ def test_imports_are_stdlib_or_sysnc(path):
 # Modules that only some runs use: the process pool for --workers > 1,
 # statistics for bench, json for --config, fractions for the exact oracles.
 LAZY = ("concurrent.futures", "multiprocessing", "statistics", "json", "fractions")
+# Modules no run needs: the package's records are plain classes, and its
+# annotations are never evaluated. dataclasses would also bring in inspect.
+UNUSED = ("dataclasses", "inspect", "typing")
 
 _COLD_RUN = """
 import io, sys
@@ -48,8 +51,9 @@ print(" ".join(name for name in {lazy!r} if name in sys.modules))
 
 def test_single_process_run_imports_no_lazy_module():
     """A plain ``analyze`` or ``--workers 1`` ``simulate`` in a fresh
-    interpreter (``-S``: no site hooks) loads none of the modules in LAZY."""
-    code = _COLD_RUN.format(src=str(PACKAGE.parent), lazy=LAZY)
+    interpreter (``-S``: no site hooks) loads none of the modules in LAZY
+    and UNUSED."""
+    code = _COLD_RUN.format(src=str(PACKAGE.parent), lazy=LAZY + UNUSED)
     run = subprocess.run([sys.executable, "-S", "-c", code],
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr

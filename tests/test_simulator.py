@@ -11,8 +11,6 @@ from sysnc.codec import (
 )
 from sysnc import simulator
 from sysnc.simulator import (
-    ChannelConfig,
-    EmpiricalCurve,
     bench_decoders,
     derive_stream,
     make_test_message,
@@ -34,8 +32,9 @@ class TestErase:
     """The erasure channel's configuration."""
 
     def test_p_validated(self):
-        with pytest.raises(ValueError):
-            ChannelConfig(1.5, 0)
+        for p in (-0.1, 1.5):
+            with pytest.raises(ValueError):
+                run_trials("systematic", 2, [1], (1, 2), p, 0, 1)
 
 
 class TestStreams:
@@ -52,7 +51,7 @@ class TestStreams:
         assert len(seeds) == len(SCHEMES)
 
     def test_message_fixed(self):
-        assert make_test_message(3, 8) == make_test_message(3, 8)
+        assert make_test_message(3, 8).packets == make_test_message(3, 8).packets
         assert len(set(make_test_message(6, 8).packets)) == 6
 
 
@@ -119,72 +118,64 @@ class TestTrialPaths:
 
 class TestRunTrials:
     def test_lossless_systematic_is_certain_at_n_equal_k(self):
-        [curve] = run_trials(
-            "systematic", 3, [3], (3, 5), ChannelConfig(0.0, 1), trials=50
-        )
-        assert curve.estimate_at(3) == 1.0
+        [counts] = run_trials("systematic", 3, [3], (3, 5), 0.0, 1, trials=50)
+        assert counts == [50, 50, 50]
 
     def test_estimates_monotone_in_n(self):
-        curves = run_trials(
-            "straightforward", 4, [2, 4], (1, 12), ChannelConfig(0.3, 21), trials=4000
-        )
-        for curve in curves:
-            ests = [est for _, est, _ in curve.points]
-            assert all(a <= b for a, b in zip(ests, ests[1:]))
+        for counts in run_trials("straightforward", 4, [2, 4], (1, 12), 0.3, 21, trials=4000):
+            assert all(a <= b for a, b in zip(counts, counts[1:]))
 
     def test_deterministic_and_worker_invariant(self):
-        args = ("systematic", 5, [3, 5], (5, 10), ChannelConfig(0.2, 99), 600)
+        args = ("systematic", 5, [3, 5], (5, 10), 0.2, 99, 600)
         assert run_trials(*args) == run_trials(*args)
         assert run_trials(*args) == run_trials(*args, workers=2)
 
     def test_systematic_estimate_matches_analysis(self):
         # frozen expectation 0.891 (exact 891/1000); a million-trial run has
         # a standard error of about 0.0003
-        [curve] = run_trials(
-            "systematic", 2, [2], (3, 3), ChannelConfig(0.1, 424242), trials=10**6
-        )
-        assert curve.estimate_at(3) == pytest.approx(
-            full_decode_prob(2, 3, 0.1), abs=0.002
-        )
+        [[count]] = run_trials("systematic", 2, [2], (3, 3), 0.1, 424242, trials=10**6)
+        assert count / 10**6 == pytest.approx(full_decode_prob(2, 3, 0.1), abs=0.002)
 
     def test_ordered_uncoded_estimate_matches_analysis(self):
-        [curve] = run_trials(
-            "ordered-uncoded", 2, [2], (4, 4), ChannelConfig(0.5, 424242), trials=10**6
-        )
-        assert curve.estimate_at(4) == pytest.approx(
+        [[count]] = run_trials("ordered-uncoded", 2, [2], (4, 4), 0.5, 424242, trials=10**6)
+        assert count / 10**6 == pytest.approx(
             float(ou_partial_decode_prob(2, 2, 4, 0.5)), abs=0.002
         )
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_trials("bogus", 2, [1], (1, 2), ChannelConfig(0.1, 1), 1)
+            run_trials("bogus", 2, [1], (1, 2), 0.1, 1, 1)
         with pytest.raises(ValueError):
-            run_trials("systematic", 2, [3], (1, 2), ChannelConfig(0.1, 1), 1)
+            run_trials("systematic", 2, [3], (1, 2), 0.1, 1, 1)
         with pytest.raises(ValueError):
-            run_trials("systematic", 2, [1], (4, 2), ChannelConfig(0.1, 1), 1)
+            run_trials("systematic", 2, [1], (4, 2), 0.1, 1, 1)
         with pytest.raises(ValueError):
-            run_trials("systematic", 2, [1], (1, 2), ChannelConfig(0.1, 1), 0)
+            run_trials("systematic", 2, [1], (1, 2), 0.1, 1, 0)
 
     def test_curve_validation(self):
+        """One count per M and per n of the range, each between 0 and the
+        number of trials, so every estimate count / trials lies in [0, 1]."""
+        counts = run_trials("straightforward", 3, [1, 3], (2, 9), 0.5, 4, trials=7)
+        assert len(counts) == 2
+        for row in counts:
+            assert len(row) == 8 and all(0 <= c <= 7 for c in row)
         with pytest.raises(ValueError):
-            EmpiricalCurve("systematic", 2, 1, 0.1, 0, 10, ((3, 1.5, 10),))
-        with pytest.raises(ValueError):
-            EmpiricalCurve("systematic", 2, 1, 0.1, 0, 0, ())
+            run_trials("straightforward", 3, [1, 3], (2, 9), 0.5, 4, trials=0)
 
 
 class TestBenchDecode:
     def test_single_repetition_no_aggregation_failure(self):
         rows = bench_decoders([1, 2, 3], ("gepd",), 1)
-        assert [r.k for r in rows] == [1, 2, 3]
-        for r in rows:
-            assert r.median_ns == r.p25_ns == r.p75_ns > 0
-            assert r.repetitions == 1
+        assert [k for _, k, *_ in rows] == [1, 2, 3]
+        for _, _, median_ns, p25_ns, p75_ns, repetitions in rows:
+            assert median_ns == p25_ns == p75_ns > 0
+            assert repetitions == 1
 
     def test_medians_grow_with_k_up_to_timer_noise(self):
         # workload grows with k; allow generous slack for scheduler jitter,
         # and ignore the sub-microsecond regime below k=5 entirely
         rows = bench_decoders(list(range(1, 31, 3)) + [30], ("gepd",), 50)
-        meds = {r.k: r.median_ns for r in rows}
+        meds = {k: median_ns for _, k, median_ns, *_ in rows}
         ks = sorted(meds)
         for prev, cur in zip(ks, ks[1:]):
             slack = 0.5 if cur <= 4 else 0.75
@@ -205,7 +196,7 @@ class TestBenchDecode:
 
         monkeypatch.setattr(simulator, "_timed_decode", fake)
         rows = bench_decoders([2, 5], ("ge", "gepd"), 3, seed=9)
-        assert [(r.decoder, r.k, r.repetitions) for r in rows] == [
+        assert [(r[0], r[1], r[5]) for r in rows] == [
             ("ge", 2, 3), ("ge", 5, 3), ("gepd", 2, 3), ("gepd", 5, 3)
         ]
         warm, timed = calls[:4], calls[4:]

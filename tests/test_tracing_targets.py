@@ -1,0 +1,56 @@
+"""The benchmark's tracer (``perfbench/tracing.py``) wraps package names by
+their dotted paths. A rename in the package would leave a name untraced and
+break ``perfbench/run.py --trace 1``; these tests catch that in-process."""
+
+import importlib.util
+import random
+from pathlib import Path
+
+from sysnc import analysis, cli, codec, gf2, simulator
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+# Targets the tracer still names although the package no longer has them.
+STALE = {
+    "trace: sysnc.simulator.combine_words not found; left untraced",
+    "trace: sysnc.analysis.poisson_binomial_tail not found; left untraced",
+}
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer()
+
+
+def namespaces():
+    owners = (analysis, cli, codec, gf2, simulator, codec.ProgressiveDecoder, gf2.CodingVector)
+    return [dict(vars(owner)) for owner in owners] + [dict(codec.SCHEME_ENCODERS)]
+
+
+def test_tracer_finds_its_targets_and_restores_them(capsys):
+    before = namespaces()
+    tracer = load_tracer()
+    try:
+        tracer.install()
+        lines = capsys.readouterr().err.splitlines()
+        assert set(lines) <= STALE and len(lines) == len(set(lines)), lines
+        cli.run(cli.config_from_args(cli.build_parser().parse_args(
+            ["simulate", "--scheme", "systematic", "--k", "3", "--m", "3", "--n", "5",
+             "--p", "0.1", "--trials", "2", "--seed", "1"]
+        )))
+        msg = codec.SourceMessage((b"a", b"b"))
+        decoder = codec.ProgressiveDecoder(2, 1)
+        rng = random.Random(1)
+        for n in (1, 2):
+            decoder.receive(codec.SCHEME_ENCODERS["systematic"](msg, n, rng))
+        assert decoder.decoded_count == 2
+    finally:
+        tracer.uninstall()
+    _, counts = tracer.summary()
+    for name in ("cli.run", "simulator.run_trials", "codec.encode", "gf2.CodingVector",
+                 "codec.receive", "codec.receive_words"):
+        assert counts.get(f"{name}.calls", 0) > 0, name
+    assert counts["trials"] == 2  # one encoder stream per simulated trial
+    assert namespaces() == before
