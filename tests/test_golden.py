@@ -102,6 +102,49 @@ GOLDEN = {
          "--p", "0.1,0.3", "--p-hat", "0.7", "--trials", "1000", "--seed", "7"),
         "fe3f09555a3997848762910943a5827a99564427c5619f07c39a3e5d9c3b5521",
     ),
+    # P_hat = 0.99 puts each (M, p) target at a different N across the wraps
+    # at N = K, 2K, ...
+    "metrics-ordered-uncoded-p99-wraps": (
+        ("metrics", "--scheme", "ordered-uncoded", "--k", "10", "--m", "3,7,10",
+         "--p", "0.05,0.2,0.4", "--p-hat", "0.99"),
+        "4360045e978e3ea1865b4ec2f48f6f93c197b701103bd08d600993dbeb93460c",
+    ),
+    # The approximation plateaus below P_hat for M = 19, and for M = 10 at
+    # p = 0.3, so those cells search up to the cap.
+    "metrics-systematic-plateau-q3": (
+        ("metrics", "--scheme", "systematic", "--k", "20", "--m", "10,19,20",
+         "--p", "0.1,0.3", "--p-hat", "0.99", "--q", "3"),
+        "2097b94851d5bdcbc9ee0a2594aaae54d5dd7ed2014a5cfc04759a35da858989",
+    ),
+    # An --n-max above partial recovery's target and below full recovery's.
+    "metrics-systematic-capped": (
+        ("metrics", "--scheme", "systematic", "--k", "20", "--m", "10,20",
+         "--p", "0.1,0.3", "--p-hat", "0.99", "--n-max", "30"),
+        "13fd1d4e4e0dfc940ffbeea3a956cf73155ded0f561f1132c3d7939713473f32",
+    ),
+    # Full recovery only, so nothing is simulated; p = 1 never reaches P_hat.
+    "metrics-straightforward-full": (
+        ("metrics", "--scheme", "straightforward", "--k", "16", "--m", "16",
+         "--p", "0,0.1,0.3,1", "--p-hat", "0.9"),
+        "60dbc1c4005c4010df17baf9254bfbf779e609a61a108aedb08914a1e4f6761c",
+    ),
+    # Repeated --m and --p values each print their own rows.
+    "metrics-ordered-uncoded-repeated": (
+        ("metrics", "--scheme", "ordered-uncoded", "--k", "8", "--m", "4,8,4",
+         "--p", "0.2,0.1,0.2", "--p-hat", "0.9"),
+        "8b2fdb66ca65d9b2618da7fc03f22da0d17a9a5124c8cd19bdd6ee0698865cd8",
+    ),
+    "metrics-straightforward-repeated": (
+        ("metrics", "--scheme", "straightforward", "--k", "6", "--m", "3,6,3",
+         "--p", "0.1,0.3,0.1", "--p-hat", "0.7", "--trials", "500", "--seed", "3"),
+        "d78e39cc9dc8c4d16fdcc582a2a1c7a3a82611cf08b056a412ca9af7c47926f2",
+    ),
+    # P_hat = 1 with p = 0 and 1 beside repeats.
+    "metrics-systematic-repeated-p-hat-1": (
+        ("metrics", "--scheme", "systematic", "--k", "6", "--m", "3,6,3",
+         "--p", "0.3,0,0.3,1", "--p-hat", "1", "--n-max", "200"),
+        "5fde8dbf7697cebc099ba322b79ab5b7b8428c596e0d835d0a09c759e1e20087",
+    ),
 }
 
 CASES = [
