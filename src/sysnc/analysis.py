@@ -214,10 +214,11 @@ def ou_partial_decode_prob(k: int, m: int, n: int, p) -> "float | fractions.Frac
     return prob
 
 
-def ou_partial_decode_sweep(k: int, ms, n_lo: int, n_hi: int, p) -> list[list]:
+def ou_partial_decode_sweep(k: int, ms, n_lo: int, n_hi: int, p):
     """``ou_partial_decode_prob(k, m, n, p)`` for each m of ``ms``, for
-    n = n_lo..n_hi, in that order: one list per n, all read from one
-    distribution of the recovered count.
+    n = n_lo..n_hi, in that order: an iterator of one list per n, each
+    computed as it is read, all read from one distribution of the recovered
+    count. The arguments are checked when it is called.
 
     Bit-identical to one full dynamic program per n, but the DP state before
     the packet that n's send repeats is carried over from n - 1, counts
@@ -231,6 +232,10 @@ def ou_partial_decode_sweep(k: int, ms, n_lo: int, n_hi: int, p) -> list[list]:
         raise ValueError(f"bad N range [{n_lo}, {n_hi}]")
     if not 0 <= p <= 1:
         raise ValueError(f"erasure probability {p} outside [0, 1]")
+    return _ou_sweep(k, ms, n_lo, n_hi, p)
+
+
+def _ou_sweep(k: int, ms, n_lo: int, n_hi: int, p):
     m_lo = min(ms, default=k)
     # Packet t keeps count 0 while t <= k - m_lo; each later packet drops the
     # lowest count, so the final state holds counts m_lo..k.
@@ -243,7 +248,6 @@ def ou_partial_decode_sweep(k: int, ms, n_lo: int, n_hi: int, p) -> list[list]:
     prefix = [1]  # the DP state after packets 1..i-1, i = ((n - 1) mod k) + 1
     for t in range(1, (n_lo - 1) % k + 1):
         prefix = _pb_step(prefix, survive(t, n_lo), t <= keep_zero)
-    sweep = []
     for n in range(n_lo, n_hi + 1):
         i = (n - 1) % k + 1  # the one packet whose copy count n - 1 -> n raises
         dist = _pb_step(prefix, survive(i, n), i <= keep_zero)
@@ -258,10 +262,7 @@ def ou_partial_decode_sweep(k: int, ms, n_lo: int, n_hi: int, p) -> list[list]:
             dist = (dist + unsent)[k - max(n, keep_zero):]
         tails = [_tail(dist, m - m_lo) for m in ms]
         # the DP can overshoot 1 by an ulp
-        sweep.append(
-            [min(max(x, 0.0), 1.0) if isinstance(x, float) else x for x in tails]
-        )
-    return sweep
+        yield [min(max(x, 0.0), 1.0) if isinstance(x, float) else x for x in tails]
 
 
 def _pb_step(dist: list, s, keep_low: bool) -> list:

@@ -3,7 +3,9 @@
 Every subcommand emits CSV (UTF-8, comma-separated, one header row; ``#``
 comment lines only before the header) so curves can be re-plotted with any
 tool. ``analyze`` and ``simulate`` share key-column encodings and are
-join-compatible on (scheme, K, M, N, p).
+join-compatible on (scheme, K, M, N, p). Their rows come from two sources,
+``_closed_form_rows`` and ``_simulated_rows``, and ``metrics`` reads the same
+two: its N_hat = min{N >= M : P(N) >= P_hat} is a first-N scan over them.
 
 Exit codes: 0 success, 2 configuration error, 3 internal invariant violation.
 """
@@ -13,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Callable
 
 from . import analysis
 from .codec import SCHEMES
@@ -27,8 +28,10 @@ EXIT_INVARIANT = 3
 MODES = ("analyze", "simulate", "metrics", "bench")
 DEFAULT_REPETITIONS = 100
 SEARCH_CAP_FACTOR = 8  # metrics mode scans n up to 8k unless --n-max narrows it
-# Work-size caps of the closed forms (analyze, and metrics' searches): each N
-# builds big-integer binomial rows of lengths up to K and N - K.
+# Work-size caps. The closed forms (analyze, and metrics' searches) build
+# big-integer binomial rows of lengths up to K and N - K for each N, and the
+# simulator keeps counts for every N of its range, so the N cap holds for
+# every subcommand that takes one.
 MAX_CLOSED_FORM_K = 10_000
 MAX_CLOSED_FORM_N = 100_000
 
@@ -108,15 +111,12 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     )
     if (simulates or cfg.mode == "bench") and cfg.k > MAX_LENGTH:
         raise ConfigError(f"K={cfg.k} exceeds the decoder limit of {MAX_LENGTH}")
-    if cfg.mode in ("analyze", "metrics"):
-        if cfg.k > MAX_CLOSED_FORM_K:
-            raise ConfigError(
-                f"K={cfg.k} exceeds the closed-form limit of {MAX_CLOSED_FORM_K}"
-            )
-        if cfg.n_max is not None and cfg.n_max > MAX_CLOSED_FORM_N:
-            raise ConfigError(
-                f"N={cfg.n_max} exceeds the closed-form limit of {MAX_CLOSED_FORM_N}"
-            )
+    if cfg.mode in ("analyze", "metrics") and cfg.k > MAX_CLOSED_FORM_K:
+        raise ConfigError(
+            f"K={cfg.k} exceeds the closed-form limit of {MAX_CLOSED_FORM_K}"
+        )
+    if cfg.n_max is not None and cfg.n_max > MAX_CLOSED_FORM_N:
+        raise ConfigError(f"N={cfg.n_max} exceeds the limit of {MAX_CLOSED_FORM_N}")
     if simulates and cfg.q != 2:
         raise ConfigError(f"the simulator is GF(2) only; q={cfg.q} is not supported")
     if cfg.mode == "bench":
@@ -166,18 +166,21 @@ def _fmt_p(p: float) -> str:
     return f"{p:g}"
 
 
-def _analyze_points(cfg: ExperimentConfig):
-    """(M, N, p, probability, kind) of every analysis row. A row family
-    starts at N = M, or at N = 1 for ordered-uncoded."""
-    assert cfg.scheme and cfg.k and cfg.n_min and cfg.n_max
+def _closed_form_rows(cfg: ExperimentConfig, ms, n_lo: int, n_hi: int):
+    """(M, N, p, probability, kind) of the closed form for each M of ``ms``
+    and N in [n_lo, n_hi], computed as it is read: N outermost, so each
+    (M, p) comes in ascending N. A row family starts at N = M, or at N = 1
+    for ordered-uncoded."""
+    assert cfg.scheme and cfg.k
     k, q, scheme = cfg.k, cfg.q, cfg.scheme
-    ns = range(cfg.n_min, cfg.n_max + 1)
+    ns = range(n_lo, n_hi + 1)
     if scheme == "ordered-uncoded":
-        # One sweep per p carries the recovered-count program from N to N + 1.
-        for p in cfg.p:
-            sweep = analysis.ou_partial_decode_sweep(k, cfg.m, cfg.n_min, cfg.n_max, p)
-            for n, probs in zip(ns, sweep):
-                for m, prob in zip(cfg.m, probs):
+        # One sweep per p carries the recovered-count program from N to N + 1;
+        # the sweeps advance in lockstep.
+        sweeps = [analysis.ou_partial_decode_sweep(k, ms, n_lo, n_hi, p) for p in cfg.p]
+        for n in ns:
+            for p, sweep in zip(cfg.p, sweeps):
+                for m, prob in zip(ms, next(sweep)):
                     yield m, n, p, float(prob), "exact"
         return
     # The M < K approximation reads N only through min(K, N), so one value
@@ -185,20 +188,20 @@ def _analyze_points(cfg: ExperimentConfig):
     approx: dict[tuple[int, float, int], float] = {}
     # N outermost: each N's conditional decoding probabilities serve every p.
     for n in ns:
-        ms = [m for m in cfg.m if n >= m]
-        if not ms:
+        ms_n = [m for m in ms if n >= m]
+        if not ms_n:
             continue
         if scheme == "straightforward":  # every M is K
             for p in cfg.p:
                 prob = analysis.sf_full_decode_prob(k, n, p, q)
-                for m in ms:
+                for m in ms_n:
                     yield m, n, p, prob, "exact"
             continue
         full = [None] * len(cfg.p)
-        if k in ms:
+        if k in ms_n:
             full = analysis.full_decode_probs(k, n, cfg.p, q)
         for p, full_p in zip(cfg.p, full):
-            for m in ms:
+            for m in ms_n:
                 if m == k:
                     yield m, n, p, full_p, "exact"
                     continue
@@ -206,6 +209,32 @@ def _analyze_points(cfg: ExperimentConfig):
                 if key not in approx:
                     approx[key] = analysis.partial_decode_prob_approx(k, m, n, p, q)
                 yield m, n, p, approx[key], "approx"
+
+
+def _simulated_rows(cfg: ExperimentConfig, ms, n_lo: int, n_hi: int):
+    """(M, N, p, estimate) of the simulation for each M of ``ms`` and N in
+    [n_lo, n_hi]: one set of trials per p, each (M, p) in ascending N."""
+    assert cfg.scheme and cfg.k and cfg.trials is not None and cfg.seed is not None
+    for p in cfg.p:
+        counts = run_trials(
+            cfg.scheme, cfg.k, list(ms), (n_lo, n_hi), p, cfg.seed, cfg.trials,
+            workers=cfg.workers,
+        )
+        for m, m_counts in zip(ms, counts):
+            for n, count in zip(range(n_lo, n_hi + 1), m_counts):
+                yield m, n, p, count / cfg.trials
+
+
+def _first_n(rows, p_hat: float, columns: int) -> dict[tuple[int, float], int]:
+    """(M, p) -> the first N >= M at which ``rows`` reach p_hat. The scan
+    stops once all ``columns`` distinct (M, p) have."""
+    found: dict[tuple[int, float], int] = {}
+    for m, n, p, prob, *_ in rows:
+        if prob >= p_hat and n >= m and (m, p) not in found:
+            found[m, p] = n
+            if len(found) == columns:
+                break
+    return found
 
 
 def cmd_analyze(cfg: ExperimentConfig) -> list[str]:
@@ -222,7 +251,7 @@ def cmd_analyze(cfg: ExperimentConfig) -> list[str]:
             )
     rows = [
         (cfg.scheme, cfg.k, m, n, p, cfg.q, prob, kind)
-        for m, n, p, prob, kind in _analyze_points(cfg)
+        for m, n, p, prob, kind in _closed_form_rows(cfg, cfg.m, cfg.n_min, cfg.n_max)
     ]
     rows.sort(key=lambda r: r[:6])
     lines = ["scheme,K,M,N,p,q,prob,kind"]
@@ -235,19 +264,10 @@ def cmd_analyze(cfg: ExperimentConfig) -> list[str]:
 
 def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
     assert cfg.scheme and cfg.k and cfg.n_min and cfg.n_max
-    assert cfg.trials is not None and cfg.seed is not None
-    trials, ns = cfg.trials, range(cfg.n_min, cfg.n_max + 1)
     rows = []
-    for p in cfg.p:
-        counts = run_trials(
-            cfg.scheme, cfg.k, list(cfg.m), (cfg.n_min, cfg.n_max), p, cfg.seed,
-            trials, workers=cfg.workers,
-        )
-        for m, m_counts in zip(cfg.m, counts):
-            for n, count in zip(ns, m_counts):
-                est = count / trials
-                stderr = (est * (1.0 - est) / trials) ** 0.5
-                rows.append((cfg.scheme, cfg.k, m, n, p, trials, cfg.seed, est, stderr))
+    for m, n, p, est in _simulated_rows(cfg, cfg.m, cfg.n_min, cfg.n_max):
+        stderr = (est * (1.0 - est) / cfg.trials) ** 0.5
+        rows.append((cfg.scheme, cfg.k, m, n, p, cfg.trials, cfg.seed, est, stderr))
     rows.sort(key=lambda r: r[:5])
     lines = ["scheme,K,M,N,p,trials,seed,prob_sim,stderr"]
     lines.extend(
@@ -257,66 +277,6 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
     return lines
 
 
-def _full_probs_fn(cfg: ExperimentConfig) -> Callable[[int, list[float]], list[float]]:
-    """(n, ps) -> P[all K packets recovered after n sends] for each p of ps."""
-    assert cfg.scheme and cfg.k
-    k, q = cfg.k, cfg.q
-    if cfg.scheme == "systematic":  # one conditional row per n serves every p
-        return lambda n, ps: analysis.full_decode_probs(k, n, ps, q)
-    if cfg.scheme == "straightforward":
-        return lambda n, ps: [analysis.sf_full_decode_prob(k, n, p, q) for p in ps]
-    return lambda n, ps: [float(analysis.ou_partial_decode_prob(k, k, n, p)) for p in ps]
-
-
-def _full_targets(cfg: ExperimentConfig, n_cap: int) -> dict[float, int | None]:
-    """p -> smallest n in [K, n_cap] at which full recovery reaches P_hat, or
-    None if none does. N steps once for all p still searching, the way
-    ``min_packets_for_target`` steps it for one."""
-    assert cfg.k and cfg.p_hat
-    probs_at = _full_probs_fn(cfg)
-    found: dict[float, int | None] = dict.fromkeys(cfg.p)
-    searching = list(found)
-    for n in range(cfg.k, n_cap + 1):
-        for p, prob in zip(searching, probs_at(n, searching)):
-            if prob >= cfg.p_hat:
-                found[p] = n
-        searching = [p for p in searching if found[p] is None]
-        if not searching:
-            break
-    return found
-
-
-def _partial_prob_fns(
-    cfg: ExperimentConfig, p: float, n_cap: int
-) -> dict[int, Callable[[int], float]]:
-    """For every M < K of the config, n -> P[at least M packets recovered
-    after n sends]. A simulated scheme runs one set of trials for all of them."""
-    assert cfg.scheme and cfg.k
-    k, q = cfg.k, cfg.q
-    partial = sorted({m for m in cfg.m if m < k})
-    if cfg.scheme == "systematic":
-        return {
-            m: lambda n, m=m: analysis.partial_decode_prob_approx(k, m, n, p, q)
-            for m in partial
-        }
-    if cfg.scheme == "ordered-uncoded":
-        return {
-            m: lambda n, m=m: float(analysis.ou_partial_decode_prob(k, m, n, p))
-            for m in partial
-        }
-    if not partial:
-        return {}
-    trials, n_lo = cfg.trials, partial[0]
-    assert trials is not None and cfg.seed is not None
-    counts = run_trials(
-        cfg.scheme, k, partial, (n_lo, n_cap), p, cfg.seed, trials, workers=cfg.workers
-    )
-    return {
-        m: lambda n, c=m_counts: c[n - n_lo] / trials
-        for m, m_counts in zip(partial, counts)
-    }
-
-
 def cmd_metrics(cfg: ExperimentConfig) -> list[str]:
     assert cfg.scheme and cfg.k and cfg.p_hat
     k, p_hat = cfg.k, cfg.p_hat
@@ -324,16 +284,23 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[str]:
     if n_cap < k:
         raise ConfigError(f"search cap {n_cap} is below K={k}")
     cell = lambda v: "unreachable" if v is None else str(v)
+    ps = len(set(cfg.p))
     # Full recovery does not depend on M; for M = K it is the partial value too.
-    n_fulls = _full_targets(cfg, n_cap)
+    n_fulls = _first_n(_closed_form_rows(cfg, (k,), k, n_cap), p_hat, ps)
+    # The M < K targets are a scan of their own, so that a target never reached
+    # (the approximation's plateau) does not keep the full-recovery rows
+    # computing up to the cap.
+    partial = sorted({m for m in cfg.m if m < k})
+    n_partials = {}
+    if partial:
+        source = _simulated_rows if cfg.scheme == "straightforward" else _closed_form_rows
+        scan = source(cfg, partial, partial[0], n_cap)
+        n_partials = _first_n(scan, p_hat, len(partial) * ps)
     rows = []
     for p in cfg.p:
-        n_full = n_fulls[p]
-        partial = _partial_prob_fns(cfg, p, n_cap)
+        n_full = n_fulls.get((k, p))
         for m in cfg.m:
-            n_partial = n_full if m == k else analysis.min_packets_for_target(
-                partial[m], p_hat, m, n_cap
-            )
+            n_partial = n_full if m == k else n_partials.get((m, p))
             if cfg.scheme == "straightforward" and n_full is not None:
                 # Full recovery recovers any M, so a simulated estimate's
                 # sampling noise may not put partial recovery past it.

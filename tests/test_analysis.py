@@ -211,12 +211,12 @@ class TestBitwiseAgainstLoops:
             }
             for ms in msets:
                 expect = [[loop[n][m] for m in ms] for n in range(1, n_hi + 1)]
-                assert ou_partial_decode_sweep(k, ms, 1, n_hi, p) == expect, (ms, p)
+                assert list(ou_partial_decode_sweep(k, ms, 1, n_hi, p)) == expect, (ms, p)
                 # a sweep that starts inside the first round and crosses N = K
                 n_lo, n_to = mid + 1, mid + k + 2
-                assert ou_partial_decode_sweep(k, ms, n_lo, n_to, p) == expect[n_lo - 1:n_to]
+                assert list(ou_partial_decode_sweep(k, ms, n_lo, n_to, p)) == expect[n_lo - 1:n_to]
                 for n in one_n:
-                    assert ou_partial_decode_sweep(k, ms, n, n, p) == [expect[n - 1]], (
+                    assert list(ou_partial_decode_sweep(k, ms, n, n, p)) == [expect[n - 1]], (
                         ms, n, p
                     )
             for n in one_n:
@@ -234,8 +234,8 @@ class TestBitwiseAgainstLoops:
             for ms in msets:
                 expect = [ou_tail_loop(k, list(ms), n, p) for n in range(1, k)]
                 for got in (
-                    ou_partial_decode_sweep(k, ms, 1, k - 1, p),
-                    [ou_partial_decode_sweep(k, ms, n, n, p)[0] for n in range(1, k)],
+                    list(ou_partial_decode_sweep(k, ms, 1, k - 1, p)),
+                    [next(ou_partial_decode_sweep(k, ms, n, n, p)) for n in range(1, k)],
                 ):
                     assert got == expect, (ms, p)
                     assert [list(map(type, r)) for r in got] == [

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -272,6 +273,100 @@ class TestMetrics:
         n_full = max(int(row.split(",")[6]) for row in alone)
         assert rows_built == list(range(100, n_full + 1))
 
+    def test_ordered_uncoded_scan_stops_at_the_last_target(self, monkeypatch, capsys):
+        """The default cap is 8K = 160, but each scan reads its sweeps only up
+        to the largest N_hat among its distinct columns, also with a p repeated."""
+        reads: dict[tuple, list[int]] = {}
+
+        def recording_sweep(k, ms, n_lo, n_hi, p):
+            ns = reads.setdefault(tuple(ms), [])
+            for n, probs in zip(range(n_lo, n_hi + 1), sweep(k, ms, n_lo, n_hi, p)):
+                ns.append(n)
+                yield probs
+
+        sweep = analysis.ou_partial_decode_sweep
+        monkeypatch.setattr(analysis, "ou_partial_decode_sweep", recording_sweep)
+        code, out, err = run_cli(
+            ["metrics", "--scheme", "ordered-uncoded", "--k", "20", "--m", "10,20",
+             "--p", "0.1,0.3,0.1", "--p-hat", "0.7"],
+            capsys,
+        )
+        assert code == EXIT_OK, err
+        rows = [r.split(",") for r in out.strip().splitlines()[1:]]
+        assert max(reads[(20,)]) == max(int(r[6]) for r in rows) < 160
+        assert max(reads[(10,)]) == max(int(r[5]) for r in rows if r[2] == "10")
+
+
+def metrics_oracle(scheme, k, ms, ps, q, p_hat, n_max, trials, seed):
+    """The metrics CSV from ``min_packets_for_target`` per (M, p) over the
+    per-N closed forms, each search starting at N = M; the straightforward
+    M < K column reads the same ``run_trials`` counts as the CLI."""
+    n_cap = n_max if n_max is not None else cli.SEARCH_CAP_FACTOR * k
+    full_at = {
+        "systematic": lambda n, p: analysis.full_decode_prob(k, n, p, q),
+        "straightforward": lambda n, p: analysis.sf_full_decode_prob(k, n, p, q),
+        "ordered-uncoded": lambda n, p: float(analysis.ou_partial_decode_prob(k, k, n, p)),
+    }[scheme]
+    partial = sorted({m for m in ms if m < k})
+    rows = []
+    for p in ps:
+        n_full = analysis.min_packets_for_target(lambda n: full_at(n, p), p_hat, k, n_cap)
+        if scheme == "straightforward" and partial:
+            counts = run_trials(scheme, k, partial, (partial[0], n_cap), p, seed, trials)
+            simulated = dict(zip(partial, counts))
+        for m in ms:
+            if m == k:
+                n_part = n_full
+            else:
+                if scheme == "systematic":
+                    prob = lambda n: analysis.partial_decode_prob_approx(k, m, n, p, q)
+                elif scheme == "ordered-uncoded":
+                    prob = lambda n: float(analysis.ou_partial_decode_prob(k, m, n, p))
+                else:
+                    prob = lambda n: simulated[m][n - partial[0]] / trials
+                n_part = analysis.min_packets_for_target(prob, p_hat, m, n_cap)
+            if scheme == "straightforward" and n_full is not None:
+                n_part = n_full if n_part is None else min(n_part, n_full)
+            delta = analysis.delta_n(n_part, n_full)
+            cells = ",".join(
+                "unreachable" if v is None else str(v) for v in (n_part, n_full, delta)
+            )
+            rows.append((m, p, f"{scheme},{k},{m},{p:g},{p_hat:g},{cells}"))
+    lines = ["scheme,K,M,p,P_hat,N_hat_partial,N_hat_full,delta_N"]
+    lines += [line for _, _, line in sorted(rows, key=lambda r: r[:2])]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_metrics_scan_matches_per_target_search(seed, capsys):
+    """Random small configs of every scheme, with repeated M and p, p in
+    {0, 1}, P_hat = 1 and caps below and above the targets: the metrics scan
+    prints what the per-(M, p) search of the same probabilities gives."""
+    rng = random.Random(seed)
+    for _ in range(12):
+        scheme = rng.choice(("systematic", "straightforward", "ordered-uncoded"))
+        k = rng.randint(1, 8)
+        ms = [rng.randint(1, k) for _ in range(rng.randint(1, 3))]
+        ms += [k] * rng.randint(0, 1) + ms[:rng.randint(0, 1)]  # M = K, a repeated M
+        ps = [rng.choice((0.0, 1.0, 0.05, 0.1, 0.3, 0.5, round(rng.random(), 3)))
+              for _ in range(rng.randint(1, 3))]
+        ps += ps[:rng.randint(0, 1)]  # a repeated p
+        simulated = scheme == "straightforward" and min(ms) < k
+        q = 2 if simulated else rng.choice((2, 3))
+        p_hat = rng.choice((0.5, 0.7, 0.9, 0.99, 1.0))
+        n_max = rng.choice((None, rng.randint(k, 3 * k), rng.randint(3 * k, 8 * k)))
+        trials, sim_seed = rng.randint(1, 40), rng.randint(0, 9)
+        argv = ["metrics", "--scheme", scheme, "--k", str(k),
+                "--m", ",".join(map(str, ms)), "--p", ",".join(map(str, ps)),
+                "--q", str(q), "--p-hat", str(p_hat)]
+        argv += [] if n_max is None else ["--n-max", str(n_max)]
+        argv += ["--trials", str(trials), "--seed", str(sim_seed)] if simulated else []
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_OK, (argv, err)
+        assert out == metrics_oracle(
+            scheme, k, ms, ps, q, p_hat, n_max, trials, sim_seed
+        ), argv
+
 
 class TestBench:
     def test_shape_and_comment_header(self, capsys):
@@ -416,6 +511,8 @@ class TestConfigHandling:
             # a target probability outside (0, 1]
             ["metrics", "--scheme", "systematic", "--k", "4", "--m", "2", "--p", "0.1", "--p-hat", "0"],
             ["metrics", "--scheme", "ordered-uncoded", "--k", "4", "--m", "2", "--p", "0.1", "--p-hat", "1.5"],
+            # the N cap holds for simulate too
+            ["simulate", "--scheme", "systematic", "--k", "2", "--m", "1", "--n-min", "1", "--n-max", "100001", "--p", "0.1", "--trials", "1", "--seed", "1"],
         ],
     )
     def test_config_errors_exit_2(self, bad, tmp_path, capsys, monkeypatch):
@@ -467,9 +564,13 @@ _PATHS = {
     "--config": ["{tmp}/good.json", "{tmp}/list.json", "{tmp}/broken.json",
                  "{tmp}/unread.json", "{tmp}/missing.json"],
 }
-# Work sizes just past the closed-form caps, which analyze and metrics reject
-# before any work; no other subcommand runs long on them.
-_CAPPED = {"--k": ["10001"], "--n": ["100001"], "--n-max": ["100001"]}
+# Work sizes past the caps, which every subcommand that reads the flag
+# rejects before any work.
+_CAPPED = {
+    "--k": ["10001"],
+    "--n": ["100001", "1000000000000000000"],
+    "--n-max": ["100001", "1000000000000000000"],
+}
 _PAIRS = st.one_of(
     st.tuples(st.sampled_from(_FLAG_TOKENS), st.sampled_from(_VALUES)),
     st.tuples(st.sampled_from(_FLAG_TOKENS), st.sampled_from(_GARBAGE)),

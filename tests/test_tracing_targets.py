@@ -36,10 +36,16 @@ def test_tracer_finds_its_targets_and_restores_them(capsys):
         tracer.install()
         lines = capsys.readouterr().err.splitlines()
         assert set(lines) <= STALE and len(lines) == len(set(lines)), lines
-        cli.run(cli.config_from_args(cli.build_parser().parse_args(
+        for argv in (
             ["simulate", "--scheme", "systematic", "--k", "3", "--m", "3", "--n", "5",
-             "--p", "0.1", "--trials", "2", "--seed", "1"]
-        )))
+             "--p", "0.1", "--trials", "2", "--seed", "1"],
+            ["analyze", "--scheme", "systematic", "--k", "3", "--m", "2,3", "--n", "5",
+             "--p", "0.1"],
+            # the simulated M < K column beside the closed-form full recovery
+            ["metrics", "--scheme", "straightforward", "--k", "3", "--m", "2,3",
+             "--p", "0.1", "--p-hat", "0.5", "--trials", "4", "--seed", "1"],
+        ):
+            cli.run(cli.config_from_args(cli.build_parser().parse_args(argv)))
         msg = codec.SourceMessage((b"a", b"b"))
         decoder = codec.ProgressiveDecoder(2, 1)
         rng = random.Random(1)
@@ -49,8 +55,12 @@ def test_tracer_finds_its_targets_and_restores_them(capsys):
     finally:
         tracer.uninstall()
     _, counts = tracer.summary()
-    for name in ("cli.run", "simulator.run_trials", "codec.encode", "gf2.CodingVector",
-                 "codec.receive", "codec.receive_words"):
+    for name in ("codec.encode", "gf2.CodingVector", "codec.receive",
+                 "codec.receive_words", "analysis.partial_decode_prob_approx",
+                 "analysis.sf_full_decode_prob"):
         assert counts.get(f"{name}.calls", 0) > 0, name
-    assert counts["trials"] == 2  # one encoder stream per simulated trial
+    assert counts["cli.run.calls"] == 3
+    # simulate, and metrics' M < K column
+    assert counts["simulator.run_trials.calls"] == 2
+    assert counts["trials"] == 2 + 4  # one encoder stream per simulated trial
     assert namespaces() == before
