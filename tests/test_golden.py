@@ -1,163 +1,16 @@
-"""Frozen sha256 digests of the CSV output of small fixed CLI configs.
-
-A refactor that keeps these digests keeps the ``analyze``, ``simulate`` and
-``metrics`` bytes. Rewrite a digest only for an intended output change, and
-say why in CHANGES.md. The whole module runs in a few seconds.
-"""
-
-import hashlib
+"""The CLI output of every config in ``golden_digests.GOLDEN`` keeps its
+frozen sha256 digest. The whole module runs in a few seconds."""
 
 import pytest
 
-from sysnc.cli import EXIT_OK, main
-
-_SIM = ("--k", "12", "--m", "6,12", "--n-min", "12", "--n-max", "20",
-        "--p", "0,0.1,0.4", "--trials", "1000", "--seed", "20150501")
-_ANA = ("--k", "12", "--n-min", "12", "--n-max", "24", "--p", "0.1,0.3")
-_PAPER_ROW = ("--k", "20", "--m", "10,20", "--p", "0.1", "--p-hat", "0.7")
-# Wide enough that the rank products reach excess r - k >= 53, where every
-# factor of the GF(2) product rounds to 1.0, and n > 64, where the channel
-# weights switch to log space.
-_ANA_WIDE = ("--k", "30", "--n-min", "60", "--n-max", "100", "--p", "0.1,0.3")
-
-GOLDEN = {
-    "analyze-systematic": (
-        ("analyze", "--scheme", "systematic", "--m", "6,12", *_ANA),
-        "c01e1418c9475447d08754c37d29ed41d3f1c118aaef4172c781afaa4ac136b2",
-    ),
-    "analyze-systematic-q4": (
-        ("analyze", "--scheme", "systematic", "--m", "6,12", *_ANA, "--q", "4"),
-        "b8540fc9c88f6b236c338198e0f3e5af456116363230c0dfd40b40a9db5db364",
-    ),
-    "analyze-straightforward": (
-        ("analyze", "--scheme", "straightforward", "--m", "12", *_ANA),
-        "36cba6283992bdd8afcad2e882e7929c4e4265b08a64f9f77b12136ea764efc3",
-    ),
-    "analyze-ordered-uncoded": (
-        ("analyze", "--scheme", "ordered-uncoded", "--m", "6,12", *_ANA),
-        "550698edbe5edb9c7e8c9bf392a51fe68fed9a7daaa2600ceb2acea1835f56cb",
-    ),
-    "analyze-systematic-wide": (
-        ("analyze", "--scheme", "systematic", "--m", "15,30", *_ANA_WIDE),
-        "89eadc63a6a5433dbaf7318dc23a67b858e1b6425c63dbc8aee9e253ab2b810b",
-    ),
-    "analyze-systematic-wide-q3": (
-        ("analyze", "--scheme", "systematic", "--m", "15,30", *_ANA_WIDE, "--q", "3"),
-        "0de2cd035195fdc3567fdff28d229044c58175068f28aa06fe6eb02cada89527",
-    ),
-    "analyze-straightforward-wide": (
-        ("analyze", "--scheme", "straightforward", "--m", "30", *_ANA_WIDE),
-        "a817c61a64ec5ed81f96a7e59f2cf41c8bb6375e93e4cfc3808fbb3e18854e9f",
-    ),
-    # N runs from below K across the wraps at N = K, 2K and 3K, where the
-    # copy count of every packet has grown by one.
-    "analyze-ordered-uncoded-wide": (
-        ("analyze", "--scheme", "ordered-uncoded", "--k", "10", "--m", "1,5,10",
-         "--n-min", "1", "--n-max", "35", "--p", "0,0.1,0.5"),
-        "5e8ad6384b1be57066c9eea6d8ca160b9963e769ed38c0b4c3c3f6d0a2a7776a",
-    ),
-    # The M < K approximation rows run from N < K to N well past K, where
-    # they read N only through min(K, N).
-    "analyze-systematic-partial": (
-        ("analyze", "--scheme", "systematic", "--k", "60", "--m", "30,60",
-         "--n-min", "40", "--n-max", "130", "--p", "0.1,0.3"),
-        "994ea66f1174143e0b790b4fc19fc4b2604e22066acd6c5686d76a8c38dbc7fc",
-    ),
-    "simulate-systematic": (
-        ("simulate", "--scheme", "systematic", *_SIM),
-        "73c38f4d49dfc8f5b7621763f06d28970c2cf2dd9721bf0faddda1edcd2a1c2e",
-    ),
-    "simulate-straightforward": (
-        ("simulate", "--scheme", "straightforward", *_SIM),
-        "5a80b4b7617bc463d098298f07dc9ee0944549b770738886fb49a491e595e3eb",
-    ),
-    "simulate-ordered-uncoded": (
-        ("simulate", "--scheme", "ordered-uncoded", *_SIM),
-        "1637ce663e262b650963b690e4a3df60a8e6580913d288ad8302605f83da4c5a",
-    ),
-    "metrics-systematic": (
-        ("metrics", "--scheme", "systematic", *_PAPER_ROW),
-        "c0009f4f813f898774b7e8cabd8499e83facff546e4ff8f4bf8f63d8ce238c5c",
-    ),
-    # Holds the paper's row ordered-uncoded,20,10,0.1,0.7,12,39,27.
-    "metrics-ordered-uncoded": (
-        ("metrics", "--scheme", "ordered-uncoded", *_PAPER_ROW),
-        "52fd781da787a7b8394d49f571e480bae8bed0e070e4c92c8eb4a75de3f7a443",
-    ),
-    # P_hat = 0.99 at p = 0.3 takes the search past n = 64.
-    "metrics-systematic-p99": (
-        ("metrics", "--scheme", "systematic", "--k", "40", "--m", "20,40",
-         "--p", "0.1,0.3", "--p-hat", "0.99"),
-        "3d0c0c4305b2450e556fd0fa3369f1642ddef4f9fec568629fa551205d8bd49c",
-    ),
-    # M < K: the partial column comes from simulation.
-    "metrics-straightforward": (
-        ("metrics", "--scheme", "straightforward", "--k", "8", "--m", "4,8",
-         "--p", "0.1", "--p-hat", "0.7", "--trials", "1000", "--seed", "7"),
-        "e5f0ff6a69af3731d0e39e34e856e633d601a013e18e0308f1b634623d26fed2",
-    ),
-    # Several M < K at several p: each p's simulated column covers every M.
-    "metrics-straightforward-multi-m": (
-        ("metrics", "--scheme", "straightforward", "--k", "12", "--m", "3,6,9,12",
-         "--p", "0.1,0.3", "--p-hat", "0.7", "--trials", "1000", "--seed", "7"),
-        "fe3f09555a3997848762910943a5827a99564427c5619f07c39a3e5d9c3b5521",
-    ),
-    # P_hat = 0.99 puts each (M, p) target at a different N across the wraps
-    # at N = K, 2K, ...
-    "metrics-ordered-uncoded-p99-wraps": (
-        ("metrics", "--scheme", "ordered-uncoded", "--k", "10", "--m", "3,7,10",
-         "--p", "0.05,0.2,0.4", "--p-hat", "0.99"),
-        "4360045e978e3ea1865b4ec2f48f6f93c197b701103bd08d600993dbeb93460c",
-    ),
-    # The approximation plateaus below P_hat for M = 19, and for M = 10 at
-    # p = 0.3, so those cells search up to the cap.
-    "metrics-systematic-plateau-q3": (
-        ("metrics", "--scheme", "systematic", "--k", "20", "--m", "10,19,20",
-         "--p", "0.1,0.3", "--p-hat", "0.99", "--q", "3"),
-        "2097b94851d5bdcbc9ee0a2594aaae54d5dd7ed2014a5cfc04759a35da858989",
-    ),
-    # An --n-max above partial recovery's target and below full recovery's.
-    "metrics-systematic-capped": (
-        ("metrics", "--scheme", "systematic", "--k", "20", "--m", "10,20",
-         "--p", "0.1,0.3", "--p-hat", "0.99", "--n-max", "30"),
-        "13fd1d4e4e0dfc940ffbeea3a956cf73155ded0f561f1132c3d7939713473f32",
-    ),
-    # Full recovery only, so nothing is simulated; p = 1 never reaches P_hat.
-    "metrics-straightforward-full": (
-        ("metrics", "--scheme", "straightforward", "--k", "16", "--m", "16",
-         "--p", "0,0.1,0.3,1", "--p-hat", "0.9"),
-        "60dbc1c4005c4010df17baf9254bfbf779e609a61a108aedb08914a1e4f6761c",
-    ),
-    # Repeated --m and --p values each print their own rows.
-    "metrics-ordered-uncoded-repeated": (
-        ("metrics", "--scheme", "ordered-uncoded", "--k", "8", "--m", "4,8,4",
-         "--p", "0.2,0.1,0.2", "--p-hat", "0.9"),
-        "8b2fdb66ca65d9b2618da7fc03f22da0d17a9a5124c8cd19bdd6ee0698865cd8",
-    ),
-    "metrics-straightforward-repeated": (
-        ("metrics", "--scheme", "straightforward", "--k", "6", "--m", "3,6,3",
-         "--p", "0.1,0.3,0.1", "--p-hat", "0.7", "--trials", "500", "--seed", "3"),
-        "d78e39cc9dc8c4d16fdcc582a2a1c7a3a82611cf08b056a412ca9af7c47926f2",
-    ),
-    # P_hat = 1 with p = 0 and 1 beside repeats.
-    "metrics-systematic-repeated-p-hat-1": (
-        ("metrics", "--scheme", "systematic", "--k", "6", "--m", "3,6,3",
-         "--p", "0.3,0,0.3,1", "--p-hat", "1", "--n-max", "200"),
-        "5fde8dbf7697cebc099ba322b79ab5b7b8428c596e0d835d0a09c759e1e20087",
-    ),
-}
-
-CASES = [
-    pytest.param(name, workers, id=f"{name}-w{workers}")
-    for name in GOLDEN
-    for workers in ((1, 2) if name.startswith("simulate") else (1,))
-]
+from golden_digests import GOLDEN, cases, digest, run_case
+from sysnc.cli import EXIT_OK
 
 
-@pytest.mark.parametrize("name,workers", CASES)
-def test_cli_output_digest(name, workers, capsys):
-    argv, expected = GOLDEN[name]
-    code = main([*argv, "--workers", str(workers)])
-    out = capsys.readouterr().out
+@pytest.mark.parametrize(
+    "name,workers", [pytest.param(n, w, id=f"{n}-w{w}") for n, w in cases()]
+)
+def test_cli_output_digest(name, workers):
+    code, out = run_case(name, workers)
     assert code == EXIT_OK
-    assert hashlib.sha256(out.encode()).hexdigest() == expected, out
+    assert digest(out) == GOLDEN[name][1], out

@@ -129,6 +129,10 @@ class TestRunTrials:
         args = ("systematic", 5, [3, 5], (5, 10), 0.2, 99, 600)
         assert run_trials(*args) == run_trials(*args)
         assert run_trials(*args) == run_trials(*args, workers=2)
+        # Fewer trials than workers, and blocks of unequal size.
+        for trials in (1, 601):
+            args = ("straightforward", 5, [3, 5], (5, 10), 0.2, 99, trials)
+            assert run_trials(*args) == run_trials(*args, workers=2)
 
     def test_systematic_estimate_matches_analysis(self):
         # frozen expectation 0.891 (exact 891/1000); a million-trial run has
