@@ -139,15 +139,7 @@ def full_decode_probs(k: int, n: int, ps, q: int = 2) -> list[float]:
     if n < k:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
     cond = cond_full_decode_probs(k, n, q)
-    probs = []
-    for p in ps:
-        total = 0.0
-        for r in range(k, n + 1):
-            w = _receive_pmf(n, r, p)
-            if w:
-                total += w * cond[r - k]
-        probs.append(min(total, 1.0))
-    return probs
+    return [_channel_average(n, k, p, cond) for p in ps]
 
 
 def partial_decode_prob_approx(
@@ -178,10 +170,7 @@ def partial_decode_prob_approx(
         return 0.0
     if m == k:
         return full_decode_prob(k, n, p, q)
-    total = 0  # a left fold, as ``sum`` was before Python 3.12
-    for r in range(m, n_min + 1):
-        total = total + _receive_pmf(n_min, r, p)
-    return min(total, 1.0)
+    return _channel_average(n_min, m, p, [1.0] * (n_min - m + 1))
 
 
 def sf_full_decode_prob(k: int, n: int, p: float, q: int = 2) -> float:
@@ -192,12 +181,8 @@ def sf_full_decode_prob(k: int, n: int, p: float, q: int = 2) -> float:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
     _check_field(q)
     rows = _rank_rows(q)
-    total = 0.0
-    for r in range(k, n + 1):
-        w = _receive_pmf(n, r, p)
-        if w:
-            total += w * _rank_lookup(rows, k, r - k)
-    return min(total, 1.0)
+    ranks = [_rank_lookup(rows, k, e) for e in range(n - k + 1)]
+    return _channel_average(n, k, p, ranks)
 
 
 def ou_partial_decode_prob(k: int, m: int, n: int, p) -> "float | fractions.Fraction":
@@ -402,6 +387,18 @@ def _cond_full(
         acc += quot * w[k - h]
         prev = quot
     return min(acc, 1.0)
+
+
+def _channel_average(n: int, r_lo: int, p: float, v: list[float]) -> float:
+    """min(1, sum over r = r_lo..n of P[r of n arrive] * v[r - r_lo]): v, the
+    decoding probability given r arrivals, averaged over the channel. A left
+    fold; it skips zero weights, whose 0.0 would not change the sum."""
+    total = 0.0
+    for r in range(r_lo, n + 1):
+        w = _receive_pmf(n, r, p)
+        if w:
+            total += w * v[r - r_lo]
+    return min(total, 1.0)
 
 
 def _receive_pmf(n: int, r: int, p: float) -> float:

@@ -19,7 +19,7 @@ import sys
 from . import analysis
 from .codec import SCHEMES
 from .gf2 import MAX_LENGTH
-from .simulator import BENCH_DECODERS, bench_decoders, run_trials
+from .simulator import bench_decoders, run_trials
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -60,7 +60,7 @@ def _typed(key: str, value):
     raise ConfigError(f"config value {key}={value!r} has the wrong type")
 
 
-class ExperimentConfig:
+class ExperimentConfig(argparse.Namespace):
     """The settings of one run: an attribute per field of ``_FIELDS``, each
     type-checked, at its default when missing or None."""
 
@@ -71,14 +71,6 @@ class ExperimentConfig:
         for key, (_, default) in _FIELDS.items():
             value = values.get(key)
             setattr(self, key, default if value is None else _typed(key, value))
-
-    def __eq__(self, other):
-        if type(other) is not ExperimentConfig:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self) -> str:
-        return f"ExperimentConfig(**{vars(self)})"
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -150,6 +142,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError("--trials must be at least 1")
         if cfg.seed is None:
             raise ConfigError("--seed is required (no wall-clock default)")
+    elif cfg.trials is not None or cfg.seed is not None:  # only metrics gets here
+        raise ConfigError("metrics reads --trials and --seed only for straightforward M < K")
     if cfg.mode == "metrics":
         if cfg.p_hat is None:
             raise ConfigError("--p-hat is required")
@@ -249,31 +243,25 @@ def cmd_analyze(cfg: ExperimentConfig) -> list[str]:
                 f"no valid N in [{cfg.n_min}, {cfg.n_max}] for "
                 f"scheme={cfg.scheme}, M={m}"
             )
-    rows = [
-        (cfg.scheme, cfg.k, m, n, p, cfg.q, prob, kind)
-        for m, n, p, prob, kind in _closed_form_rows(cfg, cfg.m, cfg.n_min, cfg.n_max)
-    ]
-    rows.sort(key=lambda r: r[:6])
+    rows = _closed_form_rows(cfg, cfg.m, cfg.n_min, cfg.n_max)
     lines = ["scheme,K,M,N,p,q,prob,kind"]
     lines.extend(
-        f"{s},{k},{m},{n},{_fmt_p(p)},{q},{_fmt_prob(prob)},{kind}"
-        for s, k, m, n, p, q, prob, kind in rows
+        f"{cfg.scheme},{cfg.k},{m},{n},{_fmt_p(p)},{cfg.q},{_fmt_prob(prob)},{kind}"
+        for m, n, p, prob, kind in sorted(rows, key=lambda r: r[:3])
     )
     return lines
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
     assert cfg.scheme and cfg.k and cfg.n_min and cfg.n_max
-    rows = []
-    for m, n, p, est in _simulated_rows(cfg, cfg.m, cfg.n_min, cfg.n_max):
-        stderr = (est * (1.0 - est) / cfg.trials) ** 0.5
-        rows.append((cfg.scheme, cfg.k, m, n, p, cfg.trials, cfg.seed, est, stderr))
-    rows.sort(key=lambda r: r[:5])
+    rows = _simulated_rows(cfg, cfg.m, cfg.n_min, cfg.n_max)
     lines = ["scheme,K,M,N,p,trials,seed,prob_sim,stderr"]
-    lines.extend(
-        f"{s},{k},{m},{n},{_fmt_p(p)},{count},{seed},{_fmt_prob(est)},{_fmt_prob(err)}"
-        for s, k, m, n, p, count, seed, est, err in rows
-    )
+    for m, n, p, est in sorted(rows, key=lambda r: r[:3]):
+        stderr = (est * (1.0 - est) / cfg.trials) ** 0.5
+        lines.append(
+            f"{cfg.scheme},{cfg.k},{m},{n},{_fmt_p(p)},{cfg.trials},{cfg.seed},"
+            f"{_fmt_prob(est)},{_fmt_prob(stderr)}"
+        )
     return lines
 
 
@@ -306,23 +294,18 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[str]:
                 # sampling noise may not put partial recovery past it.
                 n_partial = n_full if n_partial is None else min(n_partial, n_full)
             delta = analysis.delta_n(n_partial, n_full)
-            rows.append(
-                (cfg.scheme, k, m, p, p_hat, cell(n_partial), cell(n_full), cell(delta))
-            )
-    rows.sort(key=lambda r: r[:4])
+            rows.append((m, p, cell(n_partial), cell(n_full), cell(delta)))
     lines = ["scheme,K,M,p,P_hat,N_hat_partial,N_hat_full,delta_N"]
     lines.extend(
-        f"{s},{k},{m},{_fmt_p(p)},{_fmt_p(ph)},{np},{nf},{dn}"
-        for s, k, m, p, ph, np, nf, dn in rows
+        f"{cfg.scheme},{k},{m},{_fmt_p(p)},{_fmt_p(p_hat)},{np},{nf},{dn}"
+        for m, p, np, nf, dn in sorted(rows, key=lambda r: r[:2])
     )
     return lines
 
 
 def cmd_bench(cfg: ExperimentConfig) -> list[str]:
     assert cfg.k and cfg.trials is not None and cfg.seed is not None
-    results = bench_decoders(
-        list(range(1, cfg.k + 1)), BENCH_DECODERS, cfg.trials, seed=cfg.seed
-    )
+    results = bench_decoders(list(range(1, cfg.k + 1)), cfg.trials, seed=cfg.seed)
     results.sort()  # by decoder, then K
     lines = [
         "# timing values are hardware-relative; compare decoders within one run only",
@@ -411,7 +394,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ConfigError("config file must hold a JSON object")
-        file_values.pop("mode", None)  # the subcommand decides the mode
         readable = {
             flag.replace("-", "_") for flag in _MODE_FLAGS[args.mode] if flag != "config"
         }

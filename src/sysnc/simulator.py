@@ -27,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from collections.abc import Sequence
 from itertools import accumulate
 
 from .codec import (
@@ -182,73 +181,61 @@ def run_trials(
         raise ValueError(f"bad transmission range [{n_lo}, {n_hi}]")
     sub_seed = scheme_seed(seed, scheme)
     m_tuple = tuple(m_list)
+    step = -(-trials // workers)
+    blocks = [
+        (scheme, k, n_hi, p, sub_seed, start, min(start + step, trials), m_tuple)
+        for start in range(0, trials, step)
+    ]
     if workers == 1:
-        success = _count_block((scheme, k, n_hi, p, sub_seed, 0, trials, m_tuple))
+        counted = list(map(_count_block, blocks))
     else:
-        step = -(-trials // workers)
-        blocks = [
-            (scheme, k, n_hi, p, sub_seed, start, min(start + step, trials), m_tuple)
-            for start in range(0, trials, step)
-        ]
-        success = [[0] * (n_hi + 1) for _ in m_tuple]
         # Imported here: the pool's 35 modules would add about a quarter
         # to the start-up of every single-process run.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for block in pool.map(_count_block, blocks):
-                for mi, row in enumerate(block):
-                    for n, c in enumerate(row):
-                        success[mi][n] += c
-    return [row[n_lo:] for row in success]
+            counted = list(pool.map(_count_block, blocks))
+    # counted[block][m][n]: add the blocks up per (M, n).
+    return [[sum(col) for col in zip(*rows)][n_lo:] for rows in zip(*counted)]
 
 
 def bench_decoders(
-    k_values: list[int],
-    decoders: Sequence[str],
-    repetitions: int,
-    *,
-    seed: int = 0,
-    payload_len: int = 8,
+    k_values: list[int], repetitions: int, *, seed: int = 0
 ) -> list[tuple[str, int, int, int, int, int]]:
-    """Time full recovery from a lossless stream of straightforward packets.
+    """Time full recovery from a lossless stream of straightforward packets
+    with 8-byte payloads, by both decoders of ``BENCH_DECODERS``.
 
     For each k, pre-built packet streams are fed to the decoder until all k
-    source packets are out: the progressive decoder eliminates per arrival,
-    while the batch eliminator reruns from scratch on every arrival from the
-    k-th onward (the receiver cannot know the rank without eliminating).
-    Each stream is built outside the timed section and decoded by every
-    decoder in turn, in the given order on even repetitions and reversed on
-    odd ones. Repetitions form the outer loop and every k is timed once per
-    repetition, so a change in host speed during the run hits all decoders
-    and all k alike. Medians and quartiles over ``repetitions`` runs, one
-    ``(decoder, k, median_ns, p25_ns, p75_ns, repetitions)`` per (decoder, k)
-    in the order given; absolute numbers are hardware-relative and only the
+    source packets are out: the progressive decoder ("gepd") eliminates per
+    arrival, while the batch eliminator ("ge") reruns from scratch on every
+    arrival from the k-th onward (the receiver cannot know the rank without
+    eliminating). Each stream is built outside the timed section and decoded
+    by both in turn, in ``BENCH_DECODERS`` order on even repetitions and
+    reversed on odd ones. Repetitions form the outer loop and every k is
+    timed once per repetition, so a change in host speed during the run hits
+    both decoders and all k alike. Medians and quartiles over ``repetitions``
+    runs, one ``(decoder, k, median_ns, p25_ns, p75_ns, repetitions)`` per
+    (decoder, k), in ``BENCH_DECODERS`` order and then the order of
+    ``k_values``; absolute numbers are hardware-relative and only the
     ordering between decoders on one host is meaningful.
     """
-    decoders = tuple(decoders)
-    for decoder in decoders:
-        if decoder not in BENCH_DECODERS:
-            raise ValueError(
-                f"unknown decoder {decoder!r}; expected one of {BENCH_DECODERS}"
-            )
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
     # One stream at a time: all of them would be repetitions * sum(k + 96) packets.
-    msgs = [make_test_message(k, payload_len) for k in k_values]
+    msgs = [make_test_message(k, 8) for k in k_values]
     for k, msg in zip(k_values, msgs):
         stream = _bench_stream(msg, k, seed, 0)
-        for decoder in decoders:
+        for decoder in BENCH_DECODERS:
             _timed_decode(decoder, k, stream)  # warm-up, discarded
-    times = [[[] for _ in k_values] for _ in decoders]  # [decoder][k]
-    turns = list(enumerate(decoders))
+    times = [[[] for _ in k_values] for _ in BENCH_DECODERS]  # [decoder][k]
+    turns = list(enumerate(BENCH_DECODERS))
     for rep in range(repetitions):
         for i, (k, msg) in enumerate(zip(k_values, msgs)):
             stream = _bench_stream(msg, k, seed, rep)
             for d, decoder in turns if rep % 2 == 0 else turns[::-1]:
                 times[d][i].append(_timed_decode(decoder, k, stream))
     results = []
-    for decoder, d_times in zip(decoders, times):
+    for decoder, d_times in zip(BENCH_DECODERS, times):
         for k, k_times in zip(k_values, d_times):
             p25, med, p75 = _quartiles(k_times)
             results.append((decoder, k, med, p25, p75, repetitions))

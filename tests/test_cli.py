@@ -431,10 +431,11 @@ class TestConfigHandling:
 
     def test_config_key_in_a_config_file_is_not_read(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"k": 2, "config": "other.json"}))
-        code, _, err = run_cli(["analyze", "--config", str(path)], capsys)
-        assert code == EXIT_CONFIG
-        assert err == "config error: config keys not read by analyze: ['config']\n"
+        for key, value in (("config", "other.json"), ("mode", "simulate")):
+            path.write_text(json.dumps({"k": 2, key: value}))
+            code, _, err = run_cli(["analyze", "--config", str(path)], capsys)
+            assert code == EXIT_CONFIG
+            assert err == f"config error: config keys not read by analyze: [{key!r}]\n"
 
     def test_n_shorthand_conflicts_with_range(self, capsys):
         code, _, err = run_cli(
@@ -513,6 +514,12 @@ class TestConfigHandling:
             ["metrics", "--scheme", "ordered-uncoded", "--k", "4", "--m", "2", "--p", "0.1", "--p-hat", "1.5"],
             # the N cap holds for simulate too
             ["simulate", "--scheme", "systematic", "--k", "2", "--m", "1", "--n-min", "1", "--n-max", "100001", "--p", "0.1", "--trials", "1", "--seed", "1"],
+            # metrics reads --trials and --seed only when it simulates
+            ["metrics", "--scheme", "systematic", "--k", "4", "--m", "2,4", "--p", "0.1", "--p-hat", "0.7", "--trials", "9", "--seed", "3"],
+            ["metrics", "--scheme", "straightforward", "--k", "4", "--m", "4", "--p", "0.1", "--p-hat", "0.7", {"trials": 9, "seed": 3}],
+            ["metrics", "--scheme", "ordered-uncoded", "--k", "4", "--m", "2", "--p", "0.1", "--p-hat", "0.7", "--seed", "3"],
+            # the subcommand is the mode; a config file cannot name another
+            ["analyze", "--scheme", "systematic", "--m", "2", "--n", "3", "--p", "0.1", {"mode": "simulate", "k": 2}],
         ],
     )
     def test_config_errors_exit_2(self, bad, tmp_path, capsys, monkeypatch):

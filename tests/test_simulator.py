@@ -169,7 +169,7 @@ class TestRunTrials:
 
 class TestBenchDecode:
     def test_single_repetition_no_aggregation_failure(self):
-        rows = bench_decoders([1, 2, 3], ("gepd",), 1)
+        rows = [r for r in bench_decoders([1, 2, 3], 1) if r[0] == "gepd"]
         assert [k for _, k, *_ in rows] == [1, 2, 3]
         for _, _, median_ns, p25_ns, p75_ns, repetitions in rows:
             assert median_ns == p25_ns == p75_ns > 0
@@ -178,18 +178,12 @@ class TestBenchDecode:
     def test_medians_grow_with_k_up_to_timer_noise(self):
         # workload grows with k; allow generous slack for scheduler jitter,
         # and ignore the sub-microsecond regime below k=5 entirely
-        rows = bench_decoders(list(range(1, 31, 3)) + [30], ("gepd",), 50)
-        meds = {k: median_ns for _, k, median_ns, *_ in rows}
+        rows = bench_decoders(list(range(1, 31, 3)) + [30], 50)
+        meds = {k: median_ns for d, k, median_ns, *_ in rows if d == "gepd"}
         ks = sorted(meds)
         for prev, cur in zip(ks, ks[1:]):
             slack = 0.5 if cur <= 4 else 0.75
             assert meds[cur] >= slack * meds[prev], (prev, cur, meds)
-
-    def test_unknown_decoder_rejected(self):
-        with pytest.raises(ValueError):
-            bench_decoders([2], ("bp",), 1)
-        with pytest.raises(ValueError):
-            bench_decoders([2], ("ge", "bp"), 1)
 
     def test_decoders_share_each_stream_in_alternating_order(self, monkeypatch):
         calls = []
@@ -199,7 +193,7 @@ class TestBenchDecode:
             return 1
 
         monkeypatch.setattr(simulator, "_timed_decode", fake)
-        rows = bench_decoders([2, 5], ("ge", "gepd"), 3, seed=9)
+        rows = bench_decoders([2, 5], 3, seed=9)
         assert [(r[0], r[1], r[5]) for r in rows] == [
             ("ge", 2, 3), ("ge", 5, 3), ("gepd", 2, 3), ("gepd", 5, 3)
         ]
