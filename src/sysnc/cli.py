@@ -305,8 +305,8 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[str]:
 
 def cmd_bench(cfg: ExperimentConfig) -> list[str]:
     assert cfg.k and cfg.trials is not None and cfg.seed is not None
+    # Rows come by decoder ("ge", then "gepd"), then K.
     results = bench_decoders(list(range(1, cfg.k + 1)), cfg.trials, seed=cfg.seed)
-    results.sort()  # by decoder, then K
     lines = [
         "# timing values are hardware-relative; compare decoders within one run only",
         "decoder,K,median_ns,p25_ns,p75_ns,repetitions",
