@@ -50,7 +50,6 @@ Four kinds of work are skipped because they provably cannot change a bit:
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Callable
 
 # Above this n the erasure-channel weights C(n,r)(1-p)^r p^(n-r) switch to
@@ -60,17 +59,6 @@ _EXACT_WEIGHT_LIMIT = 64
 
 class InvariantViolation(RuntimeError):
     """A computed quantity broke a property the model guarantees."""
-
-
-class ThresholdUnreachableWarning(UserWarning):
-    """The recovery threshold m exceeds what the approximation can ever reach."""
-
-
-def log_binomial(n: int, k: int) -> float:
-    """ln C(n, k) via lgamma, for ranges where the exact value overflows a double."""
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"C({n}, {k}) is outside the supported domain")
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def full_rank_prob(k: int, r: int, q: int = 2) -> float:
@@ -149,10 +137,10 @@ def partial_decode_prob_approx(
 
     Counts only the min(k, n) transmitted systematic packets: for small p
     the m recovered packets are almost surely systematic, so the probability
-    reduces to a binomial tail. For m == k the exact full-recovery expression
-    is used instead (the approximation is stated for m < k only). When m
-    exceeds min(k, n) the approximation can never reach the threshold; 0 is
-    returned under a ThresholdUnreachableWarning.
+    reduces to a binomial tail. For m == k <= n the exact full-recovery
+    expression is used instead (the approximation is stated for m < k only).
+    When m exceeds min(k, n) the approximation can never reach the threshold,
+    and the tail is empty: the result is 0.
     """
     _check_erasure(p)
     if not 1 <= m <= k:
@@ -160,15 +148,7 @@ def partial_decode_prob_approx(
     if n < 1:
         raise ValueError("need n >= 1")
     n_min = min(k, n)
-    if m > n_min:
-        warnings.warn(
-            f"threshold m={m} unreachable under the systematic-only "
-            f"approximation with min(k, n)={n_min}",
-            ThresholdUnreachableWarning,
-            stacklevel=2,
-        )
-        return 0.0
-    if m == k:
+    if m == k <= n:
         return full_decode_prob(k, n, p, q)
     return _channel_average(n_min, m, p, [1.0] * (n_min - m + 1))
 
@@ -215,8 +195,7 @@ def ou_partial_decode_sweep(k: int, ms, n_lo: int, n_hi: int, p):
             raise ValueError(f"need 1 <= m <= k, got m={m}, k={k}")
     if not 1 <= n_lo <= n_hi:
         raise ValueError(f"bad N range [{n_lo}, {n_hi}]")
-    if not 0 <= p <= 1:
-        raise ValueError(f"erasure probability {p} outside [0, 1]")
+    _check_erasure(p)
     return _ou_sweep(k, ms, n_lo, n_hi, p)
 
 
@@ -409,7 +388,8 @@ def _receive_pmf(n: int, r: int, p: float) -> float:
         return 1.0 if r == 0 else 0.0
     if n <= _EXACT_WEIGHT_LIMIT:
         return math.comb(n, r) * (1.0 - p) ** r * p ** (n - r)
-    return math.exp(log_binomial(n, r) + r * math.log1p(-p) + (n - r) * math.log(p))
+    log_comb = math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)
+    return math.exp(log_comb + r * math.log1p(-p) + (n - r) * math.log(p))
 
 
 def _check_field(q: int) -> None:

@@ -74,8 +74,6 @@ class ExperimentConfig(argparse.Namespace):
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
-    if cfg.mode not in MODES:
-        raise ConfigError(f"unknown mode {cfg.mode!r}")
     if cfg.k is None:
         raise ConfigError("--k is required")
     if cfg.k < 1:
@@ -185,14 +183,10 @@ def _closed_form_rows(cfg: ExperimentConfig, ms, n_lo: int, n_hi: int):
         ms_n = [m for m in ms if n >= m]
         if not ms_n:
             continue
-        if scheme == "straightforward":  # every M is K
-            for p in cfg.p:
-                prob = analysis.sf_full_decode_prob(k, n, p, q)
-                for m in ms_n:
-                    yield m, n, p, prob, "exact"
-            continue
         full = [None] * len(cfg.p)
-        if k in ms_n:
+        if k in ms_n and scheme == "straightforward":  # every M is K
+            full = [analysis.sf_full_decode_prob(k, n, p, q) for p in cfg.p]
+        elif k in ms_n:
             full = analysis.full_decode_probs(k, n, cfg.p, q)
         for p, full_p in zip(cfg.p, full):
             for m in ms_n:
@@ -436,15 +430,20 @@ def main(argv: list[str] | None = None) -> int:
     except analysis.InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    if cfg.out is not None:
-        try:
+    try:  # validation cannot foresee a full device or a closed pipe
+        if cfg.out is not None:
             with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
-        except OSError as exc:  # validation cannot foresee a full device
-            print(f"config error: cannot write --out {cfg.out!r}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    else:
-        sys.stdout.write(text)
+        elif sys.stdout is None:
+            raise OSError("stdout is closed")
+        else:
+            print(text, end="", flush=True)
+    except OSError as exc:
+        where = "stdout" if cfg.out is None else f"--out {cfg.out!r}"
+        print(f"config error: cannot write {where}: {exc}", file=sys.stderr)
+        if cfg.out is None and sys.stdout is not None:  # exit flushes it to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -71,22 +71,19 @@ class SourceMessage:
 
 
 class TransmittedPacket:
-    """What crosses the channel: a coding vector, its payload, and the send
-    index. ``payload_word`` is the payload as one big-endian integer; a
-    caller that already holds it passes it in."""
+    """What crosses the channel: a coding vector and its payload, all a
+    decoder reads. ``payload_word`` is the payload as one big-endian integer;
+    a caller that already holds it passes it in, by keyword."""
 
     def __init__(
         self,
         coding_vector: CodingVector,
         payload: bytes,
-        sequence_index: int,
+        *,
         payload_word: int | None = None,
     ) -> None:
-        if sequence_index < 1:
-            raise ValueError("sequence_index is 1-based")
         self.coding_vector = coding_vector
         self.payload = payload
-        self.sequence_index = sequence_index
         if payload_word is None:
             payload_word = int.from_bytes(payload, "big")
         self.payload_word = payload_word
@@ -127,7 +124,7 @@ def encode(scheme: str, msg: SourceMessage, n: int, rng) -> TransmittedPacket:
     else:
         pay = combine_words(msg.packet_words, word)
         payload = pay.to_bytes(msg.payload_len, "big")
-    return TransmittedPacket(CodingVector(msg.k, word), payload, n, pay)
+    return TransmittedPacket(CodingVector(msg.k, word), payload, payload_word=pay)
 
 
 # One ``encoder(msg, n, rng)`` per scheme, for callers that pick it by name.

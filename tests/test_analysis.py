@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,6 @@ from oracles import (
 from sysnc import analysis
 from sysnc.analysis import (
     InvariantViolation,
-    ThresholdUnreachableWarning,
     cond_full_decode_prob,
     cond_full_decode_probs,
     decode_prob_ratio,
@@ -31,7 +31,6 @@ from sysnc.analysis import (
     full_decode_prob,
     full_decode_probs,
     full_rank_prob,
-    log_binomial,
     min_packets_for_target,
     ou_partial_decode_prob,
     ou_partial_decode_sweep,
@@ -294,9 +293,12 @@ class TestPartialDecodeProbApprox:
             full_decode_prob(3, 5, 0.2), abs=1e-15
         )
 
-    def test_unreachable_threshold_flagged(self):
-        with pytest.warns(ThresholdUnreachableWarning):
+    def test_unreachable_threshold_is_zero(self):
+        # m > min(k, n): the tail over the systematic arrivals is empty
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert partial_decode_prob_approx(4, 3, 2, 0.1) == 0.0
+            assert partial_decode_prob_approx(4, 4, 2, 0.1) == 0.0
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -384,10 +386,6 @@ class TestDecodeProbRatio:
 
 
 class TestBinomials:
-    def test_log_binomial_edges(self):
-        assert log_binomial(7, 0) == 0.0
-        assert math.exp(log_binomial(4, 2)) == pytest.approx(6.0, abs=1e-12)
-
     @pytest.mark.parametrize("k,n", [(3, 10), (5, 8), (4, 4), (6, 9)])
     def test_hypergeometric_sum_collapses(self, k, n):
         # the support-weighted binomial products over the systematic count
@@ -484,7 +482,6 @@ class TestRangeAndMonotonicity:
         n = k + extra
         assert full_decode_prob(k, n, p, q + 1) >= full_decode_prob(k, n, p, q) - 1e-12
 
-    @pytest.mark.filterwarnings("ignore::sysnc.analysis.ThresholdUnreachableWarning")
     @given(st.integers(2, 9), st.integers(1, 15), st.floats(0.01, 0.99), st.data())
     @settings(max_examples=150, deadline=None)
     def test_partial_approx_monotone(self, k, n, p, data):

@@ -3,6 +3,9 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -550,6 +553,30 @@ class TestConfigHandling:
         assert code == EXIT_OK
         text = out.read_bytes().decode("utf-8")
         assert text.endswith("\n") and "\r" not in text
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX descriptors")
+    @pytest.mark.parametrize("stdout", ["broken pipe", "closed"])
+    def test_unwritable_stdout_exits_2(self, stdout):
+        """A stdout that cannot take the rows is reported as an unwritable
+        --out is: exit 2 and one line on stderr, with no traceback and nothing
+        from the interpreter's own flush at exit."""
+        argv = [sys.executable, "-m", "sysnc.cli", "analyze", "--scheme", "systematic",
+                "--k", "2", "--m", "2", "--n", "3", "--p", "0.1"]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        if stdout == "closed":  # the shell's >&- starts the CLI without a stdout
+            run = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *argv],
+                                 stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+        else:
+            read_end, write_end = os.pipe()
+            os.close(read_end)  # the reader has gone: the first write fails
+            try:
+                run = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE,
+                                     env=env, text=True, timeout=120)
+            finally:
+                os.close(write_end)
+        assert run.returncode == EXIT_CONFIG
+        assert run.stderr.startswith("config error: cannot write stdout")
+        assert run.stderr.count("\n") == 1, run.stderr
 
 
 # Small valid commands, so that fuzzed flags appended to them reach past the

@@ -51,7 +51,7 @@ MSG3 = SourceMessage((b"aa", b"bb", b"cc"))
 
 
 def packet_fields(pkt):
-    return pkt.coding_vector, pkt.payload, pkt.sequence_index, pkt.payload_word
+    return pkt.coding_vector, pkt.payload, pkt.payload_word
 
 
 def xor_bytes(*parts):
@@ -62,8 +62,8 @@ def xor_bytes(*parts):
     return bytes(acc)
 
 
-def make_packet(coeffs, payload, n=1):
-    return TransmittedPacket(from_coefficients(coeffs), payload, n)
+def make_packet(coeffs, payload):
+    return TransmittedPacket(from_coefficients(coeffs), payload)
 
 
 def decoder_rows(dec):
@@ -81,7 +81,6 @@ class TestEncoders:
         pkt = encode("systematic", MSG3, 2, StubBits())
         assert coefficients(pkt.coding_vector) == [0, 1, 0]
         assert pkt.payload == b"bb"
-        assert pkt.sequence_index == 2
 
     def test_systematic_coded_phase_draws_uniform_vector(self):
         pkt = encode("systematic", MSG3, 5, StubBits(word(1, 0, 1)))
@@ -142,10 +141,16 @@ class TestEncoders:
         msg, packets = random_instance(rng)
         packets.append(encode("ordered-uncoded", msg, rng.randint(1, 3 * msg.k), None))
         for pkt in packets:
-            hand = TransmittedPacket(pkt.coding_vector, pkt.payload, pkt.sequence_index)
+            hand = TransmittedPacket(pkt.coding_vector, pkt.payload)
             assert packet_fields(hand) == packet_fields(pkt)
             for p in (pkt, hand):
                 assert p.payload_word == int.from_bytes(p.payload, "big")
+
+    def test_payload_word_is_keyword_only(self):
+        """A third positional argument, such as a send index, is refused
+        rather than taken for the payload word."""
+        with pytest.raises(TypeError):
+            TransmittedPacket(from_coefficients([1, 0]), b"a", 3)
 
     def test_message_validation(self):
         with pytest.raises(ValueError):
@@ -343,17 +348,17 @@ class TestFullRankDecode:
     def test_full_rank_recovers_everything(self):
         msg = SourceMessage((b"a", b"b"))
         packets = [
-            make_packet([1, 0], b"a", 1),
-            make_packet([1, 1], xor_bytes(b"a", b"b"), 2),
+            make_packet([1, 0], b"a"),
+            make_packet([1, 1], xor_bytes(b"a", b"b")),
         ]
         assert full_rank_decode(packets, 2) == {1: b"a", 2: b"b"}
 
     def test_every_packet_validated_after_full_rank(self):
-        full = [make_packet([1, 0], b"a", 1), make_packet([0, 1], b"b", 2)]
+        full = [make_packet([1, 0], b"a"), make_packet([0, 1], b"b")]
         with pytest.raises(DimensionError):
-            full_rank_decode([*full, make_packet([1, 0, 0], b"a", 3)], 2)
+            full_rank_decode([*full, make_packet([1, 0, 0], b"a")], 2)
         with pytest.raises(DimensionError):
-            full_rank_decode([*full, make_packet([1, 1], b"ab", 3)], 2)
+            full_rank_decode([*full, make_packet([1, 1], b"ab")], 2)
 
     # 30 and 31 sit on a 30-bit CPython digit, 63..65 and 128 on 64-bit words;
     # MAX_LENGTH walks 1024-entry payload lists.
@@ -390,9 +395,9 @@ class TestFullRankDecode:
 
     def test_blind_to_partial_decodability(self):
         packets = [
-            make_packet([1, 1, 0], xor_bytes(b"a", b"b"), 1),
-            make_packet([0, 1, 0], b"b", 2),
-            make_packet([0, 0, 0], b"\x00", 3),
+            make_packet([1, 1, 0], xor_bytes(b"a", b"b")),
+            make_packet([0, 1, 0], b"b"),
+            make_packet([0, 0, 0], b"\x00"),
         ]
         vectors = [p.coding_vector for p in packets]
         assert insert_rank([v.word for v in vectors]) == 2
