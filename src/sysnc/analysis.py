@@ -50,7 +50,6 @@ Four kinds of work are skipped because they provably cannot change a bit:
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 
 # Above this n the erasure-channel weights C(n,r)(1-p)^r p^(n-r) switch to
 # log space; below it, exact integer binomials keep full double precision.
@@ -261,27 +260,6 @@ def decode_prob_ratio(k: int, r: int, n: int, q: int = 2) -> float:
             f"full-rank probability vanished at k={k}, r={r}, q={q}"
         )
     return cond_full_decode_prob(k, r, n, q) / w
-
-
-def min_packets_for_target(
-    prob_fn: Callable[[int], float],
-    p_hat: float,
-    n_start: int,
-    n_max: int,
-) -> int | None:
-    """Smallest n in [n_start, n_max] with prob_fn(n) >= p_hat; None if the cap
-    is reached first (e.g. an approximation that plateaus below the target).
-
-    Linear scan, relying on prob_fn being non-decreasing in n.
-    """
-    if not 0 < p_hat <= 1:
-        raise ValueError(f"target probability {p_hat} outside (0, 1]")
-    if n_start < 1 or n_max < n_start:
-        raise ValueError(f"bad search range [{n_start}, {n_max}]")
-    for n in range(n_start, n_max + 1):
-        if prob_fn(n) >= p_hat:
-            return n
-    return None
 
 
 def delta_n(n_partial: int | None, n_full: int | None) -> int | None:

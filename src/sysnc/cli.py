@@ -7,7 +7,8 @@ join-compatible on (scheme, K, M, N, p). Their rows come from two sources,
 ``_closed_form_rows`` and ``_simulated_rows``, and ``metrics`` reads the same
 two: its N_hat = min{N >= M : P(N) >= P_hat} is a first-N scan over them.
 
-Exit codes: 0 success, 2 configuration error, 3 internal invariant violation.
+Exit codes: 0 success, 2 configuration error, 3 internal invariant violation,
+130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .simulator import bench_decoders, run_trials
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
+EXIT_INTERRUPTED = 130  # the shell's 128 + SIGINT
 
 MODES = ("analyze", "simulate", "metrics", "bench")
 DEFAULT_REPETITIONS = 100
@@ -430,6 +432,9 @@ def main(argv: list[str] | None = None) -> int:
     except analysis.InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     try:  # validation cannot foresee a full device or a closed pipe
         if cfg.out is not None:
             with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:

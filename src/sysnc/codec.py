@@ -142,9 +142,9 @@ class ProgressiveDecoder:
     payload word on its own. An arrival is reduced against the state,
     payload and all; a dependent or zero arrival reduces to zero and is
     absorbed. Each row that becomes a unit vector releases its source
-    packet, converted to bytes once, so the decoded set grows monotonically
+    packet's word into ``_words``, so the decoded set grows monotonically
     and never misses a packet whose unit vector lies in the received row
-    space.
+    space; :attr:`recovered_payloads` converts the words to bytes.
 
     A decoder is single-owner state: one session mutates it from one thread;
     distinct sessions are independent.
@@ -162,15 +162,15 @@ class ProgressiveDecoder:
         self._pivots = 0  # bitmask of the keys of _rows
         self._rows: dict[int, int] = {}  # lowest set bit -> non-unit row | pay << k
         self._words = [0] * k  # payload word of each decoded column, by column
-        self._recovered: dict[int, bytes] = {}
 
     @property
     def decoded_count(self) -> int:
-        return len(self._recovered)
+        return self._decoded.bit_count()
 
     @property
     def recovered_payloads(self) -> dict[int, bytes]:
-        return dict(self._recovered)
+        cols = compress(range(self.k), bit_flags(self._decoded))
+        return {c + 1: self._words[c].to_bytes(self.payload_len, "big") for c in cols}
 
     def receive(self, pkt: TransmittedPacket) -> set[int]:
         """Fold one packet into the state; returns the newly decoded indices."""
@@ -197,7 +197,6 @@ class ProgressiveDecoder:
             self._decoded |= vec
             col = vec.bit_length()
             self._words[col - 1] = pay
-            self._recovered[col] = pay.to_bytes(self.payload_len, "big")
             return {col}
         row = vec | pay << k
         hits = vec & self._pivots
@@ -226,15 +225,12 @@ class ProgressiveDecoder:
         self._decoded |= found
         self._pivots &= ~found
         words = self._words
-        recovered = self._recovered
         newly: set[int] = set()
         while found:
             key = found & -found
             found ^= key
-            pay = rows.pop(key) >> k
             col = key.bit_length()
-            words[col - 1] = pay
-            recovered[col] = pay.to_bytes(self.payload_len, "big")
+            words[col - 1] = rows.pop(key) >> k
             newly.add(col)
         return newly
 

@@ -193,8 +193,11 @@ def run_trials(
         # to the start-up of every single-process run.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
             counted = list(pool.map(_count_block, blocks))
+        finally:  # an interrupted run drops the blocks not yet started
+            pool.shutdown(cancel_futures=True)
     # counted[block][m][n]: add the blocks up per (M, n).
     return [[sum(col) for col in zip(*rows)][n_lo:] for rows in zip(*counted)]
 
@@ -259,6 +262,7 @@ def _timed_decode(decoder: str, k: int, stream: list[TransmittedPacket]) -> int:
         for pkt in stream:
             dec.receive(pkt)
             if dec.decoded_count == k:
+                dec.recovered_payloads  # deliver bytes, as "ge" does
                 return time.perf_counter_ns() - start
     else:
         start = time.perf_counter_ns()

@@ -12,10 +12,13 @@ implementations must equal them bit for bit.
 packed decoders it judges. ``set_bits`` and ``combine_words_loop`` walk a
 mask one lowest set bit at a time, the loop that the C-level mask walks of
 ``gf2.bit_flags`` and ``codec.combine_words`` must equal.
+``min_packets_for_target`` is the paper's N_hat = min{N : P(N) >= P_hat} as
+a plain linear search, the judge of the CLI's one first-N scan.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -289,3 +292,24 @@ def ou_tail_loop(k: int, ms: list[int], n: int, p) -> list:
             acc = acc + dist[j]
         tails.append(min(max(acc, 0.0), 1.0) if isinstance(acc, float) else acc)
     return tails
+
+
+def min_packets_for_target(
+    prob_fn: Callable[[int], float],
+    p_hat: float,
+    n_start: int,
+    n_max: int,
+) -> int | None:
+    """Smallest n in [n_start, n_max] with prob_fn(n) >= p_hat; None if the cap
+    is reached first (e.g. an approximation that plateaus below the target).
+
+    Linear scan, relying on prob_fn being non-decreasing in n.
+    """
+    if not 0 < p_hat <= 1:
+        raise ValueError(f"target probability {p_hat} outside (0, 1]")
+    if n_start < 1 or n_max < n_start:
+        raise ValueError(f"bad search range [{n_start}, {n_max}]")
+    for n in range(n_start, n_max + 1):
+        if prob_fn(n) >= p_hat:
+            return n
+    return None

@@ -17,6 +17,7 @@ from oracles import (
     full_decode_prob_exact,
     full_rank_prob_exact,
     full_rank_prob_oracle,
+    min_packets_for_target,
     ou_tail_loop,
     rank_product_loop,
     sf_full_decode_loop,
@@ -31,7 +32,6 @@ from sysnc.analysis import (
     full_decode_prob,
     full_decode_probs,
     full_rank_prob,
-    min_packets_for_target,
     ou_partial_decode_prob,
     ou_partial_decode_sweep,
     partial_decode_prob_approx,

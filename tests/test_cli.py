@@ -3,13 +3,16 @@ import io
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import min_packets_for_target
 from sysnc import analysis, cli, simulator
 from sysnc.cli import (
     EXIT_CONFIG,
@@ -313,7 +316,7 @@ def metrics_oracle(scheme, k, ms, ps, q, p_hat, n_max, trials, seed):
     partial = sorted({m for m in ms if m < k})
     rows = []
     for p in ps:
-        n_full = analysis.min_packets_for_target(lambda n: full_at(n, p), p_hat, k, n_cap)
+        n_full = min_packets_for_target(lambda n: full_at(n, p), p_hat, k, n_cap)
         if scheme == "straightforward" and partial:
             counts = run_trials(scheme, k, partial, (partial[0], n_cap), p, seed, trials)
             simulated = dict(zip(partial, counts))
@@ -327,7 +330,7 @@ def metrics_oracle(scheme, k, ms, ps, q, p_hat, n_max, trials, seed):
                     prob = lambda n: float(analysis.ou_partial_decode_prob(k, m, n, p))
                 else:
                     prob = lambda n: simulated[m][n - partial[0]] / trials
-                n_part = analysis.min_packets_for_target(prob, p_hat, m, n_cap)
+                n_part = min_packets_for_target(prob, p_hat, m, n_cap)
             if scheme == "straightforward" and n_full is not None:
                 n_part = n_full if n_part is None else min(n_part, n_full)
             delta = analysis.delta_n(n_part, n_full)
@@ -577,6 +580,29 @@ class TestConfigHandling:
         assert run.returncode == EXIT_CONFIG
         assert run.stderr.startswith("config error: cannot write stdout")
         assert run.stderr.count("\n") == 1, run.stderr
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX signals and sessions")
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=pytest.mark.skipif(
+        _CPUS < 2, reason="needs 2 CPUs"))])
+    def test_ctrl_c_exits_130_with_one_line(self, workers):
+        """Ctrl-C sends SIGINT to the whole foreground process group, pool
+        workers included. A run far too long to finish is interrupted once it
+        computes: it exits 130 with one line and no traceback."""
+        argv = [sys.executable, "-m", "sysnc.cli", "simulate", "--scheme", "systematic",
+                "--k", "40", "--m", "40", "--n-min", "40", "--n-max", "80", "--p", "0.1",
+                "--trials", "2000000", "--seed", "1", "--workers", str(workers)]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=env, text=True, start_new_session=True)
+        try:
+            time.sleep(1.0)  # start-up takes about 50 ms
+            os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert (proc.returncode, err, out) == (130, "interrupted\n", "")  # 128 + SIGINT
 
 
 # Small valid commands, so that fuzzed flags appended to them reach past the

@@ -17,9 +17,8 @@ ROOT = Path(__file__).resolve().parents[1]
         ("validation_curves.py", ["--k", "4", "--trials", "50"],
          ["validation_analytic_k4.csv", "validation_simulated_k4.csv"]),
         ("scheme_metrics.py", ["--k", "4", "--trials", "50"], ["scheme_metrics.csv"]),
-        ("decoder_timing.py", ["--k-max", "3", "--repetitions", "1"], ["decoder_timing.csv"]),
     ],
-    ids=["validation_curves", "scheme_metrics", "decoder_timing"],
+    ids=["validation_curves", "scheme_metrics"],
 )
 def test_script_writes_csv(script, args, outputs, tmp_path):
     env = dict(os.environ)

@@ -121,9 +121,26 @@ class TestRunTrials:
         [counts] = run_trials("systematic", 3, [3], (3, 5), 0.0, 1, trials=50)
         assert counts == [50, 50, 50]
 
-    def test_estimates_monotone_in_n(self):
-        for counts in run_trials("straightforward", 4, [2, 4], (1, 12), 0.3, 21, trials=4000):
-            assert all(a <= b for a, b in zip(counts, counts[1:]))
+    @given(st.sampled_from(SCHEMES), st.integers(1, 8), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_estimates_monotone_in_n_m_and_p(self, scheme, k, data):
+        """A trial's streams do not depend on p, so a packet erased at p1 is
+        erased at every p2 > p1 too. For one seed the counts are therefore
+        exactly non-decreasing in N, and non-increasing in M and in p at
+        every (M, N)."""
+        ms = sorted(data.draw(st.sets(st.integers(1, k), min_size=1)))
+        n_lo = data.draw(st.integers(1, 2 * k + 4))
+        n_hi = data.draw(st.integers(n_lo, 3 * k + 4))
+        ps = sorted({0.0, 1.0, *data.draw(st.lists(st.floats(0, 1), max_size=3))})
+        seed, trials = data.draw(st.integers(0, 2**32)), data.draw(st.integers(1, 40))
+        runs = [run_trials(scheme, k, ms, (n_lo, n_hi), p, seed, trials) for p in ps]
+        for counts in runs:
+            assert all(row == sorted(row) for row in counts)  # in N
+            for fewer, more in zip(counts, counts[1:]):  # in M
+                assert all(a >= b for a, b in zip(fewer, more))
+        for lower, higher in zip(runs, runs[1:]):  # in p
+            for a_row, b_row in zip(lower, higher):
+                assert all(a >= b for a, b in zip(a_row, b_row))
 
     def test_deterministic_and_worker_invariant(self):
         args = ("systematic", 5, [3, 5], (5, 10), 0.2, 99, 600)
