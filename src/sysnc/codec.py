@@ -15,8 +15,8 @@ Decoding comes in two flavours:
 * :func:`full_rank_decode` is the classical all-or-nothing batch eliminator.
 
 Both key each pivot row by its lowest set bit, as a power of two. The
-progressive decoder, and the count-only trial kernel
-``simulator._first_reach`` with it, keep the row space in one reduced form:
+progressive decoder keeps the row space in one reduced form after every
+arrival:
 
 * ``decoded`` is a bitmask of the decoded columns, whose unit rows are not
   stored;
@@ -28,14 +28,17 @@ An arrival is therefore reduced by one XOR per set bit of
 ``vec & (pivots | decoded)``, in any order, since no XOR brings in a bit of
 either mask. A nonzero remainder becomes the row of its lowest set bit, that
 bit is cleared from every other row, and a packet is decoded exactly when its
-row is a unit vector.
+row is a unit vector. The count-only trial kernel ``simulator._first_reach``
+reads the decode times only once its trial ends, so it keeps a forward
+echelon instead and reduces it once, after the last arrival.
 
 Payload folds that select many words by one mask walk the mask in C:
 ``itertools.compress(words, gf2.bit_flags(mask))`` yields the words at the
 set bits of ``mask``, lowest first, from a list indexed by column (bit i
 selects ``words[i]``). The encoder's :func:`combine_words`, the decoder's
-fold of decoded columns over ``_words`` and the back substitution of
-:func:`full_rank_decode` are such folds; each costs one XOR per set bit,
+fold of decoded columns over ``_words`` and the back substitutions of
+:func:`full_rank_decode` and of the trial kernel, which folds solved rows
+rather than payloads, are such folds; each costs one XOR per set bit,
 as a lowest-bit loop would, without its interpreter steps per bit. The
 list must be at least ``mask.bit_length()`` long: ``compress`` stops at the
 shorter input without an error.

@@ -15,11 +15,15 @@ any parallel scheduling of trials.
 A trial counts decoded packets from its coding vectors alone, which fix the
 decodable set, so it builds no payload. The vectors come from
 :func:`codec.coding_word`, the one scheme rule the packet encoders use too.
-The count-only kernel :func:`_first_reach` keeps just the row space, in the
-form :class:`codec.ProgressiveDecoder` keeps with payloads, and reports the
-first n at which each count is reached; the tests hold the kernel to the
-decoder. :func:`run_trials` returns, for each M, the number of trials that
-decoded at least M packets after each N; a caller divides by the trial count.
+The count-only kernel :func:`_first_reach` keeps just the row space, as a
+forward echelon whose rows carry recipe bits that name the arrivals they
+combine. One back substitution after the last arrival then gives the first
+n at which each packet is decoded, and so the first n at which each count is
+reached. The tests hold the kernel to the fully reduced form that
+:class:`codec.ProgressiveDecoder` keeps after every arrival, and to the
+kernel's earlier form in that shape. :func:`run_trials` returns, for each
+M, the number of trials that decoded at least M packets after each N; a
+caller divides by the trial count.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from itertools import accumulate
+from itertools import accumulate, compress
+from operator import add
 
 from .codec import (
     SCHEME_ENCODERS,
@@ -38,12 +43,17 @@ from .codec import (
     coding_word,
     full_rank_decode,
 )
+from .gf2 import bit_flags
 
 BENCH_DECODERS = ("ge", "gepd")
 
+# The most trials in one block of run_trials. A pool cannot stop a block once
+# a worker has started it, so this bounds how long an interrupted run waits.
+BLOCK_TRIALS = 1000
 
-def _mix(*labels) -> int:
-    key = "|".join(str(x) for x in labels).encode()
+
+def _mix(tag: str, label, index: int) -> int:
+    key = f"{tag}|{label}|{index}".encode()
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
 
 
@@ -74,58 +84,74 @@ def _first_reach(
     trial has c packets decoded, or n_hi + 1 if it never gets there.
 
     Which packets are decodable depends only on the received coding vectors,
-    so the state is their row space alone, in the reduced form of the
-    :mod:`codec` module docstring that ``ProgressiveDecoder`` keeps too
-    (``decoded``, ``rows`` and ``pivots``), without payloads. An arrival is
-    masked by ``~decoded`` first, so only ``vec & pivots`` needs reducing.
-    Ordered-uncoded sends only unit vectors, so it never keeps a row and its
-    count is the number of distinct ones received.
+    so no payload is kept. Every arrival is masked by ``~decoded``, the
+    bitmask of the columns decoded while only unit vectors had arrived: until
+    the first coded (non-unit) arrival, a new unit vector just decodes its
+    column. Ordered-uncoded sends only unit vectors, so it never leaves that
+    path and its count is the number of distinct ones received.
+
+    From the first coded arrival on, each innovative arrival is stored as
+    ``vec << k | 1 << j``: recipe bit j marks the j-th stored arrival, sent at
+    ``arrivals[j]``. The rows form a forward echelon keyed by their highest
+    coding bit, ``rows[row.bit_length()]``, so an arrival is reduced by one
+    XOR per row whose key it holds, and it is dependent when no coding bit is
+    left. One back substitution after the last arrival, lowest key first,
+    brings the rows to reduced form; a column i is decodable exactly when
+    its row is then the unit vector e_i, and the row's recipe bits are then
+    the unique expression of e_i in the stored arrivals, which are
+    independent. e_i lies in the span of the first t arrivals exactly when
+    that expression uses none later, so its packet is first decoded at
+    ``arrivals[recipe.bit_length() - 1]``. Masking projects out the columns
+    decoded before, and since all their unit vectors arrived before any
+    stored row, the projection hides no earlier decode.
     """
     encoder = derive_stream(seed, trial_index, "encoder")
     channel = derive_stream(seed, trial_index, "channel").random
     first = [n_hi + 1] * (k + 1)
     first[0] = 0
-    done = decoded = pivots = 0
-    rows: dict[int, int] = {}
+    done = decoded = 0
+    arrivals: list[int] = []
+    rows = [0] * (2 * k + 1)  # rows[b]: the stored row of bit length b > k
     for n in range(1, n_hi + 1):
         vec = coding_word(scheme, k, n, encoder) & ~decoded
         if channel() < p or not vec:
             continue
-        if not rows and not vec & (vec - 1):
-            # A new unit vector and no row to clear its column from.
+        if not arrivals and not vec & (vec - 1):
+            # A new unit vector and no coded row yet.
             decoded |= vec
             done += 1
             first[done] = n
-        else:
-            hits = vec & pivots
-            while hits:
-                low = hits & -hits
-                vec ^= rows[low]
-                hits ^= low
-            if not vec:
-                continue  # already in the row space
-            low = vec & -vec
-            units = []
-            for key, row in rows.items():
-                if row & low:
-                    rows[key] = row = row ^ vec
-                    if row == key:
-                        units.append(key)
-            if vec == low:
-                units.append(low)
-            else:
-                rows[low] = vec
-                pivots |= low
-            if not units:
-                continue
-            for key in units:
-                rows.pop(key, None)
-                decoded |= key
-            pivots &= ~decoded
-            first[done + 1:done + len(units) + 1] = [n] * len(units)
-            done += len(units)
-        if done == k:
-            break
+            if done == k:
+                return first
+            continue
+        row = vec << k | 1 << len(arrivals)
+        top = row.bit_length()
+        while rows[top]:
+            row ^= rows[top]
+            top = row.bit_length()
+        if top > k:  # innovative
+            rows[top] = row
+            arrivals.append(n)
+            if len(arrivals) == k - done:
+                break
+    if not arrivals:
+        return first
+    solved = [0] * k  # the reduced row of each pivot column, by column
+    pivots = 0
+    mask = (1 << k) - 1  # the recipe bits of a row
+    reach = []
+    for row in filter(None, rows):  # lowest key first
+        col = row.bit_length() - k - 1
+        hits = row >> k & pivots
+        if hits:
+            for lower in compress(solved, bit_flags(hits)):
+                row ^= lower
+        if row >> k == 1 << col:
+            reach.append(arrivals[(row & mask).bit_length() - 1])
+        solved[col] = row
+        pivots |= 1 << col
+    reach.sort()
+    first[done + 1:done + len(reach) + 1] = reach
     return first
 
 
@@ -160,10 +186,12 @@ def run_trials(
     the master seed of the derived streams.
 
     Each trial draws the coding vector of every packet, drops packets through
-    the channel, and eliminates the surviving vectors incrementally, noting
-    the first n at which each decoded count is reached (one pass per trial).
-    Trials are independent and carry their own derived streams, so any
-    ``workers`` partitioning yields bit-identical results.
+    the channel, and eliminates the surviving vectors, noting the first n at
+    which each decoded count is reached (one pass per trial). Trials run in
+    contiguous blocks of at most ``BLOCK_TRIALS``, one block per worker if
+    that is fewer, and the counts are integer sums over the blocks. Trials
+    are independent and carry their own derived streams, so any ``workers``
+    partitioning yields bit-identical results.
     """
     if not 0 <= p <= 1:
         raise ValueError(f"erasure probability {p} outside [0, 1]")
@@ -181,25 +209,30 @@ def run_trials(
         raise ValueError(f"bad transmission range [{n_lo}, {n_hi}]")
     sub_seed = scheme_seed(seed, scheme)
     m_tuple = tuple(m_list)
-    step = -(-trials // workers)
+    step = min(-(-trials // workers), BLOCK_TRIALS)
     blocks = [
         (scheme, k, n_hi, p, sub_seed, start, min(start + step, trials), m_tuple)
         for start in range(0, trials, step)
     ]
-    if workers == 1:
-        counted = list(map(_count_block, blocks))
-    else:
-        # Imported here: the pool's 35 modules would add about a quarter
-        # to the start-up of every single-process run.
-        from concurrent.futures import ProcessPoolExecutor
+    totals = [[0] * (n_hi + 1) for _ in m_tuple]
+    pool = None
+    try:
+        if workers == 1:
+            counted = map(_count_block, blocks)
+        else:
+            # Imported here: the pool's 35 modules would add about a quarter
+            # to the start-up of every single-process run.
+            from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            counted = list(pool.map(_count_block, blocks))
-        finally:  # an interrupted run drops the blocks not yet started
+            pool = ProcessPoolExecutor(max_workers=workers)
+            counted = pool.map(_count_block, blocks)
+        for counts in counted:  # add the blocks up per (M, n)
+            for total, row in zip(totals, counts):
+                total[:] = map(add, total, row)
+    finally:
+        if pool is not None:  # an interrupted run drops the blocks not yet started
             pool.shutdown(cancel_futures=True)
-    # counted[block][m][n]: add the blocks up per (M, n).
-    return [[sum(col) for col in zip(*rows)][n_lo:] for rows in zip(*counted)]
+    return [total[n_lo:] for total in totals]
 
 
 def bench_decoders(

@@ -14,6 +14,10 @@ mask one lowest set bit at a time, the loop that the C-level mask walks of
 ``gf2.bit_flags`` and ``codec.combine_words`` must equal.
 ``min_packets_for_target`` is the paper's N_hat = min{N : P(N) >= P_hat} as
 a plain linear search, the judge of the CLI's one first-N scan.
+``rref_first_reach`` is the simulator's trial kernel kept in its earlier
+form, which holds the received row space fully reduced after every arrival,
+as ``codec.ProgressiveDecoder`` does; it judges the forward-echelon kernel
+``simulator._first_reach``.
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ from itertools import combinations, product
 from math import comb
 from typing import Iterable
 
+from sysnc.codec import coding_word
 from sysnc.gf2 import CodingVector, DimensionError
+from sysnc.simulator import derive_stream
 
 
 def set_bits(word: int) -> list[int]:
@@ -313,3 +319,65 @@ def min_packets_for_target(
         if prob_fn(n) >= p_hat:
             return n
     return None
+
+
+def rref_first_reach(
+    scheme: str, k: int, n_hi: int, p: float, seed: int, trial_index: int
+) -> list[int]:
+    """For each count c in [0, k], the first n in [0, n_hi] at which one
+    trial has c packets decoded, or n_hi + 1 if it never gets there.
+
+    Which packets are decodable depends only on the received coding vectors,
+    so the state is their row space alone, in the reduced form of the
+    :mod:`codec` module docstring that ``ProgressiveDecoder`` keeps too
+    (``decoded``, ``rows`` and ``pivots``), without payloads. An arrival is
+    masked by ``~decoded`` first, so only ``vec & pivots`` needs reducing.
+    Ordered-uncoded sends only unit vectors, so it never keeps a row and its
+    count is the number of distinct ones received.
+    """
+    encoder = derive_stream(seed, trial_index, "encoder")
+    channel = derive_stream(seed, trial_index, "channel").random
+    first = [n_hi + 1] * (k + 1)
+    first[0] = 0
+    done = decoded = pivots = 0
+    rows: dict[int, int] = {}
+    for n in range(1, n_hi + 1):
+        vec = coding_word(scheme, k, n, encoder) & ~decoded
+        if channel() < p or not vec:
+            continue
+        if not rows and not vec & (vec - 1):
+            # A new unit vector and no row to clear its column from.
+            decoded |= vec
+            done += 1
+            first[done] = n
+        else:
+            hits = vec & pivots
+            while hits:
+                low = hits & -hits
+                vec ^= rows[low]
+                hits ^= low
+            if not vec:
+                continue  # already in the row space
+            low = vec & -vec
+            units = []
+            for key, row in rows.items():
+                if row & low:
+                    rows[key] = row = row ^ vec
+                    if row == key:
+                        units.append(key)
+            if vec == low:
+                units.append(low)
+            else:
+                rows[low] = vec
+                pivots |= low
+            if not units:
+                continue
+            for key in units:
+                rows.pop(key, None)
+                decoded |= key
+            pivots &= ~decoded
+            first[done + 1:done + len(units) + 1] = [n] * len(units)
+            done += len(units)
+        if done == k:
+            break
+    return first

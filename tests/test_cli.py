@@ -581,13 +581,11 @@ class TestConfigHandling:
         assert run.stderr.startswith("config error: cannot write stdout")
         assert run.stderr.count("\n") == 1, run.stderr
 
-    @pytest.mark.skipif(os.name != "posix", reason="POSIX signals and sessions")
-    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=pytest.mark.skipif(
-        _CPUS < 2, reason="needs 2 CPUs"))])
-    def test_ctrl_c_exits_130_with_one_line(self, workers):
-        """Ctrl-C sends SIGINT to the whole foreground process group, pool
-        workers included. A run far too long to finish is interrupted once it
-        computes: it exits 130 with one line and no traceback."""
+    @staticmethod
+    def interrupt_long_run(workers, send):
+        """Start a run far too long to finish in its own session, call
+        ``send(pid)`` 1 s in, once it computes, and return its exit code,
+        stderr, stdout and the seconds from the signal to its exit."""
         argv = [sys.executable, "-m", "sysnc.cli", "simulate", "--scheme", "systematic",
                 "--k", "40", "--m", "40", "--n-min", "40", "--n-max", "80", "--p", "0.1",
                 "--trials", "2000000", "--seed", "1", "--workers", str(workers)]
@@ -596,13 +594,39 @@ class TestConfigHandling:
                                 env=env, text=True, start_new_session=True)
         try:
             time.sleep(1.0)  # start-up takes about 50 ms
-            os.killpg(proc.pid, signal.SIGINT)
+            send(proc.pid)
+            sent = time.monotonic()
             out, err = proc.communicate(timeout=60)
+            waited = time.monotonic() - sent
         finally:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
-        assert (proc.returncode, err, out) == (130, "interrupted\n", "")  # 128 + SIGINT
+        return proc.returncode, err, out, waited
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX signals and sessions")
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=pytest.mark.skipif(
+        _CPUS < 2, reason="needs 2 CPUs"))])
+    def test_ctrl_c_exits_130_with_one_line(self, workers):
+        """Ctrl-C sends SIGINT to the whole foreground process group, pool
+        workers included. A run far too long to finish is interrupted once it
+        computes: it exits 130 with one line and no traceback."""
+        code, err, out, _ = self.interrupt_long_run(
+            workers, lambda pid: os.killpg(pid, signal.SIGINT))
+        assert (code, err, out) == (130, "interrupted\n", "")  # 128 + SIGINT
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX signals and sessions")
+    @pytest.mark.skipif(_CPUS < 2, reason="needs 2 CPUs")
+    def test_sigint_to_the_parent_alone_waits_one_block(self):
+        """``kill -INT <pid>`` interrupts the parent but not its pool workers,
+        and the pool cannot stop a block a worker has started. Blocks of at
+        most ``simulator.BLOCK_TRIALS`` trials (about 0.05 s each here) bound
+        the wait: exit 130 with one line within 5 s of the signal, where one
+        block per worker would run on for about half a minute."""
+        code, err, out, waited = self.interrupt_long_run(
+            2, lambda pid: os.kill(pid, signal.SIGINT))
+        assert (code, err, out) == (130, "interrupted\n", "")
+        assert waited < 5.0, waited
 
 
 # Small valid commands, so that fuzzed flags appended to them reach past the

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import rref_decodable_set
+from oracles import rref_decodable_set, rref_first_reach
 from sysnc.analysis import full_decode_prob, ou_partial_decode_prob
 from sysnc.codec import (
     SCHEME_ENCODERS,
@@ -18,6 +20,7 @@ from sysnc.simulator import (
     scheme_seed,
     _count_block,
     _first_reach,
+    _mix,
 )
 
 
@@ -49,6 +52,11 @@ class TestStreams:
     def test_scheme_seed_separates_schemes(self):
         seeds = {scheme_seed(11, s) for s in SCHEMES}
         assert len(seeds) == len(SCHEMES)
+
+    def test_mixed_seeds_are_frozen(self):
+        """Every simulated byte hangs on these hashes of the labels."""
+        assert _mix("encoder", 12345678, 77) == 17510146567738611529
+        assert scheme_seed(20150501, "straightforward") == 12864699377442434980
 
     def test_message_fixed(self):
         assert make_test_message(3, 8).packets == make_test_message(3, 8).packets
@@ -116,6 +124,53 @@ class TestTrialPaths:
         assert _count_block(block) == success
 
 
+def received(scheme, k, n_hi, p, seed, trial):
+    """(n, coding word) of each packet of one trial that the channel lets
+    through, replayed from the trial's derived streams."""
+    encoder = derive_stream(seed, trial, "encoder")
+    channel = derive_stream(seed, trial, "channel").random
+    sent = [(n, coding_word(scheme, k, n, encoder)) for n in range(1, n_hi + 1)]
+    return [(n, vec) for n, vec in sent if channel() >= p]
+
+
+class TestForwardEchelonKernel:
+    """The forward-echelon kernel against its earlier form, which keeps the
+    row space fully reduced after every arrival (``rref_first_reach``)."""
+
+    def test_matches_rref_kernel_on_random_configs(self):
+        rng = random.Random(1501)
+        for _ in range(2000):
+            scheme = rng.choice(SCHEMES)
+            k = rng.choice([1, 2, 3, 5, 8, 13, 40, 63, 64, 65, 100, 128])
+            n_hi = rng.randint(1, 3 * k + 5)
+            p = rng.choice([0.0, 0.1, 0.3, 0.5, 0.9, 1.0])
+            args = (scheme, k, n_hi, p, rng.getrandbits(32), rng.randrange(10**6))
+            assert _first_reach(*args) == rref_first_reach(*args), args
+
+    def test_unit_vectors_after_coded_rows(self):
+        """Three coded packets, then e_4 decodes packet 4 on its own at n=4,
+        and e_3 at n=6 completes the rank."""
+        args = ("straightforward", 5, 12, 0.1, 2015, 5)
+        assert received(*args)[:5] == [
+            (1, 0b10111), (2, 0b1011), (3, 0b10001), (4, 0b1000), (6, 0b100)
+        ]
+        assert _first_reach(*args) == rref_first_reach(*args) == [0, 4, 6, 6, 6, 6]
+
+    def test_trial_ending_below_full_rank(self):
+        """Seven packets arrive at K=8, so the rank stays below 8, yet four
+        packets are decoded, at n = 4, 5, 10 and 12."""
+        args = ("straightforward", 8, 12, 0.3, 2015, 0)
+        assert len(received(*args)) == 7
+        expected = [0, 4, 5, 10, 12, 13, 13, 13, 13]
+        assert _first_reach(*args) == rref_first_reach(*args) == expected
+
+    def test_systematic_trial_receiving_every_unit_vector(self):
+        """No loss: the K systematic packets decode one each, and the trial
+        stops at n = K."""
+        args = ("systematic", 6, 20, 0.0, 2015, 3)
+        assert _first_reach(*args) == rref_first_reach(*args) == list(range(7))
+
+
 class TestRunTrials:
     def test_lossless_systematic_is_certain_at_n_equal_k(self):
         [counts] = run_trials("systematic", 3, [3], (3, 5), 0.0, 1, trials=50)
@@ -150,6 +205,12 @@ class TestRunTrials:
         for trials in (1, 601):
             args = ("straightforward", 5, [3, 5], (5, 10), 0.2, 99, trials)
             assert run_trials(*args) == run_trials(*args, workers=2)
+
+    def test_capped_blocks_add_up_to_the_same_counts(self, monkeypatch):
+        args = ("straightforward", 5, [3, 5], (5, 10), 0.2, 99, 601)
+        whole = run_trials(*args)
+        monkeypatch.setattr(simulator, "BLOCK_TRIALS", 7)  # 86 blocks
+        assert run_trials(*args) == run_trials(*args, workers=2) == whole
 
     def test_systematic_estimate_matches_analysis(self):
         # frozen expectation 0.891 (exact 891/1000); a million-trial run has
