@@ -42,22 +42,51 @@ class ConfigError(ValueError):
     """Configuration that violates a precondition of the requested operation."""
 
 
-# Scalar type and default of each config field; "m" and "p" hold tuples of
-# their type.
+# Each config field: its scalar type, its default when missing or None, and
+# the subcommands that read it, from the flag ``--<key>`` (``_`` written
+# ``-``) or the config file's key. "m" and "p" hold tuples of their type,
+# given on the command line comma-separated. "mode" is the subcommand itself.
+_CURVES = ("analyze", "simulate", "metrics")
+_SEEDED = ("simulate", "metrics", "bench")
 _FIELDS = {
-    "mode": (str, None), "scheme": (str, None), "k": (int, None), "m": (int, ()),
-    "n_min": (int, None), "n_max": (int, None), "p": (float, ()), "q": (int, 2),
-    "trials": (int, None), "seed": (int, None), "p_hat": (float, None),
-    "out": (str, None), "workers": (int, 1),
+    "mode": (str, None, ()),
+    "scheme": (str, None, _CURVES),
+    "k": (int, None, MODES),
+    "m": (int, (), _CURVES),
+    "n_min": (int, None, ("analyze", "simulate")),
+    "n_max": (int, None, _CURVES),
+    "p": (float, (), _CURVES),
+    "q": (int, 2, ("analyze", "metrics")),
+    "trials": (int, None, _SEEDED),
+    "seed": (int, None, _SEEDED),
+    "p_hat": (float, None, ("metrics",)),
+    "out": (str, None, MODES),
+    "workers": (int, 1, _CURVES),
 }
+_LISTS = ("m", "p")
+_HELP = {
+    "m": "comma-separated thresholds",
+    "n": "shorthand for --n-min N --n-max N",
+    "p": "comma-separated probabilities",
+    "trials": "trials (repetitions for bench)",
+}
+
+
+def _keys(mode: str) -> list[str]:
+    """The config keys ``mode`` reads, one per flag but ``--config``: those of
+    its fields, and ``n`` wherever it reads the N range ``n`` sets."""
+    keys = [key for key, (_, _, modes) in _FIELDS.items() if mode in modes]
+    if "n_min" in keys:
+        keys.insert(keys.index("n_min"), "n")
+    return keys
 
 
 def _typed(key: str, value):
     kind = _FIELDS[key][0]
     fits = lambda x: type(x) is kind or (kind is float and type(x) is int)
-    if key not in ("m", "p") and fits(value):
+    if key not in _LISTS and fits(value):
         return value
-    if key in ("m", "p") and isinstance(value, (list, tuple)) and all(map(fits, value)):
+    if key in _LISTS and isinstance(value, (list, tuple)) and all(map(fits, value)):
         return tuple(kind(x) for x in value)
     raise ConfigError(f"config value {key}={value!r} has the wrong type")
 
@@ -70,12 +99,21 @@ class ExperimentConfig(argparse.Namespace):
         unknown = values.keys() - _FIELDS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, (_, default) in _FIELDS.items():
+        for key, (_, default, _) in _FIELDS.items():
             value = values.get(key)
             setattr(self, key, default if value is None else _typed(key, value))
 
 
+def _no_closed_form(cfg: ExperimentConfig) -> bool:
+    """Straightforward recovery of some M < K has no closed form; only the
+    simulator estimates it."""
+    return cfg.scheme == "straightforward" and any(m < cfg.k for m in cfg.m)
+
+
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
+    """Check ``cfg`` against every rule of its subcommand, and fill in the
+    defaults derived from its other fields, so that the ``cmd_*`` functions
+    only compute."""
     if cfg.k is None:
         raise ConfigError("--k is required")
     if cfg.k < 1:
@@ -96,11 +134,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         out_dir = os.path.dirname(os.path.abspath(cfg.out))
         if not cfg.out or os.path.isdir(cfg.out) or not os.access(out_dir, os.W_OK):
             raise ConfigError(f"cannot write --out {cfg.out!r}")
-    simulates = cfg.mode == "simulate" or (
-        cfg.mode == "metrics"
-        and cfg.scheme == "straightforward"
-        and any(m < cfg.k for m in cfg.m)
-    )
+    simulates = cfg.mode == "simulate" or (cfg.mode == "metrics" and _no_closed_form(cfg))
     if (simulates or cfg.mode == "bench") and cfg.k > MAX_LENGTH:
         raise ConfigError(f"K={cfg.k} exceeds the decoder limit of {MAX_LENGTH}")
     if cfg.mode in ("analyze", "metrics") and cfg.k > MAX_CLOSED_FORM_K:
@@ -112,10 +146,12 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if simulates and cfg.q != 2:
         raise ConfigError(f"the simulator is GF(2) only; q={cfg.q} is not supported")
     if cfg.mode == "bench":
-        reps = cfg.trials if cfg.trials is not None else DEFAULT_REPETITIONS
-        if reps < 1:
+        if cfg.trials is None:
+            cfg.trials = DEFAULT_REPETITIONS
+        if cfg.trials < 1:
             raise ConfigError("repetitions (--trials) must be at least 1")
-        return ExperimentConfig(**{**vars(cfg), "trials": reps, "seed": cfg.seed or 0})
+        cfg.seed = cfg.seed or 0
+        return cfg
     if cfg.scheme is None:
         raise ConfigError("--scheme is required")
     if cfg.scheme not in SCHEMES:
@@ -137,6 +173,17 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError("--n (or --n-min/--n-max) is required")
         if not 1 <= cfg.n_min <= cfg.n_max:
             raise ConfigError(f"bad N range [{cfg.n_min}, {cfg.n_max}]")
+    if cfg.mode == "analyze":
+        if _no_closed_form(cfg):
+            raise ConfigError(
+                "straightforward partial recovery has no closed form; use simulate"
+            )
+        for m in cfg.m:
+            if cfg.scheme != "ordered-uncoded" and m > cfg.n_max:
+                raise ConfigError(
+                    f"no valid N in [{cfg.n_min}, {cfg.n_max}] for "
+                    f"scheme={cfg.scheme}, M={m}"
+                )
     if simulates:
         if cfg.trials is None or cfg.trials < 1:
             raise ConfigError("--trials must be at least 1")
@@ -149,6 +196,10 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError("--p-hat is required")
         if not 0 < cfg.p_hat <= 1:
             raise ConfigError(f"target probability {cfg.p_hat:g} outside (0, 1]")
+        if cfg.n_max is None:
+            cfg.n_max = SEARCH_CAP_FACTOR * cfg.k
+        if cfg.n_max < cfg.k:
+            raise ConfigError(f"search cap {cfg.n_max} is below K={cfg.k}")
     return cfg
 
 
@@ -229,16 +280,6 @@ def _first_n(rows, p_hat: float, columns: int) -> dict[tuple[int, float], int]:
 
 def cmd_analyze(cfg: ExperimentConfig) -> list[str]:
     assert cfg.scheme and cfg.k and cfg.n_min and cfg.n_max
-    if cfg.scheme == "straightforward" and any(m < cfg.k for m in cfg.m):
-        raise ConfigError(
-            "straightforward partial recovery has no closed form; use simulate"
-        )
-    for m in cfg.m:
-        if cfg.scheme != "ordered-uncoded" and m > cfg.n_max:
-            raise ConfigError(
-                f"no valid N in [{cfg.n_min}, {cfg.n_max}] for "
-                f"scheme={cfg.scheme}, M={m}"
-            )
     rows = _closed_form_rows(cfg, cfg.m, cfg.n_min, cfg.n_max)
     lines = ["scheme,K,M,N,p,q,prob,kind"]
     lines.extend(
@@ -262,23 +303,20 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
 
 
 def cmd_metrics(cfg: ExperimentConfig) -> list[str]:
-    assert cfg.scheme and cfg.k and cfg.p_hat
+    assert cfg.scheme and cfg.k and cfg.p_hat and cfg.n_max
     k, p_hat = cfg.k, cfg.p_hat
-    n_cap = cfg.n_max if cfg.n_max is not None else SEARCH_CAP_FACTOR * k
-    if n_cap < k:
-        raise ConfigError(f"search cap {n_cap} is below K={k}")
     cell = lambda v: "unreachable" if v is None else str(v)
     ps = len(set(cfg.p))
     # Full recovery does not depend on M; for M = K it is the partial value too.
-    n_fulls = _first_n(_closed_form_rows(cfg, (k,), k, n_cap), p_hat, ps)
+    n_fulls = _first_n(_closed_form_rows(cfg, (k,), k, cfg.n_max), p_hat, ps)
     # The M < K targets are a scan of their own, so that a target never reached
     # (the approximation's plateau) does not keep the full-recovery rows
     # computing up to the cap.
     partial = sorted({m for m in cfg.m if m < k})
     n_partials = {}
     if partial:
-        source = _simulated_rows if cfg.scheme == "straightforward" else _closed_form_rows
-        scan = source(cfg, partial, partial[0], n_cap)
+        source = _simulated_rows if _no_closed_form(cfg) else _closed_form_rows
+        scan = source(cfg, partial, partial[0], cfg.n_max)
         n_partials = _first_n(scan, p_hat, len(partial) * ps)
     rows = []
     for p in cfg.p:
@@ -319,41 +357,6 @@ _COMMANDS = {
 }
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(","))
-
-
-# The flags each subcommand reads; it rejects any other.
-_FLAGS = {
-    "scheme": dict(choices=SCHEMES),
-    "k": dict(type=int),
-    "m": dict(type=_int_list, help="comma-separated thresholds"),
-    "n": dict(type=int, help="shorthand for --n-min N --n-max N"),
-    "n-min": dict(type=int),
-    "n-max": dict(type=int),
-    "p": dict(type=_float_list, help="comma-separated probabilities"),
-    "q": dict(type=int),
-    "trials": dict(type=int, help="trials (repetitions for bench)"),
-    "seed": dict(type=int),
-    "p-hat": dict(type=float),
-    "out": dict(),
-    "config": dict(dest="config_file"),
-    "workers": dict(type=int),
-}
-_SWEEP = ("scheme", "k", "m", "n", "n-min", "n-max", "p", "q")
-_MODE_FLAGS = {
-    "analyze": (*_SWEEP, "out", "config", "workers"),
-    "simulate": (*_SWEEP, "trials", "seed", "out", "config", "workers"),
-    "metrics": ("scheme", "k", "m", "n-max", "p", "q", "trials", "seed", "p-hat",
-                "out", "config", "workers"),
-    "bench": ("k", "trials", "seed", "out", "config"),
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line as a ConfigError, so that ``main``
     prints it as its one ``config error:`` line and exits 2."""
@@ -371,9 +374,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="mode", required=True)
     for mode in MODES:
         sp = sub.add_parser(mode, allow_abbrev=False)
-        for flag in _MODE_FLAGS[mode]:
-            sp.add_argument(f"--{flag}", **_FLAGS[flag])
+        for key in _keys(mode):
+            kind = _FIELDS["n_max" if key == "n" else key][0]
+            if key in _LISTS:
+                kind = _comma_list(kind)
+            choices = SCHEMES if key == "scheme" else None
+            sp.add_argument(f"--{key.replace('_', '-')}", type=kind, choices=choices,
+                            help=_HELP.get(key))
+        sp.add_argument("--config", dest="config_file")
     return parser
+
+
+def _comma_list(kind):
+    parse = lambda text: tuple(kind(x) for x in text.split(","))
+    parse.__name__ = f"comma-separated {kind.__name__}"  # argparse's error names it
+    return parse
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -390,10 +405,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ConfigError("config file must hold a JSON object")
-        readable = {
-            flag.replace("-", "_") for flag in _MODE_FLAGS[args.mode] if flag != "config"
-        }
-        unread = sorted(set(file_values) - readable)
+        unread = sorted(set(file_values) - set(_keys(args.mode)))
         if unread:
             raise ConfigError(f"config keys not read by {args.mode}: {unread}")
     flag_values = {

@@ -19,7 +19,7 @@ from sysnc.cli import (
     EXIT_OK,
     MODES,
     ExperimentConfig,
-    _FLAGS,
+    build_parser,
     main,
 )
 from sysnc.simulator import run_trials
@@ -402,6 +402,31 @@ class TestConfigHandling:
         assert ExperimentConfig(**json.loads(json.dumps(raw))) == cfg
         assert ExperimentConfig(**{**raw, "k": 5}) != cfg
 
+    @pytest.mark.parametrize("mode,flags", [
+        ("analyze", "--scheme --k --m --n --n-min --n-max --p --q --out --workers --config"),
+        ("simulate", "--scheme --k --m --n --n-min --n-max --p --trials --seed --out "
+                     "--workers --config"),
+        ("metrics", "--scheme --k --m --n-max --p --q --trials --seed --p-hat --out "
+                    "--workers --config"),
+        ("bench", "--k --trials --seed --out --config"),
+    ])
+    def test_config_file_keys_are_the_flags(self, mode, flags, tmp_path, capsys):
+        """Each subcommand takes its flags, and a config file the same keys,
+        ``-`` written ``_`` (``n`` too, where it takes ``--n``), but no
+        ``config``: a file naming any other flag or field is rejected."""
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, cli.argparse._SubParsersAction)).choices[mode]
+        taken = [s for a in sub._actions for s in a.option_strings if s.startswith("--")]
+        assert sorted(taken) == sorted(flags.split() + ["--help"])
+        readable = {flag[2:].replace("-", "_") for flag in flags.split()} - {"config"}
+        path = tmp_path / "cfg.json"
+        for key in {*cli._FIELDS, "n", "config", "help"}:
+            path.write_text(json.dumps({key: None}))
+            code, _, err = run_cli([mode, "--config", str(path)], capsys)
+            assert code == EXIT_CONFIG
+            assert (err == f"config error: config keys not read by {mode}: [{key!r}]\n") == (
+                key not in readable), (key, err)
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
@@ -526,6 +551,8 @@ class TestConfigHandling:
             ["metrics", "--scheme", "ordered-uncoded", "--k", "4", "--m", "2", "--p", "0.1", "--p-hat", "0.7", "--seed", "3"],
             # the subcommand is the mode; a config file cannot name another
             ["analyze", "--scheme", "systematic", "--m", "2", "--n", "3", "--p", "0.1", {"mode": "simulate", "k": 2}],
+            # simulate takes no --q: the simulator is GF(2) only
+            ["simulate", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--trials", "1", "--seed", "1", "--q", "2"],
         ],
     )
     def test_config_errors_exit_2(self, bad, tmp_path, capsys, monkeypatch):
@@ -639,7 +666,8 @@ _BASES = {
                 "--p-hat", "0.5", "--trials", "3", "--seed", "1"],
     "bench": ["--k", "2", "--trials", "1"],
 }
-_FLAG_TOKENS = [f"--{flag}" for flag in _FLAGS] + ["--bogus", "--n-m", "-k", "-h"]
+_FLAG_TOKENS = sorted({f"--{key.replace('_', '-')}" for mode in MODES for key in cli._keys(mode)})
+_FLAG_TOKENS += ["--config", "--bogus", "--n-m", "-k", "-h"]
 _VALUES = ["0", "1", "2", "3", "0.1", "0.5", "2,3", "0,0.3", "systematic",
            "straightforward", "ordered-uncoded"]
 _GARBAGE = ["-1", "1.5", "nan", "inf", "1e3", "1,,2", "", ",", "x"]
