@@ -311,22 +311,22 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[str]:
     n_fulls = _first_n(_closed_form_rows(cfg, (k,), k, cfg.n_max), p_hat, ps)
     # The M < K targets are a scan of their own, so that a target never reached
     # (the approximation's plateau) does not keep the full-recovery rows
-    # computing up to the cap.
+    # computing. Recovering all K packets recovers any M, so once every
+    # full-recovery target is found, no partial one is read past the last.
     partial = sorted({m for m in cfg.m if m < k})
     n_partials = {}
     if partial:
+        n_hi = max(n_fulls.values()) if len(n_fulls) == ps else cfg.n_max
         source = _simulated_rows if _no_closed_form(cfg) else _closed_form_rows
-        scan = source(cfg, partial, partial[0], cfg.n_max)
+        scan = source(cfg, partial, partial[0], n_hi)
         n_partials = _first_n(scan, p_hat, len(partial) * ps)
     rows = []
     for p in cfg.p:
         n_full = n_fulls.get((k, p))
         for m in cfg.m:
-            n_partial = n_full if m == k else n_partials.get((m, p))
-            if cfg.scheme == "straightforward" and n_full is not None:
-                # Full recovery recovers any M, so a simulated estimate's
-                # sampling noise may not put partial recovery past it.
-                n_partial = n_full if n_partial is None else min(n_partial, n_full)
+            # N_hat_full bounds N_hat_partial: where the approximation plateaus
+            # below P_hat, or a simulated estimate's sampling noise lags.
+            n_partial = min(filter(None, (n_partials.get((m, p)), n_full)), default=None)
             delta = analysis.delta_n(n_partial, n_full)
             rows.append((m, p, cell(n_partial), cell(n_full), cell(delta)))
     lines = ["scheme,K,M,p,P_hat,N_hat_partial,N_hat_full,delta_N"]
