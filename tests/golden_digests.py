@@ -116,11 +116,11 @@ GOLDEN = {
         "4360045e978e3ea1865b4ec2f48f6f93c197b701103bd08d600993dbeb93460c",
     ),
     # The approximation plateaus below P_hat for M = 19, and for M = 10 at
-    # p = 0.3, so those cells search up to the cap.
+    # p = 0.3, so full recovery's N_hat bounds those cells.
     "metrics-systematic-plateau-q3": (
         ("metrics", "--scheme", "systematic", "--k", "20", "--m", "10,19,20",
          "--p", "0.1,0.3", "--p-hat", "0.99", "--q", "3"),
-        "2097b94851d5bdcbc9ee0a2594aaae54d5dd7ed2014a5cfc04759a35da858989",
+        "756a8d226375507b472c19201028e671b65e58dc0364371906f886a86053bd4e",
     ),
     # An --n-max above partial recovery's target and below full recovery's.
     "metrics-systematic-capped": (
@@ -149,7 +149,7 @@ GOLDEN = {
     "metrics-systematic-repeated-p-hat-1": (
         ("metrics", "--scheme", "systematic", "--k", "6", "--m", "3,6,3",
          "--p", "0.3,0,0.3,1", "--p-hat", "1", "--n-max", "200"),
-        "5fde8dbf7697cebc099ba322b79ab5b7b8428c596e0d835d0a09c759e1e20087",
+        "9136c0f141ec874c401ee2af7d6a4116ddbdddb490e6f163fd263e8f96f2b003",
     ),
     # p = 0 and p = 1 leave one nonzero channel weight per N, in both the
     # M < K approximation and the full-recovery average, past n = 64 too.
