@@ -253,13 +253,9 @@ def decode_prob_ratio(k: int, r: int, n: int, q: int = 2) -> float:
     """How much likelier full recovery from r arrivals is with the systematic
     scheme than with the straightforward one. Exceeds 1 for every finite n
     and tends to 1 as n - k grows."""
-    w = full_rank_prob(k, r, q)
-    if w == 0.0:
-        # Every factor of the rank product is positive for r >= k >= 1.
-        raise InvariantViolation(
-            f"full-rank probability vanished at k={k}, r={r}, q={q}"
-        )
-    return cond_full_decode_prob(k, r, n, q) / w
+    cond = cond_full_decode_prob(k, r, n, q)  # checks 1 <= k <= r <= n first
+    # The divisor is W(k, r) >= prod_{j>=1} (1 - 2^-j) > 0.2887 on that domain.
+    return cond / full_rank_prob(k, r, q)
 
 
 def delta_n(n_partial: int | None, n_full: int | None) -> int | None:

@@ -384,6 +384,13 @@ class TestDecodeProbRatio:
         for n in range(35, 60, 5):
             assert 1.0 < decode_prob_ratio(5, 10, n, 2) < 1.05
 
+    def test_domain(self):
+        # a caller's bad arguments are its error, not a broken invariant
+        with pytest.raises(ValueError):
+            decode_prob_ratio(3, 2, 4)  # r < k
+        with pytest.raises(ValueError):
+            decode_prob_ratio(2, 4, 3)  # r > n
+
 
 class TestBinomials:
     @pytest.mark.parametrize("k,n", [(3, 10), (5, 8), (4, 4), (6, 9)])
