@@ -14,11 +14,9 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize(
     "script,args,outputs",
     [
-        ("validation_curves.py", ["--k", "4", "--trials", "50"],
-         ["validation_analytic_k4.csv", "validation_simulated_k4.csv"]),
         ("scheme_metrics.py", ["--k", "4", "--trials", "50"], ["scheme_metrics.csv"]),
     ],
-    ids=["validation_curves", "scheme_metrics"],
+    ids=["scheme_metrics"],
 )
 def test_script_writes_csv(script, args, outputs, tmp_path):
     env = dict(os.environ)
