@@ -42,14 +42,12 @@ class ConfigError(ValueError):
     """Configuration that violates a precondition of the requested operation."""
 
 
-# Each config field: its scalar type, its default when missing or None, and
-# the subcommands that read it, from the flag ``--<key>`` (``_`` written
-# ``-``) or the config file's key. "m" and "p" hold tuples of their type,
-# given on the command line comma-separated. "mode" is the subcommand itself.
+# Each config field: its scalar type ("m" and "p" hold tuples of it, given
+# comma-separated as flags), its default when missing or None, and the
+# subcommands that read it as the flag --<key> (_ written -) or a config key.
 _CURVES = ("analyze", "simulate", "metrics")
-_SEEDED = ("simulate", "metrics", "bench")
 _FIELDS = {
-    "mode": (str, None, ()),
+    "mode": (str, None, ()),  # the subcommand itself
     "scheme": (str, None, _CURVES),
     "k": (int, None, MODES),
     "m": (int, (), _CURVES),
@@ -57,8 +55,8 @@ _FIELDS = {
     "n_max": (int, None, _CURVES),
     "p": (float, (), _CURVES),
     "q": (int, 2, ("analyze", "metrics")),
-    "trials": (int, None, _SEEDED),
-    "seed": (int, None, _SEEDED),
+    "trials": (int, None, ("simulate", "metrics", "bench")),
+    "seed": (int, None, ("simulate", "metrics", "bench")),
     "p_hat": (float, None, ("metrics",)),
     "out": (str, None, MODES),
     "workers": (int, 1, _CURVES),
@@ -146,8 +144,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if simulates and cfg.q != 2:
         raise ConfigError(f"the simulator is GF(2) only; q={cfg.q} is not supported")
     if cfg.mode == "bench":
-        if cfg.trials is None:
-            cfg.trials = DEFAULT_REPETITIONS
+        cfg.trials = DEFAULT_REPETITIONS if cfg.trials is None else cfg.trials
         if cfg.trials < 1:
             raise ConfigError("repetitions (--trials) must be at least 1")
         cfg.seed = cfg.seed or 0
@@ -178,12 +175,9 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(
                 "straightforward partial recovery has no closed form; use simulate"
             )
-        for m in cfg.m:
-            if cfg.scheme != "ordered-uncoded" and m > cfg.n_max:
-                raise ConfigError(
-                    f"no valid N in [{cfg.n_min}, {cfg.n_max}] for "
-                    f"scheme={cfg.scheme}, M={m}"
-                )
+        if cfg.scheme != "ordered-uncoded" and max(cfg.m) > cfg.n_max:
+            raise ConfigError(f"no valid N in [{cfg.n_min}, {cfg.n_max}] for "
+                              f"scheme={cfg.scheme}, M={max(cfg.m)}")
     if simulates:
         if cfg.trials is None or cfg.trials < 1:
             raise ConfigError("--trials must be at least 1")
@@ -196,8 +190,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError("--p-hat is required")
         if not 0 < cfg.p_hat <= 1:
             raise ConfigError(f"target probability {cfg.p_hat:g} outside (0, 1]")
-        if cfg.n_max is None:
-            cfg.n_max = SEARCH_CAP_FACTOR * cfg.k
+        cfg.n_max = SEARCH_CAP_FACTOR * cfg.k if cfg.n_max is None else cfg.n_max
         if cfg.n_max < cfg.k:
             raise ConfigError(f"search cap {cfg.n_max} is below K={cfg.k}")
     return cfg
@@ -311,15 +304,13 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[str]:
     n_fulls = _first_n(_closed_form_rows(cfg, (k,), k, cfg.n_max), p_hat, ps)
     # The M < K targets are a scan of their own, so that a target never reached
     # (the approximation's plateau) does not keep the full-recovery rows
-    # computing. Recovering all K packets recovers any M, so once every
-    # full-recovery target is found, no partial one is read past the last.
+    # computing. Recovering all K packets recovers any M, so once every full
+    # target is found, the partial scan reads nothing past the last of them.
     partial = sorted({m for m in cfg.m if m < k})
-    n_partials = {}
-    if partial:
-        n_hi = max(n_fulls.values()) if len(n_fulls) == ps else cfg.n_max
-        source = _simulated_rows if _no_closed_form(cfg) else _closed_form_rows
-        scan = source(cfg, partial, partial[0], n_hi)
-        n_partials = _first_n(scan, p_hat, len(partial) * ps)
+    n_hi = max(n_fulls.values()) if len(n_fulls) == ps else cfg.n_max
+    source = _simulated_rows if _no_closed_form(cfg) else _closed_form_rows
+    scan = source(cfg, partial, partial[0], n_hi) if partial else ()
+    n_partials = _first_n(scan, p_hat, len(partial) * ps)
     rows = []
     for p in cfg.p:
         n_full = n_fulls.get((k, p))
