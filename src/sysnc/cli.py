@@ -348,6 +348,12 @@ _COMMANDS = {
 }
 
 
+def _comma_list(kind):
+    parse = lambda text: tuple(kind(x) for x in text.split(","))
+    parse.__name__ = f"comma-separated {kind.__name__}"  # argparse's error names it
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line as a ConfigError, so that ``main``
     prints it as its one ``config error:`` line and exits 2."""
@@ -374,12 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help=_HELP.get(key))
         sp.add_argument("--config", dest="config_file")
     return parser
-
-
-def _comma_list(kind):
-    parse = lambda text: tuple(kind(x) for x in text.split(","))
-    parse.__name__ = f"comma-separated {kind.__name__}"  # argparse's error names it
-    return parse
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -414,13 +415,13 @@ class TestConfigHandling:
         ("metrics", "--scheme --k --m --n-max --p --q --trials --seed --p-hat --out "
                     "--workers --config"),
         ("bench", "--k --trials --seed --out --config"),
-    ])
+    ], ids=MODES)
     def test_config_file_keys_are_the_flags(self, mode, flags, tmp_path, capsys):
         """Each subcommand takes its flags, and a config file the same keys,
         ``-`` written ``_`` (``n`` too, where it takes ``--n``), but no
         ``config``: a file naming any other flag or field is rejected."""
         sub = next(a for a in build_parser()._actions
-                   if isinstance(a, cli.argparse._SubParsersAction)).choices[mode]
+                   if isinstance(a, argparse._SubParsersAction)).choices[mode]
         taken = [s for a in sub._actions for s in a.option_strings if s.startswith("--")]
         assert sorted(taken) == sorted(flags.split() + ["--help"])
         readable = {flag[2:].replace("-", "_") for flag in flags.split()} - {"config"}
