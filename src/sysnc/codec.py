@@ -30,15 +30,16 @@ either mask. A nonzero remainder becomes the row of its lowest set bit, that
 bit is cleared from every other row, and a packet is decoded exactly when its
 row is a unit vector. The count-only trial kernel ``simulator._first_reach``
 reads the decode times only once its trial ends, so it keeps a forward
-echelon instead and reduces it once, after the last arrival.
+echelon instead. After the last arrival it solves that echelon for the
+columns of its inverse, latest arrival first, and stops once the counts its
+caller asks for are placed.
 
 Payload folds that select many words by one mask walk the mask in C:
 ``itertools.compress(words, gf2.bit_flags(mask))`` yields the words at the
 set bits of ``mask``, lowest first, from a list indexed by column (bit i
 selects ``words[i]``). The encoder's :func:`combine_words`, the decoder's
-fold of decoded columns over ``_words`` and the back substitutions of
-:func:`full_rank_decode` and of the trial kernel, which folds solved rows
-rather than payloads, are such folds; each costs one XOR per set bit,
+fold of decoded columns over ``_words`` and the back substitution of
+:func:`full_rank_decode` are such folds; each costs one XOR per set bit,
 as a lowest-bit loop would, without its interpreter steps per bit. The
 list must be at least ``mask.bit_length()`` long: ``compress`` stops at the
 shorter input without an error.

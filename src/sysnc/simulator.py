@@ -17,9 +17,11 @@ decodable set, so it builds no payload. The vectors come from
 :func:`codec.coding_word`, the one scheme rule the packet encoders use too.
 The count-only kernel :func:`_first_reach` keeps just the row space, as a
 forward echelon whose rows carry recipe bits that name the arrivals they
-combine. One back substitution after the last arrival then gives the first
-n at which each packet is decoded, and so the first n at which each count is
-reached. The tests hold the kernel to the fully reduced form that
+combine. After the last arrival, triangular solves of that echelon, one per
+arrival taken latest first, give the first n at which each packet is
+decoded, and so the first n at which each count is reached. They stop as
+soon as every count the caller asks for is placed, usually after one or two
+solves. The tests hold the kernel to the fully reduced form that
 :class:`codec.ProgressiveDecoder` keeps after every arrival, and to the
 kernel's earlier form in that shape. :func:`run_trials` returns, for each
 M, the number of trials that decoded at least M packets after each N; a
@@ -31,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from itertools import accumulate, compress
+from itertools import accumulate
 from operator import add
 
 from .codec import (
@@ -43,13 +45,15 @@ from .codec import (
     coding_word,
     full_rank_decode,
 )
-from .gf2 import bit_flags
 
 BENCH_DECODERS = ("ge", "gepd")
 
-# The most trials in one block of run_trials. A pool cannot stop a block once
-# a worker has started it, so this bounds how long an interrupted run waits.
-BLOCK_TRIALS = 1000
+# The most work in one block of run_trials, in trials x n_hi x ceil(k / 64).
+# A pool cannot stop a block once a worker has started it, so this bounds how
+# long an interrupted run waits: a unit takes about 1 us at K=40 and at
+# K=1024, and about 27 us in the tiny trials (K = N = 1) whose stream
+# derivations outweigh it, so no block runs much past a second.
+BLOCK_WORK = 1 << 15
 
 
 def _mix(tag: str, label, index: int) -> int:
@@ -78,10 +82,12 @@ def make_test_message(k: int, payload_len: int) -> SourceMessage:
 
 
 def _first_reach(
-    scheme: str, k: int, n_hi: int, p: float, seed: int, trial_index: int
+    scheme: str, k: int, n_hi: int, p: float, seed: int, trial_index: int, ms
 ) -> list[int]:
-    """For each count c in [0, k], the first n in [0, n_hi] at which one
-    trial has c packets decoded, or n_hi + 1 if it never gets there.
+    """For each count m of ``ms``, entry m of the returned list of k + 1 is
+    the first n in [0, n_hi] at which one trial has m packets decoded, or
+    n_hi + 1 if it never gets there. Entries at other counts may be left at
+    n_hi + 1, an upper bound; ``range(k + 1)`` asks for all of them.
 
     Which packets are decodable depends only on the received coding vectors,
     so no payload is kept. Every arrival is masked by ``~decoded``, the
@@ -95,15 +101,22 @@ def _first_reach(
     ``arrivals[j]``. The rows form a forward echelon keyed by their highest
     coding bit, ``rows[row.bit_length()]``, so an arrival is reduced by one
     XOR per row whose key it holds, and it is dependent when no coding bit is
-    left. One back substitution after the last arrival, lowest key first,
-    brings the rows to reduced form; a column i is decodable exactly when
-    its row is then the unit vector e_i, and the row's recipe bits are then
-    the unique expression of e_i in the stored arrivals, which are
-    independent. e_i lies in the span of the first t arrivals exactly when
-    that expression uses none later, so its packet is first decoded at
-    ``arrivals[recipe.bit_length() - 1]``. Masking projects out the columns
-    decoded before, and since all their unit vectors arrived before any
-    stored row, the projection hides no earlier decode.
+    left. The stored arrivals A are independent and the echelon is E = L·A,
+    with L the recipe bits, unit lower triangular. A decodable column c has
+    one expression e_c = x·A, and its packet is first decoded at
+    ``arrivals[j]`` for the highest j with x_j = 1. That bit x_j is y_j[c],
+    where y_j solves E·y = (recipe bit j of each row) with its free
+    (non-pivot) coordinates 0: one solve in ascending key order, one parity
+    per row. A free live column f counts as a unit vector sent after n_hi:
+    its solve (E·z = 0, z_f = 1) covers exactly the columns never decoded.
+    The sources go latest first, the free columns and then the stored
+    arrivals from the last, each placing at its time the columns it covers
+    that no later source did. They stop once fewer columns are left
+    unplaced than the smallest m - done over the m of ``ms`` above the
+    unit-vector count ``done``, since every count asked for is then placed.
+    Masking projects out the columns decoded before, and since all their
+    unit vectors arrived before any stored row, the projection hides no
+    earlier decode.
     """
     encoder = derive_stream(seed, trial_index, "encoder")
     channel = derive_stream(seed, trial_index, "channel").random
@@ -134,35 +147,48 @@ def _first_reach(
             arrivals.append(n)
             if len(arrivals) == k - done:
                 break
-    if not arrivals:
+    need = min((m - done for m in ms if m > done), default=0)
+    if not arrivals or not need:
         return first
-    solved = [0] * k  # the reduced row of each pivot column, by column
-    pivots = 0
-    mask = (1 << k) - 1  # the recipe bits of a row
-    reach = []
-    for row in filter(None, rows):  # lowest key first
-        col = row.bit_length() - k - 1
-        hits = row >> k & pivots
-        if hits:
-            for lower in compress(solved, bit_flags(hits)):
-                row ^= lower
-        if row >> k == 1 << col:
-            reach.append(arrivals[(row & mask).bit_length() - 1])
-        solved[col] = row
-        pivots |= 1 << col
-    reach.sort()
-    first[done + 1:done + len(reach) + 1] = reach
+    # (coding bits, key bit, row) of each stored row, lowest key first
+    stored = [(row >> k, 1 << row.bit_length() - k - 1, row) for row in rows if row]
+
+    def solve(x: int, j: int) -> int:
+        for coding, key, row in stored:
+            if ((coding & x).bit_count() ^ row >> j) & 1:
+                x |= key
+        return x
+
+    unplaced = free = ((1 << k) - 1) ^ decoded
+    for _, key, _ in stored:
+        free ^= key
+    left = k - done  # unplaced.bit_count()
+    j = len(arrivals)  # no row holds recipe bit j: a free column's zero side
+    while free and left >= need:
+        col = free & -free
+        free ^= col
+        placed = solve(col, j) & unplaced  # never decoded: first stays n_hi + 1
+        unplaced ^= placed
+        left -= placed.bit_count()
+    while left >= need:
+        j -= 1
+        placed = solve(0, j) & unplaced
+        unplaced ^= placed
+        count = placed.bit_count()
+        first[done + left - count + 1:done + left + 1] = [arrivals[j]] * count
+        left -= count
     return first
 
 
 def _count_block(args) -> list[list[int]]:
     """Success counts per (M, n) for a contiguous block of trials (worker
-    unit): each trial adds one hit per M at the first n that reaches it, and
-    one prefix sum over n turns hits into counts."""
+    unit): each trial adds one hit per M at the first n that reaches it,
+    asking its kernel for the M of ``m_list`` alone, and one prefix sum over
+    n turns hits into counts."""
     scheme, k, n_hi, p, seed, start, stop, m_list = args
     hits = [[0] * (n_hi + 2) for _ in m_list]  # index n_hi + 1: never reached
     for trial in range(start, stop):
-        first = _first_reach(scheme, k, n_hi, p, seed, trial)
+        first = _first_reach(scheme, k, n_hi, p, seed, trial, m_list)
         for row, m in zip(hits, m_list):
             row[first[m]] += 1
     return [list(accumulate(row[:n_hi + 1])) for row in hits]
@@ -187,11 +213,12 @@ def run_trials(
 
     Each trial draws the coding vector of every packet, drops packets through
     the channel, and eliminates the surviving vectors, noting the first n at
-    which each decoded count is reached (one pass per trial). Trials run in
-    contiguous blocks of at most ``BLOCK_TRIALS``, one block per worker if
-    that is fewer, and the counts are integer sums over the blocks. Trials
-    are independent and carry their own derived streams, so any ``workers``
-    partitioning yields bit-identical results.
+    which each M of ``m_list`` is reached (one pass per trial). Trials run
+    in contiguous blocks of at most ``BLOCK_WORK`` units of trials x n_hi x
+    ceil(k / 64), one block per worker if that is fewer, and the counts are
+    integer sums over the blocks. Trials are independent and carry their own
+    derived streams, so any ``workers`` partitioning yields bit-identical
+    results.
     """
     if not 0 <= p <= 1:
         raise ValueError(f"erasure probability {p} outside [0, 1]")
@@ -209,7 +236,8 @@ def run_trials(
         raise ValueError(f"bad transmission range [{n_lo}, {n_hi}]")
     sub_seed = scheme_seed(seed, scheme)
     m_tuple = tuple(m_list)
-    step = min(-(-trials // workers), BLOCK_TRIALS)
+    trial_work = n_hi * -(-k // 64)
+    step = min(-(-trials // workers), max(1, BLOCK_WORK // trial_work))
     blocks = [
         (scheme, k, n_hi, p, sub_seed, start, min(start + step, trials), m_tuple)
         for start in range(0, trials, step)

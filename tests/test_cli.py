@@ -653,9 +653,10 @@ class TestConfigHandling:
     def test_sigint_to_the_parent_alone_waits_one_block(self):
         """``kill -INT <pid>`` interrupts the parent but not its pool workers,
         and the pool cannot stop a block a worker has started. Blocks of at
-        most ``simulator.BLOCK_TRIALS`` trials (about 0.05 s each here) bound
-        the wait: exit 130 with one line within 5 s of the signal, where one
-        block per worker would run on for about half a minute."""
+        most ``simulator.BLOCK_WORK`` units of trials x N x ceil(K / 64)
+        (409 trials, about 0.02 s each here) bound the wait: exit 130
+        with one line within 5 s of the signal, where one block per worker
+        would run on for about half a minute."""
         code, err, out, waited = self.interrupt_long_run(
             2, lambda pid: os.kill(pid, signal.SIGINT))
         assert (code, err, out) == (130, "interrupted\n", "")

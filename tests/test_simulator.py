@@ -87,13 +87,14 @@ class TestTrialPaths:
             if channel() >= p:
                 received.append(pkt.coding_vector)
             expected.append(len(rref_decodable_set(received, k)))
-        assert _first_reach(scheme, k, n_hi, p, sub, trial) == first_reach_of(expected, k)
+        assert _first_reach(scheme, k, n_hi, p, sub, trial, range(k + 1)) == first_reach_of(
+            expected, k)
 
     @given(st.sampled_from(SCHEMES), st.integers(1, 8), st.integers(0, 100))
     @settings(max_examples=120, deadline=None)
     def test_counts_monotone_and_bounded(self, scheme, k, trial):
         n_hi = 2 * k + 3
-        first = _first_reach(scheme, k, n_hi, 0.3, 5, trial)
+        first = _first_reach(scheme, k, n_hi, 0.3, 5, trial, range(k + 1))
         assert len(first) == k + 1 and first[0] == 0
         assert all(1 <= n <= n_hi + 1 for n in first[1:])
         assert all(a <= b for a, b in zip(first, first[1:]))
@@ -116,7 +117,8 @@ class TestTrialPaths:
             for n in range(1, n_hi + 1):
                 vec = coding_word(scheme, k, n, encoder)
                 counts.append(counts[-1] + (len(receive(vec, 0)) if channel() >= p else 0))
-            assert _first_reach(scheme, k, n_hi, p, sub, trial) == first_reach_of(counts, k)
+            first = _first_reach(scheme, k, n_hi, p, sub, trial, range(k + 1))
+            assert first == first_reach_of(counts, k)
             for row, m in zip(success, m_list):
                 for n in range(1, n_hi + 1):
                     row[n] += counts[n] >= m
@@ -133,19 +135,44 @@ def received(scheme, k, n_hi, p, seed, trial):
     return [(n, vec) for n, vec in sent if channel() >= p]
 
 
+def unit_phase_count(scheme, k, n_hi, p, seed, trial):
+    """How many packets one trial decodes from unit vectors before its first
+    coded arrival, the kernel's ``done`` when it starts solving."""
+    decoded = 0
+    for _, vec in received(scheme, k, n_hi, p, seed, trial):
+        vec &= ~decoded
+        if vec & (vec - 1):
+            break
+        decoded |= vec
+    return decoded.bit_count()
+
+
 class TestForwardEchelonKernel:
     """The forward-echelon kernel against its earlier form, which keeps the
     row space fully reduced after every arrival (``rref_first_reach``)."""
 
     def test_matches_rref_kernel_on_random_configs(self):
+        """The full list, and the entries of a random M set, which may hold
+        counts the unit vectors reach, counts above them and M = K."""
         rng = random.Random(1501)
+        below = above = 0
         for _ in range(2000):
             scheme = rng.choice(SCHEMES)
             k = rng.choice([1, 2, 3, 5, 8, 13, 40, 63, 64, 65, 100, 128])
             n_hi = rng.randint(1, 3 * k + 5)
             p = rng.choice([0.0, 0.1, 0.3, 0.5, 0.9, 1.0])
             args = (scheme, k, n_hi, p, rng.getrandbits(32), rng.randrange(10**6))
-            assert _first_reach(*args) == rref_first_reach(*args), args
+            expected = rref_first_reach(*args)
+            assert _first_reach(*args, range(k + 1)) == expected, args
+            ms = rng.sample(range(1, k + 1), rng.randint(1, min(k, 4)))
+            if rng.random() < 0.5:
+                ms.append(k)
+            first = _first_reach(*args, ms)
+            assert [first[m] for m in ms] == [expected[m] for m in ms], (args, ms)
+            done = unit_phase_count(*args)
+            below += any(m <= done for m in ms)
+            above += any(m > done for m in ms)
+        assert below > 500 and above > 500, (below, above)
 
     def test_unit_vectors_after_coded_rows(self):
         """Three coded packets, then e_4 decodes packet 4 on its own at n=4,
@@ -154,7 +181,7 @@ class TestForwardEchelonKernel:
         assert received(*args)[:5] == [
             (1, 0b10111), (2, 0b1011), (3, 0b10001), (4, 0b1000), (6, 0b100)
         ]
-        assert _first_reach(*args) == rref_first_reach(*args) == [0, 4, 6, 6, 6, 6]
+        assert _first_reach(*args, range(6)) == rref_first_reach(*args) == [0, 4, 6, 6, 6, 6]
 
     def test_trial_ending_below_full_rank(self):
         """Seven packets arrive at K=8, so the rank stays below 8, yet four
@@ -162,13 +189,24 @@ class TestForwardEchelonKernel:
         args = ("straightforward", 8, 12, 0.3, 2015, 0)
         assert len(received(*args)) == 7
         expected = [0, 4, 5, 10, 12, 13, 13, 13, 13]
-        assert _first_reach(*args) == rref_first_reach(*args) == expected
+        assert _first_reach(*args, range(9)) == rref_first_reach(*args) == expected
+
+    def test_rank_deficient_trial_at_the_requested_m(self):
+        """26 of 30 dense packets arrive at K=40, independent, so 14 columns
+        are free and no packet is decoded: the solves of the free columns
+        alone place the counts, and M = 20 and M = 40 are both never
+        reached."""
+        args = ("straightforward", 40, 30, 0.1, 2015, 0)
+        assert len(received(*args)) == 26
+        first = _first_reach(*args, [20, 40])
+        assert [first[20], first[40]] == [31, 31]
+        assert rref_first_reach(*args) == [0] + [31] * 40
 
     def test_systematic_trial_receiving_every_unit_vector(self):
         """No loss: the K systematic packets decode one each, and the trial
         stops at n = K."""
         args = ("systematic", 6, 20, 0.0, 2015, 3)
-        assert _first_reach(*args) == rref_first_reach(*args) == list(range(7))
+        assert _first_reach(*args, range(7)) == rref_first_reach(*args) == list(range(7))
 
 
 class TestRunTrials:
@@ -206,10 +244,25 @@ class TestRunTrials:
             args = ("straightforward", 5, [3, 5], (5, 10), 0.2, 99, trials)
             assert run_trials(*args) == run_trials(*args, workers=2)
 
+    @given(st.sampled_from(SCHEMES), st.integers(1, 70), st.sampled_from([1, 2]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_counts_for_an_m_list_match_one_call_per_m(self, scheme, k, workers, data):
+        """Each trial's kernel stops once the smallest M of the list is
+        placed, so the counts of a list of M, unsorted and with repeats,
+        must equal those of one run per M, under any worker count."""
+        ms = data.draw(st.lists(st.integers(1, k), min_size=1, max_size=5))
+        n_lo = data.draw(st.integers(1, 2 * k + 4))
+        n_hi = data.draw(st.integers(n_lo, 2 * k + 8))
+        p = data.draw(st.sampled_from([0.0, 0.1, 0.3, 0.7]))
+        seed, trials = data.draw(st.integers(0, 2**32)), data.draw(st.integers(1, 12))
+        args = (scheme, k, ms, (n_lo, n_hi), p, seed, trials)
+        each = [run_trials(scheme, k, [m], *args[3:])[0] for m in ms]
+        assert run_trials(*args, workers=workers) == each
+
     def test_capped_blocks_add_up_to_the_same_counts(self, monkeypatch):
         args = ("straightforward", 5, [3, 5], (5, 10), 0.2, 99, 601)
         whole = run_trials(*args)
-        monkeypatch.setattr(simulator, "BLOCK_TRIALS", 7)  # 86 blocks
+        monkeypatch.setattr(simulator, "BLOCK_WORK", 70)  # 7 trials of 10 sends: 86 blocks
         assert run_trials(*args) == run_trials(*args, workers=2) == whole
 
     def test_systematic_estimate_matches_analysis(self):
