@@ -1,4 +1,4 @@
-"""Closed-form decoding probabilities and delay metrics.
+"""Closed-form decoding probabilities.
 
 The three transmission schemes are modelled over a packet erasure channel
 with loss probability p:
@@ -54,10 +54,6 @@ import math
 # Above this n the erasure-channel weights C(n,r)(1-p)^r p^(n-r) switch to
 # log space; below it, exact integer binomials keep full double precision.
 _EXACT_WEIGHT_LIMIT = 64
-
-
-class InvariantViolation(RuntimeError):
-    """A computed quantity broke a property the model guarantees."""
 
 
 def full_rank_prob(k: int, r: int, q: int = 2) -> float:
@@ -256,19 +252,6 @@ def decode_prob_ratio(k: int, r: int, n: int, q: int = 2) -> float:
     cond = cond_full_decode_prob(k, r, n, q)  # checks 1 <= k <= r <= n first
     # The divisor is W(k, r) >= prod_{j>=1} (1 - 2^-j) > 0.2887 on that domain.
     return cond / full_rank_prob(k, r, q)
-
-
-def delta_n(n_partial: int | None, n_full: int | None) -> int | None:
-    """Extra packets full recovery needs beyond partial recovery, from the
-    minimum transmissions to hit one target probability for partial (m
-    packets) and full (k packets) recovery; None marks an unreachable target."""
-    if n_partial is None or n_full is None:
-        return None
-    if n_partial > n_full:
-        raise InvariantViolation(
-            f"partial recovery needed {n_partial} packets but full recovery only {n_full}"
-        )
-    return n_full - n_partial
 
 
 # Per-q tables of the rank product, built on first use and kept for the life

@@ -7,8 +7,7 @@ join-compatible on (scheme, K, M, N, p). Their rows come from two sources,
 ``_closed_form_rows`` and ``_simulated_rows``, and ``metrics`` reads the same
 two: its N_hat = min{N >= M : P(N) >= P_hat} is a first-N scan over them.
 
-Exit codes: 0 success, 2 configuration error, 3 internal invariant violation,
-130 interrupted (Ctrl-C).
+Exit codes: 0 success, 2 configuration error, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .simulator import bench_decoders, run_trials
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_INVARIANT = 3
 EXIT_INTERRUPTED = 130  # the shell's 128 + SIGINT
 
 MODES = ("analyze", "simulate", "metrics", "bench")
@@ -316,9 +314,10 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[str]:
         n_full = n_fulls.get((k, p))
         for m in cfg.m:
             # N_hat_full bounds N_hat_partial: where the approximation plateaus
-            # below P_hat, or a simulated estimate's sampling noise lags.
+            # below P_hat, or a simulated estimate's sampling noise lags. So
+            # delta_N is never negative, and unreachable exactly when N_hat_full is.
             n_partial = min(filter(None, (n_partials.get((m, p)), n_full)), default=None)
-            delta = analysis.delta_n(n_partial, n_full)
+            delta = None if n_full is None else n_full - n_partial
             rows.append((m, p, cell(n_partial), cell(n_full), cell(delta)))
     lines = ["scheme,K,M,p,P_hat,N_hat_partial,N_hat_full,delta_N"]
     lines.extend(
@@ -432,9 +431,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except analysis.InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED

@@ -24,11 +24,9 @@ from oracles import (
 )
 from sysnc import analysis
 from sysnc.analysis import (
-    InvariantViolation,
     cond_full_decode_prob,
     cond_full_decode_probs,
     decode_prob_ratio,
-    delta_n,
     full_decode_prob,
     full_decode_probs,
     full_rank_prob,
@@ -432,20 +430,6 @@ class TestMinPacketsForTarget:
             min_packets_for_target(lambda n: 1.0, 0.0, 1, 5)
         with pytest.raises(ValueError):
             min_packets_for_target(lambda n: 1.0, 0.5, 5, 4)
-
-
-class TestTargetMetrics:
-    def test_delta(self):
-        assert delta_n(11, 39) == 28
-        assert delta_n(5, 5) == 0
-
-    def test_unreachable_propagates(self):
-        assert delta_n(None, 39) is None
-        assert delta_n(12, None) is None
-
-    def test_ordering_enforced(self):
-        with pytest.raises(InvariantViolation):
-            delta_n(10, 9)
 
 
 class TestRangeAndMonotonicity:

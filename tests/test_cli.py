@@ -334,7 +334,7 @@ def metrics_oracle(scheme, k, ms, ps, q, p_hat, n_max, trials, seed):
                 n_part = min_packets_for_target(prob, p_hat, m, n_cap)
             if n_full is not None:  # full recovery recovers any M
                 n_part = n_full if n_part is None else min(n_part, n_full)
-            delta = analysis.delta_n(n_part, n_full)
+            delta = None if n_part is None or n_full is None else n_full - n_part
             cells = ",".join(
                 "unreachable" if v is None else str(v) for v in (n_part, n_full, delta)
             )
