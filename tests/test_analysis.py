@@ -383,7 +383,6 @@ class TestDecodeProbRatio:
             assert 1.0 < decode_prob_ratio(5, 10, n, 2) < 1.05
 
     def test_domain(self):
-        # a caller's bad arguments are its error, not a broken invariant
         with pytest.raises(ValueError):
             decode_prob_ratio(3, 2, 4)  # r < k
         with pytest.raises(ValueError):
