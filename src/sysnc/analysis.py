@@ -9,46 +9,39 @@ with loss probability p:
 * straightforward: full-recovery probability from the rank statistics of
   uniform random GF(q) matrices (no closed form exists for its partial
   recovery, which is available through simulation only);
-* ordered-uncoded: exact partial/full recovery via a Poisson-binomial tail.
+* ordered-uncoded: exact partial/full recovery as the tail of a sum of two
+  binomials.
 
-All probability functions are pure. They compute in floats: exact integer
-binomials with one correctly rounded division per term, and log-space
-weights once factorials overflow doubles. The ``*_exact`` paths over
-``fractions.Fraction`` that judge them live with the other oracles in
-``tests/oracles.py``.
+All probability functions are pure. Systematic and straightforward compute
+in floats: exact integer binomials with one correctly rounded division per
+term, and log-space weights once factorials overflow doubles. The ``*_exact``
+paths over ``fractions.Fraction`` that judge them live with the other
+oracles in ``tests/oracles.py``. Each of their float results is
+bit-identical to the plain term-by-term loop its docstring states, so tables
+and sweeps may share work but never reorder a float operation.
+Ordered-uncoded is computed in the arithmetic of p: a ``Fraction`` p gives
+the exact value, and a float result is judged against it within a stated
+relative bound.
 
-Every float result is bit-identical to the plain term-by-term loop its
-docstring states, so tables and sweeps may share work but never reorder a
-float operation. The rank product W(k, r) = prod_{t=r-k+1}^{r} (1 - q^-t)
-is read from a per-q table: once q^-t <= 2^-54, ``1.0 - q**-t`` rounds to
-exactly 1.0, and multiplying by an exact 1.0 changes nothing, so only the
-factors below that t need storing (see ``_rank_rows``). That table is the
-only state kept between calls. Work shared across p, M or N (the ``*_probs``
-functions) lives inside one call and is returned, never cached, so repeating
-a computation repeats its work. Float sums are written-out left folds:
-since Python 3.12 the builtin ``sum`` of floats is compensated and rounds
+The rank product W(k, r) = prod_{t=r-k+1}^{r} (1 - q^-t) is read from a
+per-q table: once q^-t <= 2^-54, ``1.0 - q**-t`` rounds to exactly 1.0, and
+multiplying by an exact 1.0 changes nothing, so only the factors below that
+t need storing (see ``_rank_rows``). That table is the only state kept
+between calls. Work shared across p, M or N (the ``*_probs`` functions)
+lives inside one call and is returned, never cached, so repeating a
+computation repeats its work. Float sums are written-out left folds: since
+Python 3.12 the builtin ``sum`` of floats is compensated and rounds
 differently from the loop.
 
-Four kinds of work are skipped because they provably cannot change a bit:
-
-* Carry (``ou_partial_decode_sweep``). From n - 1 sends to n, only packet
-  i = ((n - 1) mod k) + 1 gains a copy, so the Poisson-binomial state after
-  packets 1..i-1 is the one already computed for n - 1; the sweep keeps the
-  state after packet i for n + 1 (after packet k, n + 1 starts afresh).
-* Band. The recovered count can grow by at most one per packet, so after
-  packet t no count below min(ms) - (k - t) can reach a requested tail; the
-  DP step drops it. Every count it keeps is the full program's
-  ``dist[j] * stay + dist[j - 1] * s``, the same operations in the same order.
-* Unsent packets (``ou_partial_decode_sweep``, N < K). A packet not yet sent
-  survives with probability 0, and its DP step only shifts the distribution
-  up by one count, so the sweep shifts once for all of them.
-* Past-mode cut (``_cond_full``). Once the hypergeometric quotients fall and
-  one is below half an ulp of the running sum, no later term can move the
-  sum; the argument is stated at the cut.
+One kind of work is skipped because it provably cannot change a bit: the
+past-mode cut (``_cond_full``). Once the hypergeometric quotients fall and
+one is below half an ulp of the running sum, no later term can move the
+sum; the argument is stated at the cut.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 # Above this n the erasure-channel weights C(n,r)(1-p)^r p^(n-r) switch to
@@ -161,88 +154,63 @@ def sf_full_decode_prob(k: int, n: int, p: float, q: int = 2) -> float:
 
 
 def ou_partial_decode_prob(k: int, m: int, n: int, p) -> "float | fractions.Fraction":
-    """Exact probability that cyclic repetition delivers at least m of k packets
-    within n sends.
-
-    Packet i goes out ``(n - i) // k + 1`` times (0 if i > n) and survives
-    with probability 1 - p^copies; the recovered count is a sum of
-    independent non-identical Bernoullis, evaluated with the standard
-    Poisson-binomial dynamic program and summed as a left fold from count m
-    up. Works in whatever arithmetic ``p`` supports (float or Fraction).
-    """
-    [[prob]] = ou_partial_decode_sweep(k, (m,), n, n, p)
+    """Exact probability that cyclic repetition delivers at least m of k
+    packets within n sends, in the arithmetic of ``p`` (float or Fraction)."""
+    [prob] = ou_partial_decode_probs(k, (m,), n, p)
     return prob
 
 
-def ou_partial_decode_sweep(k: int, ms, n_lo: int, n_hi: int, p):
-    """``ou_partial_decode_prob(k, m, n, p)`` for each m of ``ms``, for
-    n = n_lo..n_hi, in that order: an iterator of one list per n, each
-    computed as it is read, all read from one distribution of the recovered
-    count. The arguments are checked when it is called.
+def ou_partial_decode_probs(k: int, ms, n: int, p) -> list:
+    """``ou_partial_decode_prob(k, m, n, p)`` for each m of ``ms``, all read
+    from one distribution of the recovered count.
 
-    Bit-identical to one full dynamic program per n, but the DP state before
-    the packet that n's send repeats is carried over from n - 1, counts
-    that cannot reach min(ms) are dropped, and the packets not yet sent are
-    one shift (see the module docstring).
+    With c, a = divmod(n, k), the first a packets go out c + 1 times and the
+    other k - a go out c times (c = 0: not yet sent). A packet is lost only
+    if every copy is erased, so the recovered count is X + Y with
+    X ~ Bin(a, 1 - p^(c+1)) and Y ~ Bin(k - a, 1 - p^c), and
+    P[X + Y >= m] = sum_x P[X = x] P[Y >= m - x], a left fold over x.
     """
     for m in ms:
         if not 1 <= m <= k:
             raise ValueError(f"need 1 <= m <= k, got m={m}, k={k}")
-    if not 1 <= n_lo <= n_hi:
-        raise ValueError(f"bad N range [{n_lo}, {n_hi}]")
+    if n < 1:
+        raise ValueError("need n >= 1")
     _check_erasure(p)
-    return _ou_sweep(k, ms, n_lo, n_hi, p)
+    c, a = divmod(n, k)
+    more = _binomial_pmf(a, 1 - p ** (c + 1))
+    less = _binomial_pmf(k - a, 1 - p**c)
+    at_least = list(itertools.accumulate(reversed(less)))[::-1]  # P[Y >= j]
+    probs = []
+    for m in ms:
+        acc = more[0] * 0
+        for x in range(max(0, m - k + a), a + 1):
+            acc = acc + more[x] * at_least[max(m - x, 0)]
+        # A float fold can overshoot 1 by an ulp; a Fraction never exceeds
+        # 1, so min returns it unchanged.
+        probs.append(min(acc, 1.0))
+    return probs
 
 
-def _ou_sweep(k: int, ms, n_lo: int, n_hi: int, p):
-    m_lo = min(ms, default=k)
-    # Packet t keeps count 0 while t <= k - m_lo; each later packet drops the
-    # lowest count, so the final state holds counts m_lo..k.
-    keep_zero = k - m_lo
+def _binomial_pmf(a: int, s) -> list:
+    """P[Bin(a, s) = x] for x = 0..a, in the arithmetic of ``s``.
 
-    def survive(i: int, n: int):
-        copies = (n - i) // k + 1 if i <= n else 0
-        return 1 - p**copies if copies else 0
-
-    prefix = [1]  # the DP state after packets 1..i-1, i = ((n - 1) mod k) + 1
-    for t in range(1, (n_lo - 1) % k + 1):
-        prefix = _pb_step(prefix, survive(t, n_lo), t <= keep_zero)
-    for n in range(n_lo, n_hi + 1):
-        i = (n - 1) % k + 1  # the one packet whose copy count n - 1 -> n raises
-        dist = _pb_step(prefix, survive(i, n), i <= keep_zero)
-        prefix = dist if i < k else [1]
-        for t in range(i + 1, min(n, k) + 1):
-            dist = _pb_step(dist, survive(t, n), t <= keep_zero)
-        if n < k:
-            # Packets n+1..k are not yet sent: s = 0. Each such step keeps
-            # every entry (x * 1 + y * 0 == x for finite x, y) and appends
-            # dist[-1] * 0; a packet past keep_zero also drops the lowest.
-            unsent = [dist[-1] * 0] * (k - n)
-            dist = (dist + unsent)[k - max(n, keep_zero):]
-        tails = [_tail(dist, m - m_lo) for m in ms]
-        # the DP can overshoot 1 by an ulp
-        yield [min(max(x, 0.0), 1.0) if isinstance(x, float) else x for x in tails]
-
-
-def _pb_step(dist: list, s, keep_low: bool) -> list:
-    """One packet of the Poisson-binomial program: entry j becomes
-    ``dist[j] * stay + dist[j - 1] * s``, the top one ``dist[-1] * s``. Without
-    ``keep_low`` the lowest entry, ``dist[0] * stay``, is not computed, so
-    the result starts one count higher than ``dist``."""
+    1 at the mode, the ratio recurrence P(x + 1) / P(x) = (a - x) s /
+    ((x + 1)(1 - s)) out to both ends, then each entry divided by the
+    left-fold sum. No entry exceeds the mode's, so nothing overflows for
+    any a; entries far in the tails may underflow to 0.
+    """
     stay = 1 - s
-    nxt = [dist[0] * stay] if keep_low else []
-    nxt.extend([hi * stay + lo * s for hi, lo in zip(dist[1:], dist)])
-    nxt.append(dist[-1] * s)
-    return nxt
-
-
-def _tail(dist: list, start: int):
-    """dist[start] + dist[start + 1] + ..., a left fold from a zero of the
-    entries' own type (``sum`` of floats is compensated since Python 3.12)."""
-    acc = dist[0] * 0
-    for x in dist[start:]:
-        acc = acc + x
-    return acc
+    mode = min(a, math.floor((a + 1) * s))
+    pmf = [0] * (a + 1)
+    pmf[mode] = 1
+    for x in range(mode, a):  # mode < a only if s < 1
+        pmf[x + 1] = pmf[x] * (a - x) * s / ((x + 1) * stay)
+    for x in range(mode, 0, -1):  # mode > 0 only if s > 0
+        pmf[x - 1] = pmf[x] * x * stay / ((a - x + 1) * s)
+    total = s * 0
+    for w in pmf:
+        total = total + w
+    return [w / total for w in pmf]
 
 
 def decode_prob_ratio(k: int, r: int, n: int, q: int = 2) -> float:

@@ -211,13 +211,10 @@ def _closed_form_rows(cfg: ExperimentConfig, ms, n_lo: int, n_hi: int):
     k, q, scheme = cfg.k, cfg.q, cfg.scheme
     ns = range(n_lo, n_hi + 1)
     if scheme == "ordered-uncoded":
-        # One sweep per p carries the recovered-count program from N to N + 1;
-        # the sweeps advance in lockstep.
-        sweeps = [analysis.ou_partial_decode_sweep(k, ms, n_lo, n_hi, p) for p in cfg.p]
         for n in ns:
-            for p, sweep in zip(cfg.p, sweeps):
-                for m, prob in zip(ms, next(sweep)):
-                    yield m, n, p, float(prob), "exact"
+            for p in cfg.p:
+                for m, prob in zip(ms, analysis.ou_partial_decode_probs(k, ms, n, p)):
+                    yield m, n, p, prob, "exact"
         return
     # The M < K approximation reads N only through min(K, N), so one value
     # per (M, p, min(K, N)) serves every N of this call.

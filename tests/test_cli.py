@@ -91,6 +91,36 @@ class TestAnalyze:
             ("2", "2"), ("2", "3"), ("2", "4"), ("2", "5"), ("4", "4"), ("4", "5")
         ]
 
+    @pytest.mark.parametrize("k", [8000, 10**4])
+    def test_ordered_uncoded_underflow_prints_zero(self, k, capsys):
+        """M = N = K at p = 0.1: every packet must survive its one send, so
+        the value is 0.9^K < 1e-366, which rounds to 0.0. A DP whose top entry
+        stuck at the smallest subnormal printed 2.47032822921e-323."""
+        code, out, err = run_cli(
+            ["analyze", "--scheme", "ordered-uncoded", "--k", str(k), "--m", str(k),
+             "--n", str(k), "--p", "0.1"],
+            capsys,
+        )
+        assert code == EXIT_OK, err
+        assert out.strip().splitlines()[1].split(",")[6] == "0"
+
+    @pytest.mark.parametrize("n", [1100, 1650])
+    def test_ordered_uncoded_past_float_comb_overflow(self, n, capsys):
+        """K = 1100, where C(1100, 550) > 10^329 is past the float range:
+        exit 0, and each row prints the value that ``test_analysis`` checks
+        against the exact one."""
+        ms = (1, 550, 1100)
+        code, out, err = run_cli(
+            ["analyze", "--scheme", "ordered-uncoded", "--k", "1100",
+             "--m", ",".join(map(str, ms)), "--n", str(n), "--p", "0.5"],
+            capsys,
+        )
+        assert code == EXIT_OK, err
+        probs = [row.split(",")[6] for row in out.strip().splitlines()[1:]]
+        assert probs == [
+            f"{x:.12g}" for x in analysis.ou_partial_decode_probs(1100, ms, n, 0.5)
+        ]
+
     def test_rows_sorted_lexicographically(self, capsys):
         code, out, _ = run_cli(
             ["analyze", "--scheme", "ordered-uncoded", "--k", "3", "--m", "3,1",
@@ -281,18 +311,16 @@ class TestMetrics:
         assert rows_built == list(range(100, n_full + 1))
 
     def test_ordered_uncoded_scan_stops_at_the_last_target(self, monkeypatch, capsys):
-        """The default cap is 8K = 160, but each scan reads its sweeps only up
-        to the largest N_hat among its distinct columns, also with a p repeated."""
+        """The default cap is 8K = 160, but each scan reads N only up to the
+        largest N_hat among its distinct columns, also with a p repeated."""
         reads: dict[tuple, list[int]] = {}
 
-        def recording_sweep(k, ms, n_lo, n_hi, p):
-            ns = reads.setdefault(tuple(ms), [])
-            for n, probs in zip(range(n_lo, n_hi + 1), sweep(k, ms, n_lo, n_hi, p)):
-                ns.append(n)
-                yield probs
+        def recording_probs(k, ms, n, p):
+            reads.setdefault(tuple(ms), []).append(n)
+            return probs(k, ms, n, p)
 
-        sweep = analysis.ou_partial_decode_sweep
-        monkeypatch.setattr(analysis, "ou_partial_decode_sweep", recording_sweep)
+        probs = analysis.ou_partial_decode_probs
+        monkeypatch.setattr(analysis, "ou_partial_decode_probs", recording_probs)
         code, out, err = run_cli(
             ["metrics", "--scheme", "ordered-uncoded", "--k", "20", "--m", "10,20",
              "--p", "0.1,0.3,0.1", "--p-hat", "0.7"],
