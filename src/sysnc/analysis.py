@@ -13,15 +13,18 @@ with loss probability p:
   binomials.
 
 All probability functions are pure. Systematic and straightforward compute
-in floats: exact integer binomials with one correctly rounded division per
-term, and log-space weights once factorials overflow doubles. The ``*_exact``
-paths over ``fractions.Fraction`` that judge them live with the other
-oracles in ``tests/oracles.py``. Each of their float results is
-bit-identical to the plain term-by-term loop its docstring states, so tables
-and sweeps may share work but never reorder a float operation.
-Ordered-uncoded is computed in the arithmetic of p: a ``Fraction`` p gives
-the exact value, and a float result is judged against it within a stated
-relative bound.
+in floats, and the ``*_exact`` paths over ``fractions.Fraction`` that judge
+them live with the other oracles in ``tests/oracles.py``. The rank products,
+the channel weights (exact integer binomials, and log space once factorials
+overflow doubles) and the channel averages are bit-identical to the plain
+term-by-term loops their docstrings state, so tables and sweeps may share
+work but never reorder a float operation. The systematic conditional sum
+keeps the terms of its closed form and their order, but takes each
+hypergeometric term from its neighbour by a ratio recurrence rather than
+from its own exact quotient (``_cond_full``), and is judged against the
+exact sum within a stated relative bound. Ordered-uncoded is computed in the
+arithmetic of p: a ``Fraction`` p gives the exact value, and a float result
+is judged against it within a stated relative bound.
 
 The rank product W(k, r) = prod_{t=r-k+1}^{r} (1 - q^-t) is read from a
 per-q table: once q^-t <= 2^-54, ``1.0 - q**-t`` rounds to exactly 1.0, and
@@ -34,9 +37,9 @@ Python 3.12 the builtin ``sum`` of floats is compensated and rounds
 differently from the loop.
 
 One kind of work is skipped because it provably cannot change a bit: the
-past-mode cut (``_cond_full``). Once the hypergeometric quotients fall and
-one is below half an ulp of the running sum, no later term can move the
-sum; the argument is stated at the cut.
+past-mode cut (``_cond_full``). Past the hypergeometric mode the computed
+terms never rise, so once one of them leaves the running sum unchanged, no
+later term can move it; the argument is stated at the cut.
 """
 
 from __future__ import annotations
@@ -81,23 +84,24 @@ def cond_full_decode_prob(k: int, r: int, n: int, q: int = 2) -> float:
         [ C(n-k, r-k) + sum_{h=h_min}^{k-1} C(k,h) C(n-k, r-h) W(k-h, r-h) ]
           / C(n, r),    h_min = max(0, r - n + k)
 
-    with W the full-rank probability above. Each binomial ratio is an exact
-    integer quotient rounded once, so the result is accurate for any n.
+    with W the full-rank probability above. The h = k term and the largest
+    hypergeometric term are exact integer quotients rounded once, and every
+    other one follows from its neighbour by a ratio of two exact integers,
+    with two roundings per step away from the largest.
     """
     _check_field(q)
     if not 1 <= k <= r <= n:
         raise ValueError(f"need 1 <= k <= r <= n, got k={k}, r={r}, n={n}")
-    return _cond_full(k, r, n, _comb_row(k), _comb_row(n - k), _rank_rows(q))
+    return _cond_full(k, r, n, _rank_rows(q))
 
 
 def cond_full_decode_probs(k: int, n: int, q: int = 2) -> list[float]:
-    """``cond_full_decode_prob(k, r, n, q)`` for r = k..n, in that order, with
-    the binomial rows C(k, .) and C(n-k, .) built once for the whole list."""
+    """``cond_full_decode_prob(k, r, n, q)`` for r = k..n, in that order."""
     _check_field(q)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    ck, cnk, rows = _comb_row(k), _comb_row(n - k), _rank_rows(q)
-    return [_cond_full(k, r, n, ck, cnk, rows) for r in range(k, n + 1)]
+    rows = _rank_rows(q)
+    return [_cond_full(k, r, n, rows) for r in range(k, n + 1)]
 
 
 def full_decode_prob(k: int, n: int, p: float, q: int = 2) -> float:
@@ -261,35 +265,55 @@ def _rank_lookup(rows: list[list[float]], k: int, e: int) -> float:
     return row[min(k, len(row) - 1)]
 
 
-def _comb_row(n: int) -> list[int]:
-    return [math.comb(n, i) for i in range(n + 1)]
+def _cond_full(k: int, r: int, n: int, rows: list[list[float]]) -> float:
+    """``cond_full_decode_prob`` from the rank table ``rows``.
 
+    The terms are the term-by-term sum's, added in its order, h ascending
+    after the h = k term; W(k - h, r - h) only comes from the table, and the
+    sum stops where no remaining term can change it. Only the h = k term and
+    the hypergeometric term H(h) = C(k,h) C(m,r-h) / C(n,r), m = n - k, at
+    its mode are exact integer quotients rounded once. Every other H(h)
+    follows from its neighbour towards the mode by the ratio
 
-def _cond_full(
-    k: int, r: int, n: int, ck: list[int], cnk: list[int], rows: list[list[float]]
-) -> float:
-    """``cond_full_decode_prob`` from the binomial rows ck[h] = C(k, h) and
-    cnk[s] = C(n - k, s) and the rank table. Every float operation is the
-    term-by-term sum's, in its order; W(k - h, r - h) only comes from the
-    table, and the sum stops where no remaining term can change it."""
+        H(h + 1) / H(h) = (k - h)(r - h) / ((h + 1)(m - r + h + 1)),
+
+    one float multiplication by the integer numerator and one division by
+    the integer denominator. Both are at most (k + 1)(n + 1), below 2^52 at
+    every size the CLI accepts, so each is exact as a float, and a term d
+    steps from the mode carries at most 2d + 1 roundings.
+    """
+    m = n - k
     den = math.comb(n, r)
     e = r - k
     row = rows[e] if e < len(rows) else [1.0]
-    w = row + [row[-1]] * (k + 1 - len(row))  # w[j] = W(j, j + e), j = 0..k
-    acc = cnk[e] / den
-    prev = 0.0
-    for h in range(max(0, r - n + k), k):
-        quot = ck[h] * cnk[r - h] / den
-        # Past-mode cut: no later term can change acc. C(k,h) C(n-k,r-h) is
-        # log-concave in h (a hypergeometric pmf), so once it falls it keeps
-        # falling. Rounding is monotone, so quot < prev shows the fall, and
-        # every later quotient is <= quot; W <= 1, so every later term is <=
-        # its quotient. acc never decreases, so each later term stays below
-        # half an ulp of the acc it meets and the addition rounds back to acc.
-        if quot < prev and quot < math.ulp(acc) / 2:
+    acc = math.comb(m, e) / den
+    # The ratio above is >= 1 exactly when (h + 1)(n + 2) <= (k + 1)(r + 1),
+    # so H peaks at h = mode. The mode lies in the support [max(0, r - m), k]:
+    # mode <= k since r < n + 1, and (k+1)(r+1) - (r-m)(n+2) = (m+1)(n-r+1) > 0.
+    mode = (k + 1) * (r + 1) // (n + 2)
+    term = math.comb(k, mode) * math.comb(m, r - mode) / den
+    below = []  # H(mode - 1), H(mode - 2), ... down to the first 0.0
+    t = term
+    for h in range(mode, max(0, r - m), -1):
+        t = t * (h * (m - r + h)) / ((k - h + 1) * (r - h + 1))
+        if not t:
+            break  # every lower term is 0.0 as well, and adds nothing
+        below.append(t)
+    # w[j] = W(j, j + e) for every j = k - h that the two folds read
+    w = row + [row[-1]] * (k - mode + len(below) + 1 - len(row))
+    for h, t in zip(range(mode - len(below), mode), reversed(below)):
+        acc += t * w[k - h]
+    for h in range(mode, k):
+        # Past-mode cut: no later term can change acc. From h = mode on, the
+        # exact ratio is an integer quotient a/b < 1, so at most 1 - 1/b with
+        # b < 2^52, and its two roundings scale it by at most (1 + 2^-53)^2:
+        # each computed term is <= the one before it. With W <= 1, every later
+        # addend x has 0 <= x <= term, and rounding is monotone, so once
+        # acc + term rounds to acc, acc + x rounds to acc as well.
+        if acc + term == acc:
             break
-        acc += quot * w[k - h]
-        prev = quot
+        acc += term * w[k - h]
+        term = term * ((k - h) * (r - h)) / ((h + 1) * (m - r + h + 1))
     return min(acc, 1.0)
 
 
@@ -298,23 +322,32 @@ def _channel_average(n: int, r_lo: int, p: float, v: list[float]) -> float:
     decoding probability given r arrivals, averaged over the channel. A left
     fold; it skips zero weights, whose 0.0 would not change the sum."""
     total = 0.0
-    for r in range(r_lo, n + 1):
-        w = _receive_pmf(n, r, p)
+    for w, x in zip(_receive_pmfs(n, r_lo, p), v):
         if w:
-            total += w * v[r - r_lo]
+            total += w * x
     return min(total, 1.0)
 
 
-def _receive_pmf(n: int, r: int, p: float) -> float:
-    """P[exactly r of n packets arrive] when each is erased with probability p."""
+def _receive_pmfs(n: int, r_lo: int, p: float) -> list[float]:
+    """P[exactly r of n packets arrive] for r = r_lo..n, when each is erased
+    with probability p: C(n,r) (1-p)^r p^(n-r), from exact integer binomials
+    up to n = _EXACT_WEIGHT_LIMIT and in log space above, where log1p(-p),
+    log(p) and lgamma(i + 1) at each index i the row reads are evaluated
+    once for the whole row."""
+    rs = range(r_lo, n + 1)
     if p == 0:
-        return 1.0 if r == n else 0.0
+        return [1.0 if r == n else 0.0 for r in rs]
     if p == 1:
-        return 1.0 if r == 0 else 0.0
+        return [1.0 if r == 0 else 0.0 for r in rs]
     if n <= _EXACT_WEIGHT_LIMIT:
-        return math.comb(n, r) * (1.0 - p) ** r * p ** (n - r)
-    log_comb = math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)
-    return math.exp(log_comb + r * math.log1p(-p) + (n - r) * math.log(p))
+        return [math.comb(n, r) * (1.0 - p) ** r * p ** (n - r) for r in rs]
+    got, lost = math.log1p(-p), math.log(p)
+    # lg[i] = lgamma(i + 1) at i = n - r <= n - r_lo and at i = r >= r_lo.
+    lg = [math.lgamma(i + 1) for i in range(n - r_lo + 1)]
+    lg += [0.0] * (r_lo - len(lg))  # between the two ranges: never read
+    lg += [math.lgamma(i + 1) for i in range(len(lg), n + 1)]
+    lg_n = lg[n]
+    return [math.exp(lg_n - lg[r] - lg[n - r] + r * got + (n - r) * lost) for r in rs]
 
 
 def _check_field(q: int) -> None:

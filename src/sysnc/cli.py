@@ -28,10 +28,11 @@ EXIT_INTERRUPTED = 130  # the shell's 128 + SIGINT
 MODES = ("analyze", "simulate", "metrics", "bench")
 DEFAULT_REPETITIONS = 100
 SEARCH_CAP_FACTOR = 8  # metrics mode scans n up to 8k unless --n-max narrows it
-# Work-size caps. The closed forms (analyze, and metrics' searches) build
-# big-integer binomial rows of lengths up to K and N - K for each N, and the
-# simulator keeps counts for every N of its range, so the N cap holds for
-# every subcommand that takes one.
+# Work-size caps. The systematic closed form (analyze, and metrics' searches)
+# sums up to K terms and takes four big-integer binomials of up to N bits for
+# each receive count r <= N of each N, and the simulator keeps counts for
+# every N of its range, so the N cap holds for every subcommand that takes
+# one. The K cap also keeps the ratio recurrence's integers exact as floats.
 MAX_CLOSED_FORM_K = 10_000
 MAX_CLOSED_FORM_N = 100_000
 

@@ -6,8 +6,11 @@ can be checked against values they had no hand in producing. The ``*_exact``
 functions are the closed forms over ``Fraction``; they may use any
 algebraically equal form, such as a prefix product, since exact arithmetic
 has no rounding to keep. The ``*_loop`` functions are the plain float loops
-of the closed forms, term by term in their stated order: the float
-implementations must equal them bit for bit.
+of the rank product, the channel weights and the channel averages, term by
+term in their stated order: the float implementations must equal them bit
+for bit. The systematic conditional sum has no such loop: its terms come
+from a ratio recurrence, and ``cond_full_decode_prob_exact`` judges it
+within a stated relative bound.
 ``rref_decodable_set`` is a list-based RREF that shares no code with the
 packed decoders it judges. ``set_bits`` and ``combine_words_loop`` walk a
 mask one lowest set bit at a time, the loop that the C-level mask walks of
@@ -26,9 +29,10 @@ from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb
+from math import comb, exp, lgamma, log, log1p
 from typing import Iterable
 
+from sysnc.analysis import _EXACT_WEIGHT_LIMIT
 from sysnc.codec import coding_word
 from sysnc.gf2 import CodingVector, DimensionError
 from sysnc.simulator import derive_stream
@@ -197,13 +201,19 @@ def cond_full_decode_prob_exact(k: int, r: int, n: int, q: int = 2) -> Fraction:
         raise ValueError(f"field size q={q} must be at least 2")
     if not 1 <= k <= r <= n:
         raise ValueError(f"need 1 <= k <= r <= n, got k={k}, r={r}, n={n}")
-    den = comb(n, r)
-    h_min = max(0, r - n + k)
-    w = _rank_prefix_exact(k - h_min, r - k, q)
-    acc = Fraction(comb(n - k, r - k), den)
+    m, e = n - k, r - k
+    h_min = max(0, r - m)
+    # W(j, j + e) = prod_{t=e+1}^{e+j} (q^t - 1) / q^t = top[j] / q^power[j],
+    # so over the common denominator C(n, r) q^power[-1] every term is an
+    # integer, and only the final quotient is reduced.
+    top, power = [1], [0]
+    for t in range(e + 1, r - h_min + 1):
+        top.append(top[-1] * (q**t - 1))
+        power.append(power[-1] + t)
+    total = comb(m, e) * q ** power[-1]
     for h in range(h_min, k):
-        acc += Fraction(comb(k, h) * comb(n - k, r - h), den) * w[k - h]
-    return acc
+        total += comb(k, h) * comb(m, r - h) * top[k - h] * q ** (power[-1] - power[k - h])
+    return Fraction(total, comb(n, r) * q ** power[-1])
 
 
 def full_decode_prob_exact(k: int, n: int, p: Fraction, q: int = 2) -> Fraction:
@@ -238,43 +248,43 @@ def rank_product_loop(k: int, r: int, q: int) -> float:
     return prod
 
 
-def cond_sum_loop(k: int, r: int, n: int, q: int) -> float:
-    """The systematic scheme's P[all k decodable | r of n arrived], summed term
-    by term: C(n-k, r-k)/C(n, r), then C(k,h) C(n-k, r-h)/C(n, r) * W(k-h, r-h)
-    for h = max(0, r-n+k)..k-1, clamped to 1."""
-    den = comb(n, r)
-    acc = comb(n - k, r - k) / den
-    for h in range(max(0, r - n + k), k):
-        acc += comb(k, h) * comb(n - k, r - h) / den * rank_product_loop(k - h, r - h, q)
-    return min(acc, 1.0)
+def receive_pmf_loop(n: int, r: int, p: float) -> float:
+    """P[exactly r of n packets arrive], each erased with probability p, on
+    its own: C(n,r) (1-p)^r p^(n-r) from the exact integer binomial up to
+    n = ``analysis._EXACT_WEIGHT_LIMIT``, and above it
+    exp(((lgamma(n+1) - lgamma(r+1)) - lgamma(n-r+1)) + r log1p(-p) + (n-r) log p)."""
+    if p == 0:
+        return 1.0 if r == n else 0.0
+    if p == 1:
+        return 1.0 if r == 0 else 0.0
+    if n <= _EXACT_WEIGHT_LIMIT:
+        return comb(n, r) * (1.0 - p) ** r * p ** (n - r)
+    log_comb = lgamma(n + 1) - lgamma(r + 1) - lgamma(n - r + 1)
+    return exp(log_comb + r * log1p(-p) + (n - r) * log(p))
 
 
-def full_decode_loop(k: int, n: int, p: float, q: int, pmf) -> float:
-    """sum_{r=k}^{n} pmf(n, r, p) * cond_sum_loop(k, r, n, q), skipping zero weights."""
+def channel_average_loop(n: int, r_lo: int, p: float, v: list[float]) -> float:
+    """sum_{r=r_lo}^{n} receive_pmf_loop(n, r, p) * v[r - r_lo], skipping zero
+    weights, clamped to 1."""
     total = 0.0
-    for r in range(k, n + 1):
-        w = pmf(n, r, p)
+    for r in range(r_lo, n + 1):
+        w = receive_pmf_loop(n, r, p)
         if w:
-            total += w * cond_sum_loop(k, r, n, q)
+            total += w * v[r - r_lo]
     return min(total, 1.0)
 
 
-def sf_full_decode_loop(k: int, n: int, p: float, q: int, pmf) -> float:
-    """sum_{r=k}^{n} pmf(n, r, p) * rank_product_loop(k, r, q), skipping zero weights."""
-    total = 0.0
-    for r in range(k, n + 1):
-        w = pmf(n, r, p)
-        if w:
-            total += w * rank_product_loop(k, r, q)
-    return min(total, 1.0)
+def sf_full_decode_loop(k: int, n: int, p: float, q: int) -> float:
+    """channel_average_loop(n, k, p, .) of rank_product_loop(k, r, q), r = k..n."""
+    return channel_average_loop(n, k, p, [rank_product_loop(k, r, q) for r in range(k, n + 1)])
 
 
-def approx_tail_loop(k: int, m: int, n: int, p: float, pmf) -> float:
-    """The systematic small-p approximation for m < k: pmf(min(k, n), r, p)
-    summed for r = m..min(k, n) as a left fold, clamped to 1."""
+def approx_tail_loop(k: int, m: int, n: int, p: float) -> float:
+    """The systematic small-p approximation for m < k: receive_pmf_loop(min(k, n),
+    r, p) summed for r = m..min(k, n) as a left fold, clamped to 1."""
     total = 0.0
     for r in range(m, min(k, n) + 1):
-        total += pmf(min(k, n), r, p)
+        total += receive_pmf_loop(min(k, n), r, p)
     return min(total, 1.0)
 
 

@@ -11,10 +11,9 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     approx_tail_loop,
     at_least_oracle,
+    channel_average_loop,
     cond_full_decode_prob_exact,
     cond_full_oracle,
-    cond_sum_loop,
-    full_decode_loop,
     full_decode_oracle,
     full_decode_prob_exact,
     full_rank_prob_exact,
@@ -22,6 +21,7 @@ from oracles import (
     min_packets_for_target,
     ou_tail_loop,
     rank_product_loop,
+    receive_pmf_loop,
     sf_full_decode_loop,
 )
 from sysnc import analysis
@@ -149,10 +149,27 @@ def assert_within_ou_rel(got: list, exact: list, context) -> None:
         assert abs(g - e) <= OU_REL * e + sys.float_info.min, (context, g, float(e))
 
 
+# The relative bound of a float cond_full_decode_prob against its exact
+# value. Each hypergeometric term d steps from the mode carries at most
+# 2d + 1 roundings, but the terms that carry many are far smaller than the
+# sum. The worst measured over 15,100 random (K <= 1000, K <= r <= N <= 3K,
+# q in {2, 3, 4, 16}) points is 1.1e-15, where the sum of exact quotients
+# that the recurrence replaced is off by the same; at K = r = 500, N = 1000
+# the recurrence is 9.9e-16 off and the exact quotients 1.4e-15.
+COND_REL = 4e-15
+
+
+def assert_within_cond_rel(got: list, exact: list, context) -> None:
+    for g, e in zip(got, exact, strict=True):
+        assert abs(g - e) <= COND_REL * e, (context, g, float(e))
+
+
 class TestBitwiseAgainstLoops:
     """The float closed forms equal their plain term-by-term loops exactly,
-    with excess r - k on both sides of T(q) - 1. Ordered-uncoded has no
-    float loop to match: it equals the exact loop for a Fraction p."""
+    with excess r - k on both sides of T(q) - 1. The systematic conditional
+    sum and ordered-uncoded have no float loop to match: the first is judged
+    against its exact value, and the second equals the exact loop for a
+    Fraction p."""
 
     @pytest.mark.parametrize("q", sorted(T_ONE))
     def test_threshold(self, q):
@@ -171,40 +188,53 @@ class TestBitwiseAgainstLoops:
 
     @pytest.mark.parametrize("q", sorted(T_ONE))
     def test_cond_and_full_decode(self, q):
+        """The conditional row within COND_REL of its exact value; the channel
+        averages of that row, and the straightforward one, equal their loops."""
         rng = random.Random(100 + q)
-        pmf = analysis._receive_pmf
         for _ in range(6):
             k = rng.randint(1, 25)
             n = k + rng.randint(T_ONE[q] - 5, T_ONE[q] + 15)
             row = cond_full_decode_probs(k, n, q)
-            assert row == [cond_sum_loop(k, r, n, q) for r in range(k, n + 1)], (k, n)
+            exact = [cond_full_decode_prob_exact(k, r, n, q) for r in range(k, n + 1)]
+            assert_within_cond_rel(row, exact, (k, n))
             r = rng.randint(k, n)
             assert cond_full_decode_prob(k, r, n, q) == row[r - k]
             ps = (0.1, 0.3)
             assert full_decode_probs(k, n, ps, q) == [
-                full_decode_loop(k, n, p, q, pmf) for p in ps
+                channel_average_loop(n, k, p, row) for p in ps
             ], (k, n)
             for p in ps:
-                assert full_decode_prob(k, n, p, q) == full_decode_loop(k, n, p, q, pmf)
-                assert sf_full_decode_prob(k, n, p, q) == sf_full_decode_loop(k, n, p, q, pmf)
-        # Large k: the hypergeometric terms pass their mode long before
-        # h = k - 1, so the past-mode cut in the conditional sum fires. With
-        # n > 2k the first terms of some rows are also far below the running
-        # sum, which a cut that did not wait for the mode would skip.
-        for k, n in ((60, 200), (150, 190), (150, 300), (150, 330)):
+                assert full_decode_prob(k, n, p, q) == channel_average_loop(n, k, p, row)
+                assert sf_full_decode_prob(k, n, p, q) == sf_full_decode_loop(k, n, p, q)
+        # Large k: the hypergeometric mode lies far from both ends of the h
+        # range, so the recurrences run long on both sides of it, and the
+        # past-mode cut fires. A few r of each row, since the exact sum is slow.
+        for k, n in ((60, 200), (150, 190), (150, 300), (150, 330), (500, 600)):
             row = cond_full_decode_probs(k, n, q)
-            assert row == [cond_sum_loop(k, r, n, q) for r in range(k, n + 1)], (k, n)
+            rs = (k, k + 1, min(k + T_ONE[q] - 1, n), (k + n) // 2)
+            exact = [cond_full_decode_prob_exact(k, r, n, q) for r in rs]
+            assert_within_cond_rel([row[r - k] for r in rs], exact, (k, n))
+
+    def test_receive_weights(self):
+        """The channel-weight row equals the per-r weight, on both sides of the
+        switch to log space and with its two lgamma ranges apart or overlapping."""
+        rng = random.Random(7)
+        for n in (1, 2, 63, 64, 65, 66, 100, 129, 1000):
+            for r_lo in {0, 1, n // 3, n // 2, n // 2 + 1, n - 1, n}:
+                for p in (0.0, 1.0, 0.5, 1e-9, 1 - 1e-9, rng.random()):
+                    assert analysis._receive_pmfs(n, r_lo, p) == [
+                        receive_pmf_loop(n, r, p) for r in range(r_lo, n + 1)
+                    ], (n, r_lo, p)
 
     def test_partial_approx(self):
         """A left fold on every Python; the builtin ``sum`` of floats is
         compensated from Python 3.12 on and would differ there."""
-        pmf = analysis._receive_pmf
         for k in (5, 20, 40, 150):
             for n in range(2, 2 * k + 2, 3):
                 for p in (0.1, 0.3, 0.5):
                     for m in {1, min(k - 1, n) // 2 + 1, min(k - 1, n)}:
                         assert partial_decode_prob_approx(k, m, n, p) == approx_tail_loop(
-                            k, m, n, p, pmf
+                            k, m, n, p
                         ), (k, m, n, p)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 7, 40, 150])
@@ -483,6 +513,16 @@ class TestMinPacketsForTarget:
             min_packets_for_target(lambda n: 1.0, 0.5, 5, 4)
 
 
+# How far the float systematic full-recovery probability may break its
+# orderings. Over 12,800 random (K <= 100, K <= N <= 3K, 0.01 <= p <= 0.9)
+# points it fell from N to N + 1 in 542 (worst 2.6e-13), rose from p to
+# p + dp (0.001 <= dp <= 0.02) in 307 (worst 5.6e-14), and straightforward
+# exceeded it in 501 (worst 4.4e-16, 2 ulp of 1.0); the exact-quotient sum it
+# replaced read 541, 306 and 447 there, with the same worst cases.
+FULL_MONOTONE_ABS = 1e-12
+SF_ABOVE_FULL_ABS = 2e-15
+
+
 class TestRangeAndMonotonicity:
     @given(
         st.integers(1, 10),
@@ -530,6 +570,19 @@ class TestRangeAndMonotonicity:
     def test_full_prob_monotone_in_p(self, k, extra, p, dp):
         n = k + extra
         assert full_decode_prob(k, n, p + dp) <= full_decode_prob(k, n, p) + 1e-12
+
+    @given(st.integers(1, 100), st.floats(0.01, 0.9), st.floats(0.001, 0.02), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_full_prob_orderings_where_weights_are_logs(self, k, p, dp, data):
+        """Systematic full recovery is non-decreasing in N, non-increasing in
+        p and never below straightforward's, within FULL_MONOTONE_ABS and
+        SF_ABOVE_FULL_ABS, for K <= 100 and K <= N <= 3K: mostly past n = 64,
+        where the log-space channel weights break each ordering by rounding."""
+        n = data.draw(st.integers(k, 3 * k))
+        base, more_p = full_decode_probs(k, n, (p, min(p + dp, 0.9)))
+        assert full_decode_prob(k, n + 1, p) >= base - FULL_MONOTONE_ABS
+        assert more_p <= base + FULL_MONOTONE_ABS
+        assert sf_full_decode_prob(k, n, p) <= base + SF_ABOVE_FULL_ABS
 
     @given(st.integers(1, 8), st.integers(0, 8),
            st.floats(0.01, 0.99), st.sampled_from([2, 3, 4]))
