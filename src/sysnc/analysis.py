@@ -19,12 +19,12 @@ the channel weights (exact integer binomials, and log space once factorials
 overflow doubles) and the channel averages are bit-identical to the plain
 term-by-term loops their docstrings state, so tables and sweeps may share
 work but never reorder a float operation. The systematic conditional sum
-keeps the terms of its closed form and their order, but takes each
-hypergeometric term from its neighbour by a ratio recurrence rather than
-from its own exact quotient (``_cond_full``), and is judged against the
-exact sum within a stated relative bound. Ordered-uncoded is computed in the
-arithmetic of p: a ``Fraction`` p gives the exact value, and a float result
-is judged against it within a stated relative bound.
+is W(k, r) plus at most T(q) non-negative corrections, each hypergeometric
+weight taken from its neighbour by a ratio recurrence (``_cond_full``), and
+is judged against the exact sum within a stated relative bound.
+Ordered-uncoded is computed in the arithmetic of p: a ``Fraction`` p gives
+the exact value, and a float result is judged against it within a stated
+relative bound.
 
 The rank product W(k, r) = prod_{t=r-k+1}^{r} (1 - q^-t) is read from a
 per-q table: once q^-t <= 2^-54, ``1.0 - q**-t`` rounds to exactly 1.0, and
@@ -36,10 +36,10 @@ computation repeats its work. Float sums are written-out left folds: since
 Python 3.12 the builtin ``sum`` of floats is compensated and rounds
 differently from the loop.
 
-One kind of work is skipped because it provably cannot change a bit: the
-past-mode cut (``_cond_full``). Past the hypergeometric mode the computed
-terms never rise, so once one of them leaves the running sum unchanged, no
-later term can move it; the argument is stated at the cut.
+Systematic work is skipped where its value is known (``_cond_full``): the
+hypergeometric weights sum to exactly 1, so the terms whose W is the
+constant W(k, r) need not be added, and the past-mode cut drops terms that
+provably cannot change a bit; the arguments are stated there.
 """
 
 from __future__ import annotations
@@ -57,11 +57,9 @@ def full_rank_prob(k: int, r: int, q: int = 2) -> float:
 
     prod_{j=0}^{k-1} (1 - q^(j-r)); 1 for k == 0 (empty product), 0 for r < k.
     The value is exactly that of the float loop over j = 0..k-1, multiplying
-    by ``1.0 - float(q) ** (j - r)``. It is read from the per-q table of
-    ``_rank_rows`` rather than looped: the factors with r - j >= T(q), where
-    ``1.0 - q**-(r-j)`` rounds to exactly 1.0, leave the product unchanged,
-    so W(k, k + e) depends only on e and min(k, T(q) - 1 - e). The table is
-    built once per q and kept for the process; nothing else is cached.
+    by ``1.0 - float(q) ** (j - r)``, read from the per-q table of
+    ``_rank_rows``, which is built once per q and kept for the process;
+    nothing else is cached.
     """
     _check_field(q)
     if k < 0 or r < 0:
@@ -84,10 +82,10 @@ def cond_full_decode_prob(k: int, r: int, n: int, q: int = 2) -> float:
         [ C(n-k, r-k) + sum_{h=h_min}^{k-1} C(k,h) C(n-k, r-h) W(k-h, r-h) ]
           / C(n, r),    h_min = max(0, r - n + k)
 
-    with W the full-rank probability above. The h = k term and the largest
-    hypergeometric term are exact integer quotients rounded once, and every
-    other one follows from its neighbour by a ratio of two exact integers,
-    with two roundings per step away from the largest.
+    with W the full-rank probability above. In floats it is never below
+    ``full_rank_prob(k, r, q)``, and it is exactly 1.0, the correctly rounded
+    value, from r - k = T(q) on, where every W exceeds 1 - q^-T / (q - 1) >=
+    1 - 2^-54 (T(q) as in ``_rank_rows``; ``_cond_full`` gives the terms).
     """
     _check_field(q)
     if not 1 <= k <= r <= n:
@@ -219,8 +217,8 @@ def _binomial_pmf(a: int, s) -> list:
 
 def decode_prob_ratio(k: int, r: int, n: int, q: int = 2) -> float:
     """How much likelier full recovery from r arrivals is with the systematic
-    scheme than with the straightforward one. Exceeds 1 for every finite n
-    and tends to 1 as n - k grows."""
+    scheme than with the straightforward one: exactly, above 1 for finite n
+    and tending to 1 as n - k grows; in floats >= 1.0, and 1.0 from r - k = T(q)."""
     cond = cond_full_decode_prob(k, r, n, q)  # checks 1 <= k <= r <= n first
     # The divisor is W(k, r) >= prod_{j>=1} (1 - 2^-j) > 0.2887 on that domain.
     return cond / full_rank_prob(k, r, q)
@@ -268,52 +266,52 @@ def _rank_lookup(rows: list[list[float]], k: int, e: int) -> float:
 def _cond_full(k: int, r: int, n: int, rows: list[list[float]]) -> float:
     """``cond_full_decode_prob`` from the rank table ``rows``.
 
-    The terms are the term-by-term sum's, added in its order, h ascending
-    after the h = k term; W(k - h, r - h) only comes from the table, and the
-    sum stops where no remaining term can change it. Only the h = k term and
-    the hypergeometric term H(h) = C(k,h) C(m,r-h) / C(n,r), m = n - k, at
-    its mode are exact integer quotients rounded once. Every other H(h)
-    follows from its neighbour towards the mode by the ratio
+    With e = r - k and L = min(k, T - 1 - e), W(k - h, r - h) is the constant
+    W_inf = rows[e][L] = W(k, r) for every h <= k - L, and the hypergeometric
+    terms H(h) = C(k,h) C(m,r-h) / C(n,r), m = n - k, sum to exactly 1, so
+
+        cond = W_inf + sum_{h > k - L} H(h) (W(k - h, r - h) - W_inf):
+
+    at most L terms, each correction in [0, 1] since no table row rises. Only
+    the largest of them, at the mode clamped into the window, is an exact
+    integer quotient rounded once (H(k) = C(m,e) / C(n,r) underflows to 0.0
+    at large k, as at k = 2000, n = 2600). Every other H(h) follows from its
+    neighbour towards that anchor by the ratio
 
         H(h + 1) / H(h) = (k - h)(r - h) / ((h + 1)(m - r + h + 1)),
 
     one float multiplication by the integer numerator and one division by
     the integer denominator. Both are at most (k + 1)(n + 1), below 2^52 at
     every size the CLI accepts, so each is exact as a float, and a term d
-    steps from the mode carries at most 2d + 1 roundings.
+    steps from the anchor carries at most 2d + 1 roundings.
     """
-    m = n - k
-    den = math.comb(n, r)
-    e = r - k
-    row = rows[e] if e < len(rows) else [1.0]
-    acc = math.comb(m, e) / den
+    e, m = r - k, n - k
+    if e >= len(rows) - 1:
+        return 1.0  # from e = T - 1 on every W, and so cond, is exactly 1.0
+    row = rows[e]
+    last = min(k, len(row) - 1)  # L
+    w_inf, lo = row[last], max(k + 1 - last, r - m)  # lo: the window's first h
     # The ratio above is >= 1 exactly when (h + 1)(n + 2) <= (k + 1)(r + 1),
     # so H peaks at h = mode. The mode lies in the support [max(0, r - m), k]:
     # mode <= k since r < n + 1, and (k+1)(r+1) - (r-m)(n+2) = (m+1)(n-r+1) > 0.
-    mode = (k + 1) * (r + 1) // (n + 2)
-    term = math.comb(k, mode) * math.comb(m, r - mode) / den
-    below = []  # H(mode - 1), H(mode - 2), ... down to the first 0.0
-    t = term
-    for h in range(mode, max(0, r - m), -1):
+    h0 = max((k + 1) * (r + 1) // (n + 2), lo)
+    top = math.comb(k, h0) * math.comb(m, r - h0) / math.comb(n, r)
+    acc, t = w_inf, top
+    for h in range(h0, lo, -1):  # below the mode, when it lies in the window
         t = t * (h * (m - r + h)) / ((k - h + 1) * (r - h + 1))
-        if not t:
-            break  # every lower term is 0.0 as well, and adds nothing
-        below.append(t)
-    # w[j] = W(j, j + e) for every j = k - h that the two folds read
-    w = row + [row[-1]] * (k - mode + len(below) + 1 - len(row))
-    for h, t in zip(range(mode - len(below), mode), reversed(below)):
-        acc += t * w[k - h]
-    for h in range(mode, k):
+        acc += t * (row[k - h + 1] - w_inf)
+    t = top
+    for h in range(h0, k + 1):
         # Past-mode cut: no later term can change acc. From h = mode on, the
         # exact ratio is an integer quotient a/b < 1, so at most 1 - 1/b with
         # b < 2^52, and its two roundings scale it by at most (1 + 2^-53)^2:
-        # each computed term is <= the one before it. With W <= 1, every later
-        # addend x has 0 <= x <= term, and rounding is monotone, so once
-        # acc + term rounds to acc, acc + x rounds to acc as well.
-        if acc + term == acc:
+        # each computed term is <= the one before it. Each addend is a term
+        # times a correction in [0, 1], so once acc + t rounds to acc, every
+        # later addend x has 0 <= x <= t, and acc + x rounds to acc as well.
+        if acc + t == acc:
             break
-        acc += term * w[k - h]
-        term = term * ((k - h) * (r - h)) / ((h + 1) * (m - r + h + 1))
+        acc += t * (row[k - h] - w_inf)
+        t = t * ((k - h) * (r - h)) / ((h + 1) * (m - r + h + 1))
     return min(acc, 1.0)
 
 

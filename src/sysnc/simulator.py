@@ -248,11 +248,13 @@ def run_trials(
         if workers == 1:
             counted = map(_count_block, blocks)
         else:
-            # Imported here: the pool's 35 modules would add about a quarter
-            # to the start-up of every single-process run.
+            # Imported here: the pool's 35 modules would add about a quarter to the
+            # start-up of every single-process run. Ctrl-C reaches the parent alone.
+            import signal
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(max_workers=workers)
+            pool = ProcessPoolExecutor(workers, initializer=signal.signal,
+                                       initargs=(signal.SIGINT, signal.SIG_IGN))
             counted = pool.map(_count_block, blocks)
         for counts in counted:  # add the blocks up per (M, n)
             for total, row in zip(totals, counts):

@@ -2,8 +2,10 @@
 
 A refactor that keeps these digests keeps the ``analyze``, ``simulate`` and
 ``metrics`` bytes. Rewrite a digest only for an intended output change, and
-say why in CHANGES.md. ``tests/test_golden.py`` checks every digest; so does
-running this module, under any interpreter and without pytest:
+say why in CHANGES.md. ``tests/test_golden.py`` checks every digest, and the
+digests of one unit of each benchmark workload against
+``perfbench/golden.json``; so does running this module, under any interpreter
+and without pytest:
 
     PYTHONPATH=src python tests/golden_digests.py
 
@@ -12,8 +14,11 @@ which prints one line per mismatch and exits 1 if there is any.
 
 import contextlib
 import hashlib
+import importlib.util
 import io
+import json
 import sys
+from pathlib import Path
 
 from sysnc.cli import EXIT_OK, main
 
@@ -194,6 +199,29 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# The digests of one unit of each benchmark workload at its default seed.
+BENCH_GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())
+
+
+def run_bench_unit(name: str) -> tuple[int, list]:
+    """The failed checks and the digests of one unit of workload ``name``.
+    ``perfbench/workloads.py`` is read from its file, and registered in
+    ``sys.modules`` only while it runs, as its dataclasses need."""
+    module = "perfbench_workloads"
+    spec = importlib.util.spec_from_file_location(module, PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[module] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[module]
+    wl = workloads.WORKLOADS[name]
+    checks = workloads.Checks()
+    unit = wl.run_unit(wl.prepare(workloads.DEFAULT_SEED), checks)
+    return checks.failed, unit.digests
+
+
 if __name__ == "__main__":
     failed = 0
     for name, workers in cases():
@@ -201,5 +229,13 @@ if __name__ == "__main__":
         if code != EXIT_OK or digest(out) != GOLDEN[name][1]:
             failed += 1
             print(f"MISMATCH {name} workers={workers}: exit {code}, sha256 {digest(out)}")
-    print(f"{failed} of {len(list(cases()))} digests differ under Python {sys.version.split()[0]}")
-    sys.exit(1 if failed else 0)
+    bench_failed = 0
+    for name in sorted(BENCH_GOLDEN):
+        checks_failed, digests = run_bench_unit(name)
+        if checks_failed or digests != BENCH_GOLDEN[name]:
+            bench_failed += 1
+            print(f"MISMATCH benchmark unit {name}: {checks_failed} failed checks")
+    version = sys.version.split()[0]
+    print(f"{failed} of {len(list(cases()))} digests differ under Python {version}")
+    print(f"{bench_failed} of {len(BENCH_GOLDEN)} benchmark-unit digest lists differ")
+    sys.exit(1 if failed or bench_failed else 0)

@@ -8,9 +8,11 @@ algebraically equal form, such as a prefix product, since exact arithmetic
 has no rounding to keep. The ``*_loop`` functions are the plain float loops
 of the rank product, the channel weights and the channel averages, term by
 term in their stated order: the float implementations must equal them bit
-for bit. The systematic conditional sum has no such loop: its terms come
-from a ratio recurrence, and ``cond_full_decode_prob_exact`` judges it
-within a stated relative bound.
+for bit. The systematic conditional sum takes its terms from a ratio
+recurrence, so ``cond_full_decode_prob_exact`` judges it within a stated
+relative bound; ``cond_window_loop`` is the same sum without its past-mode
+cut, which it must equal bit for bit, since the cut may skip only terms that
+change no bit.
 ``rref_decodable_set`` is a list-based RREF that shares no code with the
 packed decoders it judges. ``set_bits`` and ``combine_words_loop`` walk a
 mask one lowest set bit at a time, the loop that the C-level mask walks of
@@ -32,7 +34,7 @@ from itertools import combinations, product
 from math import comb, exp, lgamma, log, log1p
 from typing import Iterable
 
-from sysnc.analysis import _EXACT_WEIGHT_LIMIT
+from sysnc.analysis import _EXACT_WEIGHT_LIMIT, _rank_rows
 from sysnc.codec import coding_word
 from sysnc.gf2 import CodingVector, DimensionError
 from sysnc.simulator import derive_stream
@@ -246,6 +248,31 @@ def rank_product_loop(k: int, r: int, q: int) -> float:
     for j in range(k):
         prod *= 1.0 - float(q) ** (j - r)
     return prod
+
+
+def cond_window_loop(k: int, r: int, n: int, q: int) -> float:
+    """``cond_full_decode_prob`` in floats with every correction of its window
+    added: W_inf plus H(h) (W(k - h, r - h) - W_inf) for each h of the window,
+    below the anchor from it downwards and then from it upwards, each H(h) from
+    its neighbour by the ratio recurrence and the anchor an exact quotient."""
+    rows = _rank_rows(q)
+    e, m = r - k, n - k
+    if e >= len(rows) - 1:
+        return 1.0
+    row = rows[e]
+    w_inf = row[min(k, len(row) - 1)]
+    lo = max(k + 1 - min(k, len(row) - 1), r - m)
+    h0 = max((k + 1) * (r + 1) // (n + 2), lo)
+    top = comb(k, h0) * comb(m, r - h0) / comb(n, r)
+    acc, t = w_inf, top
+    for h in range(h0, lo, -1):
+        t = t * (h * (m - r + h)) / ((k - h + 1) * (r - h + 1))
+        acc += t * (row[k - h + 1] - w_inf)
+    t = top
+    for h in range(h0, k + 1):
+        acc += t * (row[k - h] - w_inf)
+        t = t * ((k - h) * (r - h)) / ((h + 1) * (m - r + h + 1))
+    return min(acc, 1.0)
 
 
 def receive_pmf_loop(n: int, r: int, p: float) -> float:

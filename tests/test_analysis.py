@@ -14,6 +14,7 @@ from oracles import (
     channel_average_loop,
     cond_full_decode_prob_exact,
     cond_full_oracle,
+    cond_window_loop,
     full_decode_oracle,
     full_decode_prob_exact,
     full_rank_prob_exact,
@@ -37,6 +38,10 @@ from sysnc.analysis import (
     partial_decode_prob_approx,
     sf_full_decode_prob,
 )
+
+# T(q): the least t with 1.0 - q**-t == 1.0, past which every factor of the
+# float rank product is exactly 1.0.
+T_ONE = {2: 54, 3: 35, 4: 27, 16: 14}
 
 
 class TestFullRankProb:
@@ -83,6 +88,19 @@ class TestCondFullDecodeProb:
             cond_full_decode_prob(3, 2, 5)  # r < k
         with pytest.raises(ValueError):
             cond_full_decode_prob(3, 6, 5)  # r > n
+
+    @pytest.mark.parametrize("q", sorted(T_ONE))
+    def test_certain_from_excess_t(self, q):
+        """From r - k = T(q) on, every W(k - h, r - h) exceeds
+        1 - q^-T / (q - 1) >= 1 - 2^-54 in exact arithmetic, and so does their
+        hypergeometric average: 1.0 is its correctly rounded value."""
+        t = T_ONE[q]
+        for k in (1, 2, 7, 60, 500):
+            for r in (k + t, k + t + 1, k + t + 9):
+                for n in (r, r + 1, r + k, 3 * r):
+                    assert cond_full_decode_prob(k, r, n, q) == 1.0, (k, r, n)
+                    if k <= 7:
+                        assert float(cond_full_decode_prob_exact(k, r, n, q)) == 1.0
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_against_enumeration(self, k):
@@ -131,10 +149,6 @@ class TestFullDecodeProb:
         assert full_decode_prob(100, 400, 0.3) > 0.999
 
 
-# T(q): the least t with 1.0 - q**-t == 1.0, past which every factor of the
-# float rank product is exactly 1.0.
-T_ONE = {2: 54, 3: 35, 4: 27, 16: 14}
-
 # The relative bound of a float ordered-uncoded probability against its exact
 # value at the same p, for the p <= 0.9 that these tests use. The worst
 # measured there is 2.3e-14 (K = 150, M = 150, N = 451, p = 0.9, where
@@ -150,12 +164,11 @@ def assert_within_ou_rel(got: list, exact: list, context) -> None:
 
 
 # The relative bound of a float cond_full_decode_prob against its exact
-# value. Each hypergeometric term d steps from the mode carries at most
-# 2d + 1 roundings, but the terms that carry many are far smaller than the
-# sum. The worst measured over 15,100 random (K <= 1000, K <= r <= N <= 3K,
-# q in {2, 3, 4, 16}) points is 1.1e-15, where the sum of exact quotients
-# that the recurrence replaced is off by the same; at K = r = 500, N = 1000
-# the recurrence is 9.9e-16 off and the exact quotients 1.4e-15.
+# value. Each hypergeometric term d steps from the window's anchor carries at
+# most 2d + 1 roundings, but the terms that carry many are far smaller than
+# the sum. The worst measured over 2,169 random (K <= 200, K <= r <= N,
+# q in {2, 3, 4, 16}) points is 7.8e-16, where the earlier sum of every
+# term read 1.1e-15, as it did over 15,100 points out to K = 1000.
 COND_REL = 4e-15
 
 
@@ -214,6 +227,26 @@ class TestBitwiseAgainstLoops:
             rs = (k, k + 1, min(k + T_ONE[q] - 1, n), (k + n) // 2)
             exact = [cond_full_decode_prob_exact(k, r, n, q) for r in rs]
             assert_within_cond_rel([row[r - k] for r in rs], exact, (k, n))
+
+    @pytest.mark.parametrize("q", sorted(T_ONE))
+    def test_cut_changes_no_bit(self, q):
+        """The conditional sum equals its window summed without the past-mode
+        cut, bit for bit, on random points, whole rows, and near-lossless
+        points, where the mode lies in the window and the walk runs both ways
+        from it: an anchor elsewhere would round differently there."""
+        t = T_ONE[q]
+        points = [(k, r, n) for k in range(1, 200, 3) for r in range(k, k + t)
+                  for n in range(r, r + 4)]
+        rng = random.Random(300 + q)
+        for _ in range(1500):
+            k = rng.randint(1, 300)
+            n = k + rng.randint(0, 2 * k + 60)
+            points.append((k, rng.randint(k, min(n, k + t)), n))
+        for k, r, n in points:
+            assert cond_full_decode_prob(k, r, n, q) == cond_window_loop(k, r, n, q), (k, r, n)
+        for k, n in ((1, 80), (40, 120), (150, 300), (1000, 1100)):
+            row = cond_full_decode_probs(k, n, q)
+            assert row == [cond_window_loop(k, r, n, q) for r in range(k, n + 1)], (k, n)
 
     def test_receive_weights(self):
         """The channel-weight row equals the per-r weight, on both sides of the
@@ -309,6 +342,71 @@ class TestBitwiseAgainstLoops:
         finally:
             sys.settrace(previous)
         assert got == [0.5, 1.0, 1.0]
+
+
+class TestCondWindow:
+    """The conditional sum as W_inf = W(k, r) plus the corrections
+    H(h) (W(k - h, r - h) - W_inf) over the window h > k - min(k, T - 1 - e),
+    anchored at the mode clamped into the window (``analysis._cond_full``),
+    judged against its exact value in each regime of that window."""
+
+    @staticmethod
+    def window(k, r, n, q):
+        """(first h of the window in the support, hypergeometric mode)."""
+        e = r - k
+        return max(k + 1 - min(k, T_ONE[q] - 1 - e), r - n + k), (k + 1) * (r + 1) // (n + 2)
+
+    def test_rank_rows_never_rise(self):
+        """The premise that every correction lies in [0, 1]."""
+        for q in T_ONE:
+            for row in analysis._rank_rows(q):
+                assert row[0] == 1.0
+                assert all(a >= b for a, b in itertools.pairwise(row)), q
+
+    @pytest.mark.parametrize("q", sorted(T_ONE))
+    def test_mode_inside_the_window(self, q):
+        t = T_ONE[q]
+        # r = n and r = n - 1 put the mode at k, the window's top; a few more
+        # coded sends put it strictly inside, with terms on both sides.
+        cases = [(k, k + e, k + e + d) for k in (5, 60, 150) for e in (0, 1, t // 2, t - 2)
+                 for d in (0, 1)]
+        inside = []
+        for k, e, d in itertools.product((60, 150), (0, 1, 4), range(2, 60)):
+            lo, mode = self.window(k, k + e, k + e + d, q)
+            if lo < mode < k:
+                inside.append((k, k + e, k + e + d))
+        assert len(inside) >= 4
+        for k, r, n in cases + inside[:: len(inside) // 4]:
+            exact = cond_full_decode_prob_exact(k, r, n, q)
+            assert_within_cond_rel([cond_full_decode_prob(k, r, n, q)], [exact], (k, r, n))
+
+    @pytest.mark.parametrize("q", sorted(T_ONE))
+    def test_window_covers_the_support(self, q):
+        t = T_ONE[q]
+        for e in (0, 3, t // 2):
+            for k in (1, 2, t - 1 - e):
+                r = k + e
+                for n in (r, r + 1, r + 5, 3 * r):
+                    assert self.window(k, r, n, q)[0] == max(1, r - n + k)
+                    exact = cond_full_decode_prob_exact(k, r, n, q)
+                    assert_within_cond_rel(
+                        [cond_full_decode_prob(k, r, n, q)], [exact], (k, r, n))
+
+    @pytest.mark.parametrize("q", sorted(T_ONE))
+    def test_last_row_below_certainty(self, q):
+        """e = T - 1, the last row of the table: every float W is 1.0 there."""
+        e = T_ONE[q] - 1
+        for k in (1, 3, 30):
+            for n in (k + e, k + e + 1, 2 * k + e + 20):
+                exact = cond_full_decode_prob_exact(k, k + e, n, q)
+                assert_within_cond_rel([cond_full_decode_prob(k, k + e, n, q)], [exact], (k, n))
+
+    def test_large_k_where_the_last_term_underflows(self):
+        k, n = 2000, 2600
+        for r in (k, k + 1):
+            assert math.comb(n - k, r - k) / math.comb(n, r) == 0.0  # H(k)
+            exact = cond_full_decode_prob_exact(k, r, n, 2)
+            assert_within_cond_rel([cond_full_decode_prob(k, r, n, 2)], [exact], (k, r, n))
 
 
 class TestExactPaths:
@@ -457,6 +555,15 @@ class TestDecodeProbRatio:
             for r in range(k, k + 5):
                 for n in range(r, k + 8):
                     assert decode_prob_ratio(k, r, n, 2) > 1.0
+
+    def test_at_least_one_in_floats(self):
+        """The systematic probability is W(k, r) plus non-negative float
+        corrections, and both read exactly 1.0 from r - k = T(q) on."""
+        for q in T_ONE:
+            for k in (1, 2, 5, 30):
+                for r in range(k, k + 60):
+                    for n in range(r, r + 50, 3):
+                        assert decode_prob_ratio(k, r, n, q) >= 1.0, (k, r, n, q)
 
     def test_approaches_one_for_long_coded_tails(self):
         # numerical sweep: with k=5 and r=k+5 the advantage shrinks below 5%
