@@ -20,8 +20,11 @@ overflow doubles) and the channel averages are bit-identical to the plain
 term-by-term loops their docstrings state, so tables and sweeps may share
 work but never reorder a float operation. The systematic conditional sum
 is W(k, r) plus at most T(q) non-negative corrections, each hypergeometric
-weight taken from its neighbour by a ratio recurrence (``_cond_full``), and
-is judged against the exact sum within a stated relative bound.
+weight taken from its neighbour by a ratio recurrence from one exact integer
+quotient per receive count r, and is judged against the exact sum within a
+stated relative bound. Along a row of r the quotient's three binomials are
+carried from r to r + 1 by one exact small-integer step each, so
+``math.comb`` runs only where the walk starts (``_cond_full``).
 Ordered-uncoded is computed in the arithmetic of p: a ``Fraction`` p gives
 the exact value, and a float result is judged against it within a stated
 relative bound.
@@ -29,12 +32,13 @@ relative bound.
 The rank product W(k, r) = prod_{t=r-k+1}^{r} (1 - q^-t) is read from a
 per-q table: once q^-t <= 2^-54, ``1.0 - q**-t`` rounds to exactly 1.0, and
 multiplying by an exact 1.0 changes nothing, so only the factors below that
-t need storing (see ``_rank_rows``). That table is the only state kept
-between calls. Work shared across p, M or N (the ``*_probs`` functions)
-lives inside one call and is returned, never cached, so repeating a
-computation repeats its work. Float sums are written-out left folds: since
-Python 3.12 the builtin ``sum`` of floats is compensated and rounds
-differently from the loop.
+t need storing (see ``_rank_rows``). The log-space channel weights read
+lgamma(i + 1) from one table grown on demand (``_log_factorials``). Those
+two tables of constants are the only state kept between calls. Work shared
+across p, M or N (the ``*_probs`` functions) lives inside one call and is
+returned, never cached, so repeating a computation repeats its work. Float
+sums are written-out left folds: since Python 3.12 the builtin ``sum`` of
+floats is compensated and rounds differently from the loop.
 
 Systematic work is skipped where its value is known (``_cond_full``): the
 hypergeometric weights sum to exactly 1, so the terms whose W is the
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 
 # Above this n the erasure-channel weights C(n,r)(1-p)^r p^(n-r) switch to
 # log space; below it, exact integer binomials keep full double precision.
@@ -86,11 +91,14 @@ def cond_full_decode_prob(k: int, r: int, n: int, q: int = 2) -> float:
     ``full_rank_prob(k, r, q)``, and it is exactly 1.0, the correctly rounded
     value, from r - k = T(q) on, where every W exceeds 1 - q^-T / (q - 1) >=
     1 - 2^-54 (T(q) as in ``_rank_rows``; ``_cond_full`` gives the terms).
+    This is ``cond_full_decode_probs``' walk over r started and ended at r,
+    so it equals that row's entry bit for bit.
     """
     _check_field(q)
     if not 1 <= k <= r <= n:
         raise ValueError(f"need 1 <= k <= r <= n, got k={k}, r={r}, n={n}")
-    return _cond_full(k, r, n, _rank_rows(q))
+    [prob] = _cond_full(k, r, r, n, _rank_rows(q))
+    return prob
 
 
 def cond_full_decode_probs(k: int, n: int, q: int = 2) -> list[float]:
@@ -98,8 +106,7 @@ def cond_full_decode_probs(k: int, n: int, q: int = 2) -> list[float]:
     _check_field(q)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    rows = _rank_rows(q)
-    return [_cond_full(k, r, n, rows) for r in range(k, n + 1)]
+    return _cond_full(k, k, n, n, _rank_rows(q))
 
 
 def full_decode_prob(k: int, n: int, p: float, q: int = 2) -> float:
@@ -151,7 +158,10 @@ def sf_full_decode_prob(k: int, n: int, p: float, q: int = 2) -> float:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
     _check_field(q)
     rows = _rank_rows(q)
-    ranks = [_rank_lookup(rows, k, e) for e in range(n - k + 1)]
+    # W(k, k + e) for e = 0..n - k as ``_rank_lookup`` reads it: from the at
+    # most T rows of the table, then exact 1.0.
+    ranks = [row[min(k, len(row) - 1)] for row in rows[: n - k + 1]]
+    ranks += [1.0] * (n - k + 1 - len(ranks))
     return _channel_average(n, k, p, ranks)
 
 
@@ -225,8 +235,8 @@ def decode_prob_ratio(k: int, r: int, n: int, q: int = 2) -> float:
 
 
 # Per-q tables of the rank product, built on first use and kept for the life
-# of the process. Each depends on q alone; it is the only state this module
-# keeps between calls.
+# of the process. Each depends on q alone; with ``_LOG_FACTORIALS`` it is the
+# only state this module keeps between calls.
 _RANK_TABLES: dict[int, list[list[float]]] = {}
 
 
@@ -263,8 +273,9 @@ def _rank_lookup(rows: list[list[float]], k: int, e: int) -> float:
     return row[min(k, len(row) - 1)]
 
 
-def _cond_full(k: int, r: int, n: int, rows: list[list[float]]) -> float:
-    """``cond_full_decode_prob`` from the rank table ``rows``.
+def _cond_full(k: int, r_lo: int, r_hi: int, n: int, rows: list[list[float]]) -> list[float]:
+    """``cond_full_decode_prob(k, r, n)`` for r = r_lo..r_hi, from the rank
+    table ``rows``: one walk along r, whatever r_lo it starts at.
 
     With e = r - k and L = min(k, T - 1 - e), W(k - h, r - h) is the constant
     W_inf = rows[e][L] = W(k, r) for every h <= k - L, and the hypergeometric
@@ -284,35 +295,57 @@ def _cond_full(k: int, r: int, n: int, rows: list[list[float]]) -> float:
     the integer denominator. Both are at most (k + 1)(n + 1), below 2^52 at
     every size the CLI accepts, so each is exact as a float, and a term d
     steps from the anchor carries at most 2d + 1 roundings.
+
+    The anchor's three integers C(k, h0), C(m, r - h0) and C(n, r) come from
+    ``math.comb`` at r = r_lo only; each later r takes them from r - 1 by one
+    exact multiply and floor division, so the quotient, and every bit of the
+    result, is that of fresh binomials.
     """
-    e, m = r - k, n - k
-    if e >= len(rows) - 1:
-        return 1.0  # from e = T - 1 on every W, and so cond, is exactly 1.0
-    row = rows[e]
-    last = min(k, len(row) - 1)  # L
-    w_inf, lo = row[last], max(k + 1 - last, r - m)  # lo: the window's first h
-    # The ratio above is >= 1 exactly when (h + 1)(n + 2) <= (k + 1)(r + 1),
-    # so H peaks at h = mode. The mode lies in the support [max(0, r - m), k]:
-    # mode <= k since r < n + 1, and (k+1)(r+1) - (r-m)(n+2) = (m+1)(n-r+1) > 0.
-    h0 = max((k + 1) * (r + 1) // (n + 2), lo)
-    top = math.comb(k, h0) * math.comb(m, r - h0) / math.comb(n, r)
-    acc, t = w_inf, top
-    for h in range(h0, lo, -1):  # below the mode, when it lies in the window
-        t = t * (h * (m - r + h)) / ((k - h + 1) * (r - h + 1))
-        acc += t * (row[k - h + 1] - w_inf)
-    t = top
-    for h in range(h0, k + 1):
-        # Past-mode cut: no later term can change acc. From h = mode on, the
-        # exact ratio is an integer quotient a/b < 1, so at most 1 - 1/b with
-        # b < 2^52, and its two roundings scale it by at most (1 + 2^-53)^2:
-        # each computed term is <= the one before it. Each addend is a term
-        # times a correction in [0, 1], so once acc + t rounds to acc, every
-        # later addend x has 0 <= x <= t, and acc + x rounds to acc as well.
-        if acc + t == acc:
-            break
-        acc += t * (row[k - h] - w_inf)
-        t = t * ((k - h) * (r - h)) / ((h + 1) * (m - r + h + 1))
-    return min(acc, 1.0)
+    m = n - k
+    # From e = T - 1 on every W, and so cond, is exactly 1.0.
+    stop = min(r_hi, k + len(rows) - 2)
+    out = []
+    for r in range(r_lo, stop + 1):
+        row = rows[r - k]
+        last = min(k, len(row) - 1)  # L
+        w_inf, lo = row[last], max(k + 1 - last, r - m)  # lo: the window's first h
+        # The ratio above is >= 1 exactly when (h + 1)(n + 2) <= (k + 1)(r + 1),
+        # so H peaks at h = mode. The mode lies in the support [max(0, r - m), k]:
+        # mode <= k since r < n + 1, and (k+1)(r+1) - (r-m)(n+2) = (m+1)(n-r+1) > 0.
+        h0 = max((k + 1) * (r + 1) // (n + 2), lo)
+        if r == r_lo:
+            ck, cm, cn = math.comb(k, h0), math.comb(m, r - h0), math.comb(n, r)
+        else:
+            # From r - 1 to r, h0 = max(mode, lo) rises by 0 or 1: the mode by
+            # at most 1 since (k + 1) / (n + 2) < 1, and lo by at most 1 since
+            # both its arms, max(1, r - T + 2) and r - m, do. So exactly one of
+            # h0 and j = r - h0 rises by 1, and its binomial steps with it.
+            cn = cn * (n - r + 1) // r
+            if h0 > h_prev:
+                ck = ck * (k - h_prev) // h0
+            else:
+                cm = cm * (m - r + h0 + 1) // (r - h0)
+        h_prev = h0
+        top = ck * cm / cn
+        acc, t = w_inf, top
+        for h in range(h0, lo, -1):  # below the mode, when it lies in the window
+            t = t * (h * (m - r + h)) / ((k - h + 1) * (r - h + 1))
+            acc += t * (row[k - h + 1] - w_inf)
+        t = top
+        for h in range(h0, k + 1):
+            # Past-mode cut: no later term can change acc. From h = mode on, the
+            # exact ratio is an integer quotient a/b < 1, so at most 1 - 1/b with
+            # b < 2^52, and its two roundings scale it by at most (1 + 2^-53)^2:
+            # each computed term is <= the one before it. Each addend is a term
+            # times a correction in [0, 1], so once acc + t rounds to acc, every
+            # later addend x has 0 <= x <= t, and acc + x rounds to acc as well.
+            if acc + t == acc:
+                break
+            acc += t * (row[k - h] - w_inf)
+            t = t * ((k - h) * (r - h)) / ((h + 1) * (m - r + h + 1))
+        out.append(min(acc, 1.0))
+    out += [1.0] * (r_hi + 1 - max(stop + 1, r_lo))
+    return out
 
 
 def _channel_average(n: int, r_lo: int, p: float, v: list[float]) -> float:
@@ -329,9 +362,9 @@ def _channel_average(n: int, r_lo: int, p: float, v: list[float]) -> float:
 def _receive_pmfs(n: int, r_lo: int, p: float) -> list[float]:
     """P[exactly r of n packets arrive] for r = r_lo..n, when each is erased
     with probability p: C(n,r) (1-p)^r p^(n-r), from exact integer binomials
-    up to n = _EXACT_WEIGHT_LIMIT and in log space above, where log1p(-p),
-    log(p) and lgamma(i + 1) at each index i the row reads are evaluated
-    once for the whole row."""
+    up to n = _EXACT_WEIGHT_LIMIT and in log space above, where log1p(-p) and
+    log(p) are evaluated once for the whole row and each lgamma(i + 1) is read
+    from the table of ``_log_factorials``."""
     rs = range(r_lo, n + 1)
     if p == 0:
         return [1.0 if r == n else 0.0 for r in rs]
@@ -340,12 +373,26 @@ def _receive_pmfs(n: int, r_lo: int, p: float) -> list[float]:
     if n <= _EXACT_WEIGHT_LIMIT:
         return [math.comb(n, r) * (1.0 - p) ** r * p ** (n - r) for r in rs]
     got, lost = math.log1p(-p), math.log(p)
-    # lg[i] = lgamma(i + 1) at i = n - r <= n - r_lo and at i = r >= r_lo.
-    lg = [math.lgamma(i + 1) for i in range(n - r_lo + 1)]
-    lg += [0.0] * (r_lo - len(lg))  # between the two ranges: never read
-    lg += [math.lgamma(i + 1) for i in range(len(lg), n + 1)]
+    lg = _log_factorials(n)
     lg_n = lg[n]
     return [math.exp(lg_n - lg[r] - lg[n - r] + r * got + (n - r) * lost) for r in rs]
+
+
+# lgamma(i + 1) at i = 0, 1, ..., grown on demand and kept for the life of the
+# process, like the rank tables: each entry is a constant of i alone. Growth
+# reads the length and then appends, so it holds the lock; readers need not.
+_LOG_FACTORIALS: list[float] = []
+_LOG_FACTORIALS_GROWING = threading.Lock()
+
+
+def _log_factorials(n: int) -> list[float]:
+    """The table of lgamma(i + 1), grown to hold at least i = 0..n. Each entry
+    is the value ``math.lgamma(i + 1)`` returns, whatever order the table grew in."""
+    table = _LOG_FACTORIALS
+    if len(table) <= n:
+        with _LOG_FACTORIALS_GROWING:
+            table.extend(map(math.lgamma, range(len(table) + 1, n + 2)))
+    return table
 
 
 def _check_field(q: int) -> None:

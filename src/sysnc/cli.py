@@ -29,8 +29,10 @@ MODES = ("analyze", "simulate", "metrics", "bench")
 DEFAULT_REPETITIONS = 100
 SEARCH_CAP_FACTOR = 8  # metrics mode scans n up to 8k unless --n-max narrows it
 # Work-size caps. The systematic closed form (analyze, and metrics' searches)
-# sums at most T(q) <= 54 terms with three big-integer binomials of up to N
-# bits per receive count r < K + T(q) of each N, and the simulator keeps
+# sums at most T(q) <= 54 terms per receive count r < K + T(q) of each N, with
+# one big-integer quotient of up to N bits whose binomials start from
+# math.comb once per N and step along r. The channel weights read a shared
+# lgamma table of at most MAX_CLOSED_FORM_N + 1 entries. The simulator keeps
 # counts for every N of its range, so the N cap holds for every subcommand
 # that takes one. The K cap also keeps the ratio recurrence's integers exact.
 MAX_CLOSED_FORM_K = 10_000

@@ -1,7 +1,9 @@
+import collections
 import itertools
 import math
 import random
 import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -25,7 +27,7 @@ from oracles import (
     receive_pmf_loop,
     sf_full_decode_loop,
 )
-from sysnc import analysis
+from sysnc import analysis, cli
 from sysnc.analysis import (
     cond_full_decode_prob,
     cond_full_decode_probs,
@@ -250,7 +252,7 @@ class TestBitwiseAgainstLoops:
 
     def test_receive_weights(self):
         """The channel-weight row equals the per-r weight, on both sides of the
-        switch to log space and with its two lgamma ranges apart or overlapping."""
+        switch to log space, with r_lo below, at and above n / 2."""
         rng = random.Random(7)
         for n in (1, 2, 63, 64, 65, 66, 100, 129, 1000):
             for r_lo in {0, 1, n // 3, n // 2, n // 2 + 1, n - 1, n}:
@@ -258,6 +260,52 @@ class TestBitwiseAgainstLoops:
                     assert analysis._receive_pmfs(n, r_lo, p) == [
                         receive_pmf_loop(n, r, p) for r in range(r_lo, n + 1)
                     ], (n, r_lo, p)
+
+    def test_log_factorial_table_any_growth_order(self, monkeypatch):
+        """The log-space weights read one shared lgamma table: its entries,
+        and so every weight, are the same whichever n first grew it, from
+        nothing to n = 100,000 (the CLI's N cap) or in small steps."""
+        orders = [(1000, 65, 66, 129), (65, 66, 129, 1000), (129, 66, 65, 1000)]
+        for order in orders:
+            monkeypatch.setattr(analysis, "_LOG_FACTORIALS", [])
+            for n in order:
+                for r_lo in (0, n // 3, n // 2, n - 1, n):
+                    for p in (0.1, 0.5, 0.9):
+                        assert analysis._receive_pmfs(n, r_lo, p) == [
+                            receive_pmf_loop(n, r, p) for r in range(r_lo, n + 1)
+                        ], (order, n, r_lo, p)
+        monkeypatch.setattr(analysis, "_LOG_FACTORIALS", [])
+        n = 100_000
+        for p in (0.1, 0.5):
+            mode = math.floor((n + 1) * (1 - p))
+            for r_lo in (mode - 3, mode, mode + 2):
+                got = analysis._receive_pmfs(n, r_lo, p)
+                assert got == [receive_pmf_loop(n, r, p) for r in range(r_lo, n + 1)], (p, r_lo)
+        assert len(analysis._LOG_FACTORIALS) == n + 1
+
+    def test_log_factorial_table_grown_from_threads(self, monkeypatch):
+        """Threads growing the shared table in interleaved steps, with a short
+        switch interval, leave every entry at its own index. Without the lock
+        on growth, about half of these rounds append an entry twice."""
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                monkeypatch.setattr(analysis, "_LOG_FACTORIALS", [])
+                threads = [
+                    threading.Thread(target=lambda s: [analysis._log_factorials(n)
+                                                       for n in range(s, 20_000, 4)], args=(s,))
+                    for s in range(4)
+                ]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60)
+                assert not any(th.is_alive() for th in threads)
+                table = analysis._LOG_FACTORIALS
+                assert table == [math.lgamma(i + 1) for i in range(len(table))]
+        finally:
+            sys.setswitchinterval(previous)
 
     def test_partial_approx(self):
         """A left fold on every Python; the builtin ``sum`` of floats is
@@ -343,6 +391,36 @@ class TestBitwiseAgainstLoops:
             sys.settrace(previous)
         assert got == [0.5, 1.0, 1.0]
 
+    def test_systematic_sweep_work_count(self, monkeypatch):
+        """The systematic sweep starts its anchor binomials from ``math.comb``
+        once per N and steps them along r, and its channel weights read one
+        lgamma table: at most 3 ``comb`` per N and n_max + 1 ``lgamma`` in the
+        whole command. Fresh binomials per receive count, or an lgamma row
+        per (N, p), exceed these counts."""
+        calls = collections.Counter()
+
+        def counted(name):
+            real = getattr(math, name)
+
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return call
+
+        n_min, n_max = 150, 300
+        argv = ["analyze", "--scheme", "systematic", "--k", "150", "--m", "150",
+                "--n-min", str(n_min), "--n-max", str(n_max), "--p", "0.1,0.3"]
+        cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
+        monkeypatch.setattr(analysis, "_LOG_FACTORIALS", [])
+        for name in ("comb", "lgamma"):
+            monkeypatch.setattr(math, name, counted(name))
+        text = cli.run(cfg)
+        monkeypatch.undo()
+        assert len(text.splitlines()) == 1 + 2 * (n_max - n_min + 1)
+        assert calls["comb"] <= 3 * (n_max - n_min + 1), calls
+        assert calls["lgamma"] <= n_max + 1, calls
+
 
 class TestCondWindow:
     """The conditional sum as W_inf = W(k, r) plus the corrections
@@ -407,6 +485,62 @@ class TestCondWindow:
             assert math.comb(n - k, r - k) / math.comb(n, r) == 0.0  # H(k)
             exact = cond_full_decode_prob_exact(k, r, n, 2)
             assert_within_cond_rel([cond_full_decode_prob(k, r, n, 2)], [exact], (k, r, n))
+
+
+class TestCarriedAnchors:
+    """``cond_full_decode_probs`` takes the anchor's binomials C(k, h0),
+    C(m, r - h0) and C(n, r) from r - 1 by one exact step each; whole rows
+    equal ``cond_window_loop``, which takes fresh ``math.comb`` at every r."""
+
+    @staticmethod
+    def anchor_sides(k, n, q):
+        """For each r of the row below e = T - 1: +1 where the window clamp
+        lo sets h0 (lo > mode), -1 where the mode does, 0 where they meet."""
+        t = T_ONE[q]
+        sides = []
+        for r in range(k, min(n, k + t - 2) + 1):
+            lo, mode = TestCondWindow.window(k, r, n, q)
+            sides.append((lo > mode) - (lo < mode))
+        return sides
+
+    def assert_row(self, k, n, q, rng):
+        row = cond_full_decode_probs(k, n, q)
+        assert row == [cond_window_loop(k, r, n, q) for r in range(k, n + 1)], (k, n, q)
+        for r in rng.sample(range(k, n + 1), min(3, n - k + 1)):
+            assert cond_full_decode_prob(k, r, n, q) == row[r - k], (k, r, n, q)
+
+    @pytest.mark.parametrize("q", sorted(T_ONE))
+    def test_rows_where_h0_switches_between_clamp_and_mode(self, q):
+        t = T_ONE[q]
+        switching = [(k, n) for k in (1, 2, 3, 5, 10, 40, 150)
+                     for n in range(k, k + 4 * t, 3)
+                     if {1, -1} <= set(self.anchor_sides(k, n, q))]
+        assert len(switching) >= 6, switching
+        rng = random.Random(600 + q)
+        for k, n in switching[:: len(switching) // 6]:
+            self.assert_row(k, n, q, rng)
+
+    @pytest.mark.parametrize("q", sorted(T_ONE))
+    def test_rows_where_few_coded_packets_bound_the_window(self, q):
+        """N = K (one r), and m = N - K < T(q), where the support's lower
+        end r - m, not the rank table, sets the window's first h."""
+        t = T_ONE[q]
+        rng = random.Random(700 + q)
+        for k in (1, 5, 40, 150):
+            for m in (0, 1, 2, t // 2, t - 3, t - 2):
+                n = k + m
+                if 0 < m < t - 2 and k > 1:
+                    assert any(r - m > max(1, r - t + 2) for r in range(k, n + 1))
+                self.assert_row(k, n, q, rng)
+
+    @pytest.mark.parametrize("q", sorted(T_ONE))
+    def test_rows_where_the_last_term_underflows(self, q):
+        """K = 1000 and 2000: H(K) = C(m, e) / C(n, r) is 0.0 in floats, so
+        the anchor's integers run to thousands of bits along the row."""
+        rng = random.Random(800 + q)
+        for k, n in ((1000, 1500), (2000, 2600)):
+            assert math.comb(n - k, 0) / math.comb(n, k) == 0.0
+            self.assert_row(k, n, q, rng)
 
 
 class TestExactPaths:
