@@ -133,6 +133,33 @@ GOLDEN = {
          "--p", "0.1,0.3", "--p-hat", "0.99", "--n-max", "30"),
         "13fd1d4e4e0dfc940ffbeea3a956cf73155ded0f561f1132c3d7939713473f32",
     ),
+    # The M = 19 approximation plateaus below P_hat at both p, so full
+    # recovery's N_hat is each M < K target.
+    "metrics-systematic-full-caps-partial": (
+        ("metrics", "--scheme", "systematic", "--k", "20", "--m", "19,20",
+         "--p", "0.1,0.3", "--p-hat", "0.99"),
+        "13af504f96cd88afba68ccba8dc17e1c4a37124ae5db2ceec0ac60164a076af2",
+    ),
+    # The p = 0.02 targets end at N = 12 and 37, the p = 0.6 ones at N = 110.
+    "metrics-systematic-targets-far-apart": (
+        ("metrics", "--scheme", "systematic", "--k", "30", "--m", "10,30",
+         "--p", "0.02,0.6", "--p-hat", "0.99"),
+        "60697d9a980c8ca980f0ab42ca1f37a14c3843de0dabfe713f551aa4475b02d8",
+    ),
+    # Full recovery is unreachable under the cap at both p, M = 5 is not.
+    "metrics-ordered-uncoded-full-unreachable": (
+        ("metrics", "--scheme", "ordered-uncoded", "--k", "10", "--m", "5,10",
+         "--p", "0.1,0.5", "--p-hat", "0.99", "--n-max", "25"),
+        "8fad78c595909f1c275e5296695cef58e4d9b492bb6828b17d6e007b31c0a0bc",
+    ),
+    # Simulated M < K at two p: at p = 0.3, M = 5 is reached under the cap
+    # and full recovery is not.
+    "metrics-straightforward-two-p-capped": (
+        ("metrics", "--scheme", "straightforward", "--k", "10", "--m", "5,9,10",
+         "--p", "0.05,0.3", "--p-hat", "0.7", "--n-max", "16", "--trials", "400",
+         "--seed", "2"),
+        "83753279e4ad51e697e2a58a809b523b32e59ba258a04b649519dfde33f00d22",
+    ),
     # Full recovery only, so nothing is simulated; p = 1 never reaches P_hat.
     "metrics-straightforward-full": (
         ("metrics", "--scheme", "straightforward", "--k", "16", "--m", "16",
