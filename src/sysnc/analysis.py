@@ -15,10 +15,10 @@ with loss probability p:
 All probability functions are pure. Systematic and straightforward compute
 in floats, and the ``*_exact`` paths over ``fractions.Fraction`` that judge
 them live with the other oracles in ``tests/oracles.py``. The rank products,
-the channel weights (exact integer binomials, and log space once factorials
-overflow doubles) and the channel averages are bit-identical to the plain
-term-by-term loops their docstrings state, so tables and sweeps may share
-work but never reorder a float operation. The systematic conditional sum
+the channel weights (exact integer binomials up to n = ``_EXACT_WEIGHT_LIMIT``
+= 64, and log space above it) and the channel averages are bit-identical to
+the plain term-by-term loops their docstrings state, so tables and sweeps may
+share work but never reorder a float operation. The systematic conditional sum
 is W(k, r) plus at most T(q) non-negative corrections, each hypergeometric
 weight taken from its neighbour by a ratio recurrence from one exact integer
 quotient per receive count r, and is judged against the exact sum within a
@@ -48,6 +48,7 @@ provably cannot change a bit; the arguments are stated there.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
@@ -234,12 +235,9 @@ def decode_prob_ratio(k: int, r: int, n: int, q: int = 2) -> float:
     return cond / full_rank_prob(k, r, q)
 
 
-# Per-q tables of the rank product, built on first use and kept for the life
-# of the process. Each depends on q alone; with ``_LOG_FACTORIALS`` it is the
-# only state this module keeps between calls.
-_RANK_TABLES: dict[int, list[list[float]]] = {}
-
-
+# Cached per q for the life of the process: each table depends on q alone.
+# With ``_LOG_FACTORIALS`` it is the only state this module keeps between calls.
+@functools.cache
 def _rank_rows(q: int) -> list[list[float]]:
     """The float rank products W(c, c + e) of ``full_rank_prob``, as rows[e][c].
 
@@ -251,17 +249,14 @@ def _rank_rows(q: int) -> list[list[float]]:
     rows[e][c + 1] = rows[e + 1][c] * (1 - q^-(e+1)), which is the loop's own
     last multiplication, so every entry is bit-identical to the loop's value.
     """
-    rows = _RANK_TABLES.get(q)
-    if rows is None:
-        t_one = 1
-        while 1.0 - float(q) ** -t_one != 1.0:
-            t_one += 1
-        rows = [[1.0]]  # e = T - 1: every factor is 1.0
-        for e in range(t_one - 2, -1, -1):
-            factor = 1.0 - float(q) ** -(e + 1)
-            rows.append([1.0] + [w * factor for w in rows[-1]])
-        rows.reverse()
-        _RANK_TABLES[q] = rows
+    t_one = 1
+    while 1.0 - float(q) ** -t_one != 1.0:
+        t_one += 1
+    rows = [[1.0]]  # e = T - 1: every factor is 1.0
+    for e in range(t_one - 2, -1, -1):
+        factor = 1.0 - float(q) ** -(e + 1)
+        rows.append([1.0] + [w * factor for w in rows[-1]])
+    rows.reverse()
     return rows
 
 

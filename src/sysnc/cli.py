@@ -5,7 +5,10 @@ comment lines only before the header) so curves can be re-plotted with any
 tool. ``analyze`` and ``simulate`` share key-column encodings and are
 join-compatible on (scheme, K, M, N, p). Their rows come from two sources,
 ``_closed_form_rows`` and ``_simulated_rows``, and ``metrics`` reads the same
-two: its N_hat = min{N >= M : P(N) >= P_hat} is a first-N scan over them.
+two: its N_hat = min{N >= M : P(N) >= P_hat} comes from one scan up N over
+every (M, p) column and the full-recovery (K, p) ones. A column ends at its
+first N with P >= P_hat, or where (K, p) does, since full recovery recovers
+any M, and an ended column is not computed again.
 
 Exit codes: 0 success, 2 configuration error, 130 interrupted (Ctrl-C).
 """
@@ -13,6 +16,7 @@ Exit codes: 0 success, 2 configuration error, 130 interrupted (Ctrl-C).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -166,6 +170,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     for p in cfg.p:
         if not 0 <= p <= 1:
             raise ConfigError(f"erasure probability {p:g} outside [0, 1]")
+    cfg.p = tuple(map(abs, cfg.p))  # -0.0 would print "-0" and not join with 0
     if cfg.mode in ("analyze", "simulate"):
         if cfg.n_min is None or cfg.n_max is None:
             raise ConfigError("--n (or --n-min/--n-max) is required")
@@ -205,73 +210,78 @@ def _fmt_p(p: float) -> str:
     return f"{p:g}"
 
 
-def _closed_form_rows(cfg: ExperimentConfig, ms, n_lo: int, n_hi: int):
-    """(M, N, p, probability, kind) of the closed form for each M of ``ms``
-    and N in [n_lo, n_hi], computed as it is read: N outermost, so each
-    (M, p) comes in ascending N. A row family starts at N = M, or at N = 1
-    for ordered-uncoded."""
+def _closed_form_rows(cfg: ExperimentConfig, columns, n_lo: int, n_hi: int):
+    """(M, N, p, probability, kind) of the closed form for each (M, p) of
+    ``columns`` and N in [n_lo, n_hi], computed as it is read: N outermost,
+    so each column comes in ascending N. A reader may remove columns from
+    ``columns`` as it reads; a removed column gives no row and no work from
+    then on. A column starts at N = M; ordered-uncoded's also has rows below
+    it, each an exact 0 that costs nothing, as fewer than M packets were sent.
+    Straightforward M < K has no closed form, and its columns give no rows."""
     assert cfg.scheme and cfg.k
     k, q, scheme = cfg.k, cfg.q, cfg.scheme
-    ns = range(n_lo, n_hi + 1)
-    if scheme == "ordered-uncoded":
-        for n in ns:
-            for p in cfg.p:
-                for m, prob in zip(ms, analysis.ou_partial_decode_probs(k, ms, n, p)):
-                    yield m, n, p, prob, "exact"
-        return
     # The M < K approximation reads N only through min(K, N), so one value
-    # per (M, p, min(K, N)) serves every N of this call.
-    approx: dict[tuple[int, float, int], float] = {}
-    # N outermost: each N's conditional decoding probabilities serve every p.
-    for n in ns:
-        ms_n = [m for m in ms if n >= m]
-        if not ms_n:
-            continue
-        full = [None] * len(cfg.p)
-        if k in ms_n and scheme == "straightforward":  # every M is K
-            full = [analysis.sf_full_decode_prob(k, n, p, q) for p in cfg.p]
-        elif k in ms_n:
-            full = analysis.full_decode_probs(k, n, cfg.p, q)
-        for p, full_p in zip(cfg.p, full):
-            for m in ms_n:
-                if m == k:
-                    yield m, n, p, full_p, "exact"
-                    continue
-                key = (m, p, min(k, n))
-                if key not in approx:
-                    approx[key] = analysis.partial_decode_prob_approx(k, m, n, p, q)
-                yield m, n, p, approx[key], "approx"
+    # per (M, min(K, N), p) serves every N of this call.
+    approx = functools.cache(analysis.partial_decode_prob_approx)
+    for n in range(n_lo, n_hi + 1):
+        by_p: dict[float, list[int]] = {}  # p -> the M of its columns computed at N
+        for m, p in list(columns):
+            if n >= m and (m == k or scheme != "straightforward"):
+                by_p.setdefault(p, []).append(m)
+            elif scheme == "ordered-uncoded" and (m, p) in columns:
+                yield m, n, p, 0.0, "exact"  # fewer than M packets sent
+        if scheme == "ordered-uncoded":
+            probs = [analysis.ou_partial_decode_probs(k, ms, n, p) for p, ms in by_p.items()]
+        else:
+            # N outermost: each N's conditional decoding probabilities serve every p.
+            full_ps = [p for p, ms in by_p.items() if k in ms]
+            if scheme == "straightforward":
+                full = [analysis.sf_full_decode_prob(k, n, p, q) for p in full_ps]
+            else:
+                full = analysis.full_decode_probs(k, n, full_ps, q) if full_ps else []
+            full_at = dict(zip(full_ps, full))
+            probs = [[full_at[p] if m == k else approx(k, m, min(k, n), p, q) for m in ms]
+                     for p, ms in by_p.items()]
+        for (p, ms), p_probs in zip(by_p.items(), probs):
+            for m, prob in zip(ms, p_probs):
+                kind = "approx" if scheme == "systematic" and m < k else "exact"
+                if (m, p) in columns:  # the reader may have removed it since
+                    yield m, n, p, prob, kind
 
 
 def _simulated_rows(cfg: ExperimentConfig, ms, n_lo: int, n_hi: int):
     """(M, N, p, estimate) of the simulation for each M of ``ms`` and N in
-    [n_lo, n_hi]: one set of trials per p, each (M, p) in ascending N."""
+    [n_lo, n_hi]: one set of trials per distinct p, then N outermost, so each
+    (M, p) comes in ascending N."""
     assert cfg.scheme and cfg.k and cfg.trials is not None and cfg.seed is not None
-    for p in cfg.p:
-        counts = run_trials(
-            cfg.scheme, cfg.k, list(ms), (n_lo, n_hi), p, cfg.seed, cfg.trials,
-            workers=cfg.workers,
-        )
-        for m, m_counts in zip(ms, counts):
-            for n, count in zip(range(n_lo, n_hi + 1), m_counts):
-                yield m, n, p, count / cfg.trials
+    counts = {p: run_trials(cfg.scheme, cfg.k, list(ms), (n_lo, n_hi), p, cfg.seed,
+                            cfg.trials, workers=cfg.workers) for p in dict.fromkeys(cfg.p)}
+    for i, n in enumerate(range(n_lo, n_hi + 1)):
+        for p in cfg.p:
+            for m, m_counts in zip(ms, counts[p]):
+                yield m, n, p, m_counts[i] / cfg.trials
 
 
-def _first_n(rows, p_hat: float, columns: int) -> dict[tuple[int, float], int]:
-    """(M, p) -> the first N >= M at which ``rows`` reach p_hat. The scan
-    stops once all ``columns`` distinct (M, p) have."""
+def _first_n(rows, live: set, p_hat: float, k: int) -> dict[tuple[int, float], int]:
+    """(M, p) -> the first N >= M at which ``rows`` reach p_hat in column
+    (M, p) or in (K, p), since recovering all K packets recovers any M. A
+    column leaves ``live``, the set ``rows`` still computes, once it ends,
+    and the scan stops when none is left."""
     found: dict[tuple[int, float], int] = {}
     for m, n, p, prob, *_ in rows:
-        if prob >= p_hat and n >= m and (m, p) not in found:
-            found[m, p] = n
-            if len(found) == columns:
+        if prob >= p_hat and n >= m and (m, p) in live:
+            ended = [c for c in live if c[1] == p] if m == k else [(m, p)]
+            found.update(dict.fromkeys(ended, n))
+            live.difference_update(ended)
+            if not live:
                 break
     return found
 
 
 def cmd_analyze(cfg: ExperimentConfig) -> list[str]:
     assert cfg.scheme and cfg.k and cfg.n_min and cfg.n_max
-    rows = _closed_form_rows(cfg, cfg.m, cfg.n_min, cfg.n_max)
+    columns = [(m, p) for m in cfg.m for p in cfg.p]
+    rows = _closed_form_rows(cfg, columns, cfg.n_min, cfg.n_max)
     lines = ["scheme,K,M,N,p,q,prob,kind"]
     lines.extend(
         f"{cfg.scheme},{cfg.k},{m},{n},{_fmt_p(p)},{cfg.q},{_fmt_prob(prob)},{kind}"
@@ -297,33 +307,25 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[str]:
     assert cfg.scheme and cfg.k and cfg.p_hat and cfg.n_max
     k, p_hat = cfg.k, cfg.p_hat
     cell = lambda v: "unreachable" if v is None else str(v)
-    ps = len(set(cfg.p))
-    # Full recovery does not depend on M; for M = K it is the partial value too.
-    n_fulls = _first_n(_closed_form_rows(cfg, (k,), k, cfg.n_max), p_hat, ps)
-    # The M < K targets are a scan of their own, so that a target never reached
-    # (the approximation's plateau) does not keep the full-recovery rows
-    # computing. Recovering all K packets recovers any M, so once every full
-    # target is found, the partial scan reads nothing past the last of them.
-    partial = sorted({m for m in cfg.m if m < k})
-    n_hi = max(n_fulls.values()) if len(n_fulls) == ps else cfg.n_max
-    source = _simulated_rows if _no_closed_form(cfg) else _closed_form_rows
-    scan = source(cfg, partial, partial[0], n_hi) if partial else ()
-    n_partials = _first_n(scan, p_hat, len(partial) * ps)
-    rows = []
-    for p in cfg.p:
-        n_full = n_fulls.get((k, p))
-        for m in cfg.m:
-            # N_hat_full bounds N_hat_partial: where the approximation plateaus
-            # below P_hat, or a simulated estimate's sampling noise lags. So
-            # delta_N is never negative, and unreachable exactly when N_hat_full is.
-            n_partial = min(filter(None, (n_partials.get((m, p)), n_full)), default=None)
-            delta = None if n_full is None else n_full - n_partial
-            rows.append((m, p, cell(n_partial), cell(n_full), cell(delta)))
+    # Every row prints N_hat_full, so the (K, p) columns are searched too.
+    live = {(m, p) for m in (*cfg.m, k) for p in cfg.p}
+    n_lo = min(cfg.m)
+    rows = _closed_form_rows(cfg, live, n_lo, cfg.n_max)
+    if _no_closed_form(cfg):
+        import heapq  # only a simulated metrics run merges two row sources
+
+        partial = sorted({m for m in cfg.m if m < k})
+        rows = heapq.merge(rows, _simulated_rows(cfg, partial, n_lo, cfg.n_max),
+                           key=lambda row: row[1])
+    found = _first_n(rows, live, p_hat, k)
     lines = ["scheme,K,M,p,P_hat,N_hat_partial,N_hat_full,delta_N"]
-    lines.extend(
-        f"{cfg.scheme},{k},{m},{_fmt_p(p)},{_fmt_p(p_hat)},{np},{nf},{dn}"
-        for m, p, np, nf, dn in sorted(rows, key=lambda r: r[:2])
-    )
+    for m, p in sorted((m, p) for p in cfg.p for m in cfg.m):
+        n_partial, n_full = found.get((m, p)), found.get((k, p))
+        # N_hat_partial <= N_hat_full, so delta_N is never negative, and
+        # unreachable exactly when N_hat_full is.
+        delta = None if n_full is None else n_full - n_partial
+        lines.append(f"{cfg.scheme},{k},{m},{_fmt_p(p)},{_fmt_p(p_hat)},"
+                     f"{cell(n_partial)},{cell(n_full)},{cell(delta)}")
     return lines
 
 

@@ -287,6 +287,28 @@ class TestMetrics:
         assert calls == [[2, 4], [2, 4]]
         assert len(out.strip().splitlines()) == 1 + 2 * 4
 
+    @pytest.mark.parametrize("mode,range_flags", [
+        ("metrics", ["--p-hat", "0.7"]), ("simulate", ["--n-min", "3", "--n-max", "12"]),
+    ])
+    def test_a_repeated_p_is_simulated_once(self, mode, range_flags, monkeypatch, capsys):
+        simulated = []
+
+        def recording_run_trials(scheme, k, m_list, n_range, p, *args, **kwargs):
+            simulated.append(p)
+            return run_trials(scheme, k, m_list, n_range, p, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_trials", recording_run_trials)
+        code, out, err = run_cli(
+            [mode, "--scheme", "straightforward", "--k", "6", "--m", "3,6",
+             "--p", "0.1,0.3,0.1", "--trials", "200", "--seed", "5", *range_flags],
+            capsys,
+        )
+        assert code == EXIT_OK, err
+        assert simulated == [0.1, 0.3]
+        rows = [row.split(",") for row in out.strip().splitlines()[1:]]
+        repeated = [row for row in rows if row[4 if mode == "simulate" else 3] == "0.1"]
+        assert repeated[::2] == repeated[1::2]
+
     def test_systematic_full_search_builds_each_row_once(self, monkeypatch, capsys):
         argv = ["metrics", "--scheme", "systematic", "--k", "100", "--m", "100",
                 "--p-hat", "0.99", "--p"]
@@ -311,12 +333,13 @@ class TestMetrics:
         assert rows_built == list(range(100, n_full + 1))
 
     def test_ordered_uncoded_scan_stops_at_the_last_target(self, monkeypatch, capsys):
-        """The default cap is 8K = 160, but each scan reads N only up to the
-        largest N_hat among its distinct columns, also with a p repeated."""
+        """The default cap is 8K = 160, but each (M, p) column is read once
+        per N from N = M up to its own N_hat only, also with a p repeated."""
         reads: dict[tuple, list[int]] = {}
 
         def recording_probs(k, ms, n, p):
-            reads.setdefault(tuple(ms), []).append(n)
+            for m in ms:
+                reads.setdefault((m, p), []).append(n)
             return probs(k, ms, n, p)
 
         probs = analysis.ou_partial_decode_probs
@@ -327,9 +350,47 @@ class TestMetrics:
             capsys,
         )
         assert code == EXIT_OK, err
-        rows = [r.split(",") for r in out.strip().splitlines()[1:]]
-        assert max(reads[(20,)]) == max(int(r[6]) for r in rows) < 160
-        assert max(reads[(10,)]) == max(int(r[5]) for r in rows if r[2] == "10")
+        n_hat = {(int(r[2]), float(r[3])): int(r[5])
+                 for r in (row.split(",") for row in out.strip().splitlines()[1:])}
+        assert max(n_hat.values()) < 160
+        assert reads == {(m, p): list(range(m, n + 1)) for (m, p), n in n_hat.items()}
+
+    @pytest.mark.parametrize("scheme", ["systematic", "ordered-uncoded"])
+    def test_each_column_computed_up_to_its_target(self, scheme, monkeypatch, capsys):
+        """The two K=40 metrics commands of the analysis-sweep benchmark:
+        each (M, p) column is computed once per N from N = M, and only up to
+        its own N_hat, which is at most its p's N_hat_full. The systematic
+        M < K approximation reads N only through min(K, N), so it is
+        computed up to min(K, N_hat)."""
+        computed: dict[tuple[int, float], list[int]] = {}
+
+        def spy(function, columns_and_n):
+            def recording(*args):
+                columns, n = columns_and_n(*args)
+                for column in columns:
+                    computed.setdefault(column, []).append(n)
+                return function(*args)
+            return recording
+
+        for name, columns_and_n in {
+            "full_decode_probs": lambda k, n, ps, q: ([(k, p) for p in ps], n),
+            "partial_decode_prob_approx": lambda k, m, n, p, q: ([(m, p)], n),
+            "ou_partial_decode_probs": lambda k, ms, n, p: ([(m, p) for m in ms], n),
+        }.items():
+            monkeypatch.setattr(analysis, name, spy(getattr(analysis, name), columns_and_n))
+        code, out, err = run_cli(
+            ["metrics", "--scheme", scheme, "--k", "40", "--m", "20,40",
+             "--p", "0.1,0.15,0.3", "--p-hat", "0.99"],
+            capsys,
+        )
+        assert code == EXIT_OK, err
+        n_hat = {(int(r[2]), float(r[3])): int(r[5])
+                 for r in (row.split(",") for row in out.strip().splitlines()[1:])}
+        assert computed.keys() == n_hat.keys()
+        for (m, p), ns in computed.items():
+            last = n_hat[m, p] if scheme == "ordered-uncoded" or m == 40 else min(40, n_hat[m, p])
+            assert ns == list(range(m, last + 1)), (m, p)
+            assert n_hat[m, p] <= n_hat[40, p]
 
 
 def metrics_oracle(scheme, k, ms, ps, q, p_hat, n_max, trials, seed):
@@ -370,6 +431,39 @@ def metrics_oracle(scheme, k, ms, ps, q, p_hat, n_max, trials, seed):
     lines = ["scheme,K,M,p,P_hat,N_hat_partial,N_hat_full,delta_N"]
     lines += [line for _, _, line in sorted(rows, key=lambda r: r[:2])]
     return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_closed_form_rows_skip_removed_columns(seed):
+    """A reader that removes random columns as it reads gets, for each
+    column, the rows that the whole set of columns gives, up to where it
+    removed the column, and no row of it after that."""
+    rng = random.Random(seed)
+    for _ in range(20):
+        scheme = rng.choice(("systematic", "straightforward", "ordered-uncoded"))
+        k = rng.randint(1, 8)
+        ms = rng.sample(range(1, k + 1), rng.randint(1, k))
+        ps = rng.sample((0.0, 0.05, 0.1, 0.3, 0.5, 1.0), rng.randint(1, 3))
+        cfg = ExperimentConfig(mode="analyze", scheme=scheme, k=k, q=rng.choice((2, 3)))
+        n_lo = rng.randint(1, k)
+        n_hi = n_lo + rng.randint(0, 2 * k)
+        columns = {(m, p) for m in ms for p in ps}
+        whole: dict[tuple[int, float], list] = {}
+        for m, n, p, *value in cli._closed_form_rows(cfg, set(columns), n_lo, n_hi):
+            whole.setdefault((m, p), []).append((n, *value))
+        live, got, removed_at = set(columns), {}, {}
+        for m, n, p, *value in cli._closed_form_rows(cfg, live, n_lo, n_hi):
+            assert (m, p) in live, (scheme, k, m, n, p)
+            got.setdefault((m, p), []).append((n, *value))
+            if rng.random() < 0.3:
+                column = rng.choice(sorted(live))
+                live.remove(column)
+                removed_at[column] = n
+        for column in columns:
+            rows, want = got.get(column, []), whole.get(column, [])
+            assert rows == want[: len(rows)], (scheme, k, column)
+            until = removed_at.get(column, n_hi + 1)
+            assert len(rows) >= sum(1 for row in want if row[0] < until), (scheme, k, column)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -501,6 +595,23 @@ class TestConfigHandling:
             code, _, err = run_cli(["analyze", "--config", str(path)], capsys)
             assert code == EXIT_CONFIG
             assert err == f"config error: config keys not read by analyze: [{key!r}]\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--scheme", "systematic", "--k", "4", "--m", "2,4", "--n", "5"],
+        ["simulate", "--scheme", "straightforward", "--k", "4", "--m", "2,4",
+         "--n-min", "3", "--n-max", "6", "--trials", "50", "--seed", "1"],
+        ["metrics", "--scheme", "ordered-uncoded", "--k", "4", "--m", "2,4",
+         "--p-hat", "0.9"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_zero_p_reads_as_zero(self, argv, capsys):
+        """A p of -0 prints as 0, so its rows join with those of p = 0."""
+        outs = {}
+        for p in (["--p", "0"], ["--p", "-0"], ["--p=0,0.1"], ["--p=-0.0,0.1"]):
+            code, outs[p[-1]], err = run_cli(argv + p, capsys)
+            assert code == EXIT_OK, err
+        assert outs["-0"] == outs["0"]
+        assert outs["--p=-0.0,0.1"] == outs["--p=0,0.1"]
+        assert ",-0," not in outs["-0"] + outs["--p=-0.0,0.1"]
 
     def test_n_shorthand_conflicts_with_range(self, capsys):
         code, _, err = run_cli(
