@@ -5,7 +5,9 @@ with loss probability p:
 
 * systematic: exact full-recovery probability (conditional on the receive
   count and averaged over the channel) plus a small-p approximation for
-  recovering at least m < k packets;
+  recovering at least m < k packets: the distinct source packets among the
+  first min(k, n) sends, which is ordered-uncoded's tail at min(k, n) sends
+  and exact for n <= k;
 * straightforward: full-recovery probability from the rank statistics of
   uniform random GF(q) matrices (no closed form exists for its partial
   recovery, which is available through simulation only);
@@ -25,9 +27,9 @@ quotient per receive count r, and is judged against the exact sum within a
 stated relative bound. Along a row of r the quotient's three binomials are
 carried from r to r + 1 by one exact small-integer step each, so
 ``math.comb`` runs only where the walk starts (``_cond_full``).
-Ordered-uncoded is computed in the arithmetic of p: a ``Fraction`` p gives
-the exact value, and a float result is judged against it within a stated
-relative bound.
+Ordered-uncoded, and with it the systematic approximation, is computed in
+the arithmetic of p: a ``Fraction`` p gives the exact value, and a float
+result is judged against it within a stated relative bound.
 
 The rank product W(k, r) = prod_{t=r-k+1}^{r} (1 - q^-t) is read from a
 per-q table: once q^-t <= 2^-54, ``1.0 - q**-t`` rounds to exactly 1.0, and
@@ -70,8 +72,6 @@ def full_rank_prob(k: int, r: int, q: int = 2) -> float:
     _check_field(q)
     if k < 0 or r < 0:
         raise ValueError("counts must be non-negative")
-    if k == 0:
-        return 1.0
     if r < k:
         return 0.0
     return _rank_lookup(_rank_rows(q), k, r - k)
@@ -128,27 +128,20 @@ def full_decode_probs(k: int, n: int, ps, q: int = 2) -> list[float]:
     return [_channel_average(n, k, p, cond) for p in ps]
 
 
-def partial_decode_prob_approx(
-    k: int, m: int, n: int, p: float, q: int = 2
-) -> float:
-    """Small-p approximation for recovering at least m of k source packets.
+def partial_decode_prob_approx(k: int, m: int, n: int, p) -> "float | fractions.Fraction":
+    """Small-p approximation for recovering at least m of k systematic-scheme
+    packets after n sends: the probability that at least m distinct source
+    packets arrive among the first min(k, n) sends.
 
-    Counts only the min(k, n) transmitted systematic packets: for small p
-    the m recovered packets are almost surely systematic, so the probability
-    reduces to a binomial tail. For m == k <= n the exact full-recovery
-    expression is used instead (the approximation is stated for m < k only).
-    When m exceeds min(k, n) the approximation can never reach the threshold,
-    and the tail is empty: the result is 0.
+    The systematic sender sends the k source packets first, so this is
+    ordered-uncoded's recovered count at min(k, n) sends, read from the same
+    binomial tail in the arithmetic of ``p`` (a ``Fraction`` p gives the exact
+    tail). For n <= k every send is a source packet, so the value is exact;
+    for n > k it ignores what the coded packets recover, and so bounds the
+    exact value from below. When m exceeds min(k, n) the tail is empty: 0.
     """
-    _check_erasure(p)
-    if not 1 <= m <= k:
-        raise ValueError(f"need 1 <= m <= k, got m={m}, k={k}")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    n_min = min(k, n)
-    if m == k <= n:
-        return full_decode_prob(k, n, p, q)
-    return _channel_average(n_min, m, p, [1.0] * (n_min - m + 1))
+    [prob] = ou_partial_decode_probs(k, (m,), min(k, n), p)
+    return prob
 
 
 def sf_full_decode_prob(k: int, n: int, p: float, q: int = 2) -> float:

@@ -240,7 +240,7 @@ def _closed_form_rows(cfg: ExperimentConfig, columns, n_lo: int, n_hi: int):
             else:
                 full = analysis.full_decode_probs(k, n, full_ps, q) if full_ps else []
             full_at = dict(zip(full_ps, full))
-            probs = [[full_at[p] if m == k else approx(k, m, min(k, n), p, q) for m in ms]
+            probs = [[full_at[p] if m == k else approx(k, m, min(k, n), p) for m in ms]
                      for p, ms in by_p.items()]
         for (p, ms), p_probs in zip(by_p.items(), probs):
             for m, prob in zip(ms, p_probs):

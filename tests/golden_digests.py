@@ -74,6 +74,14 @@ GOLDEN = {
          "--n-min", "40", "--n-max", "130", "--p", "0.1,0.3"),
         "994ea66f1174143e0b790b4fc19fc4b2604e22066acd6c5686d76a8c38dbc7fc",
     ),
+    # The same past n = 64, with M up to K - 1 and p down to 1e-5: the
+    # approximation is ordered-uncoded's tail at min(K, N), whose 12 printed
+    # digits here are those of the exact binomial tail.
+    "analyze-systematic-partial-k150": (
+        ("analyze", "--scheme", "systematic", "--k", "150", "--m", "1,75,140,149",
+         "--n-min", "100", "--n-max", "200", "--p", "1e-5,0.3,0.5,0.9"),
+        "3ac6651ea9bcedb71aa03099b2babdb434ce9d168e90f95e622b6ebc8eac8200",
+    ),
     "simulate-systematic": (
         ("simulate", "--scheme", "systematic", *_SIM),
         "73c38f4d49dfc8f5b7621763f06d28970c2cf2dd9721bf0faddda1edcd2a1c2e",

@@ -17,6 +17,8 @@ change no bit.
 packed decoders it judges. ``set_bits`` and ``combine_words_loop`` walk a
 mask one lowest set bit at a time, the loop that the C-level mask walks of
 ``gf2.bit_flags`` and ``codec.combine_words`` must equal.
+``binomial_tail_exact`` is the binomial tail over integers, the judge of the
+systematic small-p approximation.
 ``min_packets_for_target`` is the paper's N_hat = min{N : P(N) >= P_hat} as
 a plain linear search, the judge of the CLI's one first-N scan.
 ``rref_first_reach`` is the simulator's trial kernel kept in its earlier
@@ -306,13 +308,22 @@ def sf_full_decode_loop(k: int, n: int, p: float, q: int) -> float:
     return channel_average_loop(n, k, p, [rank_product_loop(k, r, q) for r in range(k, n + 1)])
 
 
-def approx_tail_loop(k: int, m: int, n: int, p: float) -> float:
-    """The systematic small-p approximation for m < k: receive_pmf_loop(min(k, n),
-    r, p) summed for r = m..min(k, n) as a left fold, clamped to 1."""
-    total = 0.0
-    for r in range(m, min(k, n) + 1):
-        total += receive_pmf_loop(min(k, n), r, p)
-    return min(total, 1.0)
+def binomial_tail_exact(n: int, ms: Iterable[int], p) -> list[Fraction]:
+    """P[Bin(n, 1 - p) >= m] for each m of ``ms``, exactly at the value of p.
+
+    With p = a/d and b = d - a, the tail is b^m U(m) / d^n, where
+    U(r) = sum_{j >= r} C(n, j) b^(j - r) a^(n - j) runs down from
+    U(n + 1) = 0 by U(r) = C(n, r) a^(n - r) + b U(r + 1), in integers.
+    """
+    p = Fraction(p)
+    a, d = p.numerator, p.denominator
+    b = d - a
+    u = [0] * (n + 2)
+    a_pow, c = 1, 1  # a^(n - r) and C(n, r), from r = n down
+    for r in range(n, -1, -1):
+        u[r] = c * a_pow + b * u[r + 1]
+        a_pow, c = a_pow * a, c * r // (n - r + 1)
+    return [Fraction(b**m * u[m], d**n) if m <= n else Fraction(0) for m in ms]
 
 
 def ou_tail_loop(k: int, ms: list[int], n: int, p) -> list:

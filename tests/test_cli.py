@@ -361,7 +361,8 @@ class TestMetrics:
         each (M, p) column is computed once per N from N = M, and only up to
         its own N_hat, which is at most its p's N_hat_full. The systematic
         M < K approximation reads N only through min(K, N), so it is
-        computed up to min(K, N_hat)."""
+        computed up to min(K, N_hat). Each scheme's own functions are spied
+        on: the approximation calls ``ou_partial_decode_probs`` itself."""
         computed: dict[tuple[int, float], list[int]] = {}
 
         def spy(function, columns_and_n):
@@ -372,11 +373,16 @@ class TestMetrics:
                 return function(*args)
             return recording
 
-        for name, columns_and_n in {
-            "full_decode_probs": lambda k, n, ps, q: ([(k, p) for p in ps], n),
-            "partial_decode_prob_approx": lambda k, m, n, p, q: ([(m, p)], n),
-            "ou_partial_decode_probs": lambda k, ms, n, p: ([(m, p) for m in ms], n),
-        }.items():
+        spied = {
+            "systematic": {
+                "full_decode_probs": lambda k, n, ps, q: ([(k, p) for p in ps], n),
+                "partial_decode_prob_approx": lambda k, m, n, p: ([(m, p)], n),
+            },
+            "ordered-uncoded": {
+                "ou_partial_decode_probs": lambda k, ms, n, p: ([(m, p) for m in ms], n),
+            },
+        }[scheme]
+        for name, columns_and_n in spied.items():
             monkeypatch.setattr(analysis, name, spy(getattr(analysis, name), columns_and_n))
         code, out, err = run_cli(
             ["metrics", "--scheme", scheme, "--k", "40", "--m", "20,40",
@@ -415,7 +421,7 @@ def metrics_oracle(scheme, k, ms, ps, q, p_hat, n_max, trials, seed):
                 n_part = n_full
             else:
                 if scheme == "systematic":
-                    prob = lambda n: analysis.partial_decode_prob_approx(k, m, n, p, q)
+                    prob = lambda n: analysis.partial_decode_prob_approx(k, m, n, p)
                 elif scheme == "ordered-uncoded":
                     prob = lambda n: float(analysis.ou_partial_decode_prob(k, m, n, p))
                 else:

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -267,12 +268,15 @@ class TestRunTrials:
 
     def test_systematic_estimate_matches_analysis(self):
         # frozen expectation 0.891 (exact 891/1000); a million-trial run has
-        # a standard error of about 0.0003
-        [[count]] = run_trials("systematic", 2, [2], (3, 3), 0.1, 424242, trials=10**6)
+        # a standard error of about 0.0003. The counts do not depend on the
+        # worker count (test_deterministic_and_worker_invariant).
+        [[count]] = run_trials("systematic", 2, [2], (3, 3), 0.1, 424242, trials=10**6,
+                               workers=min(2, os.cpu_count() or 1))
         assert count / 10**6 == pytest.approx(full_decode_prob(2, 3, 0.1), abs=0.002)
 
     def test_ordered_uncoded_estimate_matches_analysis(self):
-        [[count]] = run_trials("ordered-uncoded", 2, [2], (4, 4), 0.5, 424242, trials=10**6)
+        [[count]] = run_trials("ordered-uncoded", 2, [2], (4, 4), 0.5, 424242, trials=10**6,
+                               workers=min(2, os.cpu_count() or 1))
         assert count / 10**6 == pytest.approx(
             float(ou_partial_decode_prob(2, 2, 4, 0.5)), abs=0.002
         )
