@@ -160,6 +160,13 @@ GOLDEN = {
          "--p", "0.1,0.5", "--p-hat", "0.99", "--n-max", "25"),
         "8fad78c595909f1c275e5296695cef58e4d9b492bb6828b17d6e007b31c0a0bc",
     ),
+    # At K = 1000 the p = 0.1 full-recovery column ends at N = 5000, and the
+    # p = 0.3 one is unreachable, so it scans to the N = 8K cap.
+    "metrics-ordered-uncoded-k1000": (
+        ("metrics", "--scheme", "ordered-uncoded", "--k", "1000", "--m", "500,1000",
+         "--p", "0.1,0.3", "--p-hat", "0.99"),
+        "7b922bac59cedbb856877addf433efe3974f439573137d076b42bad65fdf0977",
+    ),
     # Simulated M < K at two p: at p = 0.3, M = 5 is reached under the cap
     # and full recovery is not.
     "metrics-straightforward-two-p-capped": (
