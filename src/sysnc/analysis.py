@@ -11,8 +11,9 @@ with loss probability p:
 * straightforward: full-recovery probability from the rank statistics of
   uniform random GF(q) matrices (no closed form exists for its partial
   recovery, which is available through simulation only);
-* ordered-uncoded: exact partial/full recovery as the tail of a sum of two
-  binomials.
+* ordered-uncoded: exact partial recovery as the tail of a sum of two
+  binomials, and full recovery, which needs every packet, as the product
+  (1 - p^(c+1))^a (1 - p^c)^(k-a) of their top terms, c, a = divmod(n, k).
 
 All probability functions are pure. Systematic and straightforward compute
 in floats, and the ``*_exact`` paths over ``fractions.Fraction`` that judge
@@ -175,6 +176,9 @@ def ou_partial_decode_probs(k: int, ms, n: int, p) -> list:
     if every copy is erased, so the recovered count is X + Y with
     X ~ Bin(a, 1 - p^(c+1)) and Y ~ Bin(k - a, 1 - p^c), and
     P[X + Y >= m] = sum_x P[X = x] P[Y >= m - x], a left fold over x.
+    Full recovery needs every packet, so m = k is the product
+    (1 - p^(c+1))^a (1 - p^c)^(k-a), whatever else ``ms`` asks; the two
+    pmfs are built only when some m < k is asked.
     """
     for m in ms:
         if not 1 <= m <= k:
@@ -183,11 +187,17 @@ def ou_partial_decode_probs(k: int, ms, n: int, p) -> list:
         raise ValueError("need n >= 1")
     _check_erasure(p)
     c, a = divmod(n, k)
+    full = (1 - p ** (c + 1)) ** a * (1 - p**c) ** (k - a)
+    if all(m == k for m in ms):
+        return [full for _ in ms]
     more = _binomial_pmf(a, 1 - p ** (c + 1))
     less = _binomial_pmf(k - a, 1 - p**c)
     at_least = list(itertools.accumulate(reversed(less)))[::-1]  # P[Y >= j]
     probs = []
     for m in ms:
+        if m == k:
+            probs.append(full)
+            continue
         acc = more[0] * 0
         for x in range(max(0, m - k + a), a + 1):
             acc = acc + more[x] * at_least[max(m - x, 0)]

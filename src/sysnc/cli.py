@@ -87,10 +87,13 @@ def _keys(mode: str) -> list[str]:
 def _typed(key: str, value):
     kind = _FIELDS[key][0]
     fits = lambda x: type(x) is kind or (kind is float and type(x) is int)
-    if key not in _LISTS and fits(value):
-        return value
-    if key in _LISTS and isinstance(value, (list, tuple)) and all(map(fits, value)):
-        return tuple(kind(x) for x in value)
+    try:
+        if key not in _LISTS and fits(value):
+            return kind(value)
+        if key in _LISTS and isinstance(value, (list, tuple)) and all(map(fits, value)):
+            return tuple(kind(x) for x in value)
+    except OverflowError:  # an integer past the float range
+        raise ConfigError(f"config value {key} is too large for a float") from None
     raise ConfigError(f"config value {key}={value!r} has the wrong type")
 
 
@@ -169,7 +172,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("--p is required")
     for p in cfg.p:
         if not 0 <= p <= 1:
-            raise ConfigError(f"erasure probability {p:g} outside [0, 1]")
+            raise ConfigError(f"erasure probability {_fmt_p(p)} outside [0, 1]")
     cfg.p = tuple(map(abs, cfg.p))  # -0.0 would print "-0" and not join with 0
     if cfg.mode in ("analyze", "simulate"):
         if cfg.n_min is None or cfg.n_max is None:
@@ -195,7 +198,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         if cfg.p_hat is None:
             raise ConfigError("--p-hat is required")
         if not 0 < cfg.p_hat <= 1:
-            raise ConfigError(f"target probability {cfg.p_hat:g} outside (0, 1]")
+            raise ConfigError(f"target probability {_fmt_p(cfg.p_hat)} outside (0, 1]")
         cfg.n_max = SEARCH_CAP_FACTOR * cfg.k if cfg.n_max is None else cfg.n_max
         if cfg.n_max < cfg.k:
             raise ConfigError(f"search cap {cfg.n_max} is below K={cfg.k}")
@@ -207,7 +210,10 @@ def _fmt_prob(x: float) -> str:
 
 
 def _fmt_p(p: float) -> str:
-    return f"{p:g}"
+    """``%g`` where it reads back as ``p``, else ``repr``, so that two p
+    never print alike and a row keys the p it was computed at."""
+    text = f"{p:g}"
+    return text if float(text) == p else repr(p)
 
 
 def _closed_form_rows(cfg: ExperimentConfig, columns, n_lo: int, n_hi: int):

@@ -18,7 +18,8 @@ packed decoders it judges. ``set_bits`` and ``combine_words_loop`` walk a
 mask one lowest set bit at a time, the loop that the C-level mask walks of
 ``gf2.bit_flags`` and ``codec.combine_words`` must equal.
 ``binomial_tail_exact`` is the binomial tail over integers, the judge of the
-systematic small-p approximation.
+systematic small-p approximation, and ``ou_full_quotient`` is
+ordered-uncoded's full-recovery product over integers.
 ``min_packets_for_target`` is the paper's N_hat = min{N : P(N) >= P_hat} as
 a plain linear search, the judge of the CLI's one first-N scan.
 ``rref_first_reach`` is the simulator's trial kernel kept in its earlier
@@ -324,6 +325,19 @@ def binomial_tail_exact(n: int, ms: Iterable[int], p) -> list[Fraction]:
         u[r] = c * a_pow + b * u[r + 1]
         a_pow, c = a_pow * a, c * r // (n - r + 1)
     return [Fraction(b**m * u[m], d**n) if m <= n else Fraction(0) for m in ms]
+
+
+def ou_full_quotient(k: int, n: int, p) -> tuple[int, int]:
+    """P[all k packets recovered after n sends] of ordered-uncoded, exactly at
+    the value of p, as an integer numerator and denominator: with
+    c, a = divmod(n, k) and p = u/d, (d^(c+1) - u^(c+1))^a (d^c - u^c)^(k-a)
+    over d^(a(c+1) + (k-a)c). Not reduced, so that K = 10^4 with millions of
+    bits costs no gcd; int true division of the two rounds correctly."""
+    p = Fraction(p)
+    u, d = p.numerator, p.denominator
+    c, a = divmod(n, k)
+    num = (d ** (c + 1) - u ** (c + 1)) ** a * (d**c - u**c) ** (k - a)
+    return num, d ** (a * (c + 1) + (k - a) * c)
 
 
 def ou_tail_loop(k: int, ms: list[int], n: int, p) -> list:

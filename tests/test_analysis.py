@@ -22,6 +22,7 @@ from oracles import (
     full_rank_prob_exact,
     full_rank_prob_oracle,
     min_packets_for_target,
+    ou_full_quotient,
     ou_tail_loop,
     rank_product_loop,
     receive_pmf_loop,
@@ -410,6 +411,35 @@ class TestBitwiseAgainstLoops:
         assert calls["comb"] <= 3 * (n_max - n_min + 1), calls
         assert calls["lgamma"] <= n_max + 1, calls
 
+    def test_ou_full_recovery_builds_no_pmf(self, monkeypatch):
+        """M = K is the closed product: a call asking only for it builds no
+        binomial pmf, and a call asking for any M < K builds the two pmfs
+        once for all its M. The M = K entry is the same value whichever
+        other M are asked, so ``--m K`` and ``--m M,K`` print the same row."""
+        sizes = []
+        real = analysis._binomial_pmf
+
+        def counted(a, s):
+            sizes.append(a)
+            return real(a, s)
+
+        monkeypatch.setattr(analysis, "_binomial_pmf", counted)
+        for k, ns in ((1, (1, 2, 5)), (2, (1, 2, 3)), (7, (3, 7, 20)),
+                      (150, (149, 150, 301)), (1000, (999, 2500, 8000))):
+            # Fraction pmfs of a thousand entries take seconds; small K has them.
+            ps = (0.0, 1e-9, 0.1, 0.5, 0.9, 1.0) + ((Fraction(3, 10),) if k < 150 else ())
+            for n in ns:
+                for p in ps:
+                    sizes.clear()
+                    [full] = ou_partial_decode_probs(k, (k,), n, p)
+                    assert ou_partial_decode_probs(k, (k, k), n, p) == [full, full]
+                    assert sizes == [], (k, n, p)
+                    for ms in ((1,), (k, k // 2), (1, k, k - 1, k)) if k > 1 else ():
+                        sizes.clear()
+                        got = ou_partial_decode_probs(k, ms, n, p)
+                        assert len(sizes) == 2, (k, ms, n, p)
+                        assert [g for g, m in zip(got, ms) if m == k] == [full] * ms.count(k)
+
 
 class TestCondWindow:
     """The conditional sum as W_inf = W(k, r) plus the corrections
@@ -684,6 +714,25 @@ class TestOuPartialDecodeProb:
             for m in ms
         ]
         assert_within_ou_rel(ou_partial_decode_probs(1100, ms, 1650, 0.5), exact, 1650)
+
+    @pytest.mark.parametrize("k", [1000, 10**4])
+    def test_full_recovery_within_ou_rel_at_large_k(self, k):
+        """M = K within OU_REL of the exact product, correctly rounded, with
+        N across the wraps out to the 8K cap and p from 1e-9 to 0.9. Past
+        the float range the exact value rounds to 0.0 and so does M = K."""
+        ns = (k - 1, k, k + 1, 2 * k - 1, 2 * k + 1, 4 * k + k // 2, 8 * k - 1, 8 * k)
+        for p in (1e-9, 1e-5, 0.05, 0.3, 0.5, 0.9):
+            got = [ou_partial_decode_prob(k, k, n, p) for n in ns]
+            exact = [num / den for num, den in (ou_full_quotient(k, n, p) for n in ns)]
+            assert_within_ou_rel(got, exact, (k, p))
+
+    def test_fraction_p_gives_the_exact_product(self):
+        for k, n in ((1, 3), (7, 6), (7, 7), (7, 30), (1000, 999), (1000, 1001),
+                     (1000, 4500), (1000, 8000)):
+            for p in (Fraction(0), Fraction(1, 10), Fraction(3, 10), Fraction(9, 10), Fraction(1)):
+                [full] = ou_partial_decode_probs(k, (k,), n, p)
+                assert type(full) is Fraction
+                assert full == Fraction(*ou_full_quotient(k, n, p)), (k, n, p)
 
     @given(
         st.integers(1, 5),

@@ -619,6 +619,30 @@ class TestConfigHandling:
         assert outs["--p=-0.0,0.1"] == outs["--p=0,0.1"]
         assert ",-0," not in outs["-0"] + outs["--p=-0.0,0.1"]
 
+    def test_p_prints_every_digit_it_needs(self, capsys):
+        """A p or P_hat that ``%g`` would round prints in full, so distinct p
+        key distinct rows; one that ``%g`` keeps prints as before."""
+        code, out, err = run_cli(
+            ["analyze", "--scheme", "ordered-uncoded", "--k", "2", "--m", "2", "--n", "3",
+             "--p", "0.1234567,0.1234568,1e-05,0.1"], capsys)
+        assert code == EXIT_OK, err
+        assert [row.split(",")[4] for row in out.splitlines()[1:]] == [
+            "1e-05", "0.1", "0.1234567", "0.1234568"]
+        code, out, err = run_cli(
+            ["metrics", "--scheme", "ordered-uncoded", "--k", "2", "--m", "2",
+             "--p", "0.1", "--p-hat", "0.9999999"], capsys)
+        assert code == EXIT_OK, err
+        assert out.splitlines()[1].startswith("ordered-uncoded,2,2,0.1,0.9999999,")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3",
+          "--p", "1.0000001"], "erasure probability 1.0000001 outside [0, 1]"),
+        (["metrics", "--scheme", "systematic", "--k", "2", "--m", "2", "--p", "0.1",
+          "--p-hat", "1.0000001"], "target probability 1.0000001 outside (0, 1]"),
+    ])
+    def test_out_of_range_p_is_named_in_full(self, argv, message, capsys):
+        assert run_cli(argv, capsys) == (EXIT_CONFIG, "", f"config error: {message}\n")
+
     def test_n_shorthand_conflicts_with_range(self, capsys):
         code, _, err = run_cli(
             ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2",
@@ -674,6 +698,9 @@ class TestConfigHandling:
             # a q too large for a float
             ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--q", "1" + "0" * 400],
             ["metrics", "--scheme", "systematic", "--k", "2", "--m", "2", "--p", "0.1", "--p-hat", "0.5", "--q", "1" + "0" * 400],
+            # config-file probabilities too large for a float
+            ["metrics", "--scheme", "systematic", "--k", "2", "--m", "2", "--p", "0.1", {"p_hat": 10**400}],
+            ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", {"p": [10**400]}],
             # an empty --out names no file
             ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--out", ""],
             ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", {"out": ""}],
