@@ -30,7 +30,9 @@ carried from r to r + 1 by one exact small-integer step each, so
 ``math.comb`` runs only where the walk starts (``_cond_full``).
 Ordered-uncoded, and with it the systematic approximation, is computed in
 the arithmetic of p: a ``Fraction`` p gives the exact value, and a float
-result is judged against it within a stated relative bound.
+result is judged against it within a stated relative bound, also near p = 1,
+where a float 1 - p^c would cancel and is taken from ``expm1`` and ``log1p``
+instead (``_survives``).
 
 The rank product W(k, r) = prod_{t=r-k+1}^{r} (1 - q^-t) is read from a
 per-q table: once q^-t <= 2^-54, ``1.0 - q**-t`` rounds to exactly 1.0, and
@@ -187,11 +189,12 @@ def ou_partial_decode_probs(k: int, ms, n: int, p) -> list:
         raise ValueError("need n >= 1")
     _check_erasure(p)
     c, a = divmod(n, k)
-    full = (1 - p ** (c + 1)) ** a * (1 - p**c) ** (k - a)
+    s_more, s_less = _survives(p, c + 1), _survives(p, c)
+    full = s_more**a * s_less ** (k - a)
     if all(m == k for m in ms):
         return [full for _ in ms]
-    more = _binomial_pmf(a, 1 - p ** (c + 1))
-    less = _binomial_pmf(k - a, 1 - p**c)
+    more = _binomial_pmf(a, s_more)
+    less = _binomial_pmf(k - a, s_less)
     at_least = list(itertools.accumulate(reversed(less)))[::-1]  # P[Y >= j]
     probs = []
     for m in ms:
@@ -205,6 +208,18 @@ def ou_partial_decode_probs(k: int, ms, n: int, p) -> list:
         # 1, so min returns it unchanged.
         probs.append(min(acc, 1.0))
     return probs
+
+
+def _survives(p, c: int):
+    """1 - p^c, the probability that some of c copies is received. For a
+    float p < 1 with p^c > 1/2 and c >= 2 the subtraction cancels, so there
+    it is -expm1(c log1p(p - 1)), where p > 1/2 makes p - 1 exact (at p = 1
+    that form would give -0.0). Everywhere else, and for a ``Fraction`` p,
+    it is 1 - p**c as written."""
+    power = p**c
+    if isinstance(p, float) and c >= 2 and 0.5 < power and p < 1:
+        return -math.expm1(c * math.log1p(p - 1))
+    return 1 - power
 
 
 def _binomial_pmf(a: int, s) -> list:

@@ -4,11 +4,12 @@ Every subcommand emits CSV (UTF-8, comma-separated, one header row; ``#``
 comment lines only before the header) so curves can be re-plotted with any
 tool. ``analyze`` and ``simulate`` share key-column encodings and are
 join-compatible on (scheme, K, M, N, p). Their rows come from two sources,
-``_closed_form_rows`` and ``_simulated_rows``, and ``metrics`` reads the same
-two: its N_hat = min{N >= M : P(N) >= P_hat} comes from one scan up N over
-every (M, p) column and the full-recovery (K, p) ones. A column ends at its
-first N with P >= P_hat, or where (K, p) does, since full recovery recovers
-any M, and an ended column is not computed again.
+``_closed_form_rows`` (the closed forms of given (M, p) columns at one N) and
+``_simulated_rows``, and ``metrics`` reads the same two: its
+N_hat = min{N >= M : P(N) >= P_hat} comes from one loop up N that asks at
+each N only for the (M, p) and full-recovery (K, p) columns still live. A
+column ends at its first N with P >= P_hat, or where (K, p) does, since full
+recovery recovers any M.
 
 Exit codes: 0 success, 2 configuration error, 130 interrupted (Ctrl-C).
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 
@@ -216,43 +218,38 @@ def _fmt_p(p: float) -> str:
     return text if float(text) == p else repr(p)
 
 
-def _closed_form_rows(cfg: ExperimentConfig, columns, n_lo: int, n_hi: int):
-    """(M, N, p, probability, kind) of the closed form for each (M, p) of
-    ``columns`` and N in [n_lo, n_hi], computed as it is read: N outermost,
-    so each column comes in ascending N. A reader may remove columns from
-    ``columns`` as it reads; a removed column gives no row and no work from
-    then on. A column starts at N = M; ordered-uncoded's also has rows below
-    it, each an exact 0 that costs nothing, as fewer than M packets were sent.
-    Straightforward M < K has no closed form, and its columns give no rows."""
+def _closed_form_rows(cfg: ExperimentConfig, columns, n: int, approx) -> list:
+    """(M, p, probability) of the closed form at N = ``n`` for each (M, p) of
+    ``columns``, and no work for any other column. A column starts at N = M;
+    ordered-uncoded's also has rows below it, each an exact 0 that costs
+    nothing, as fewer than M packets were sent. Straightforward M < K has no
+    closed form, and its columns give no rows. ``approx`` is the caller's
+    cache of ``analysis.partial_decode_prob_approx``, which reads N only
+    through min(K, N), so one value per (M, min(K, N), p) serves every N."""
     assert cfg.scheme and cfg.k
     k, q, scheme = cfg.k, cfg.q, cfg.scheme
-    # The M < K approximation reads N only through min(K, N), so one value
-    # per (M, min(K, N), p) serves every N of this call.
-    approx = functools.cache(analysis.partial_decode_prob_approx)
-    for n in range(n_lo, n_hi + 1):
-        by_p: dict[float, list[int]] = {}  # p -> the M of its columns computed at N
-        for m, p in list(columns):
-            if n >= m and (m == k or scheme != "straightforward"):
-                by_p.setdefault(p, []).append(m)
-            elif scheme == "ordered-uncoded" and (m, p) in columns:
-                yield m, n, p, 0.0, "exact"  # fewer than M packets sent
-        if scheme == "ordered-uncoded":
-            probs = [analysis.ou_partial_decode_probs(k, ms, n, p) for p, ms in by_p.items()]
+    rows = []
+    by_p: dict[float, list[int]] = {}  # p -> the M of its columns computed at N
+    for m, p in columns:
+        if n >= m and (m == k or scheme != "straightforward"):
+            by_p.setdefault(p, []).append(m)
+        elif scheme == "ordered-uncoded":
+            rows.append((m, p, 0.0))  # fewer than M packets sent
+    if scheme == "ordered-uncoded":
+        probs = [analysis.ou_partial_decode_probs(k, ms, n, p) for p, ms in by_p.items()]
+    else:
+        # Each N's conditional decoding probabilities serve every p.
+        full_ps = [p for p, ms in by_p.items() if k in ms]
+        if scheme == "straightforward":
+            full = [analysis.sf_full_decode_prob(k, n, p, q) for p in full_ps]
         else:
-            # N outermost: each N's conditional decoding probabilities serve every p.
-            full_ps = [p for p, ms in by_p.items() if k in ms]
-            if scheme == "straightforward":
-                full = [analysis.sf_full_decode_prob(k, n, p, q) for p in full_ps]
-            else:
-                full = analysis.full_decode_probs(k, n, full_ps, q) if full_ps else []
-            full_at = dict(zip(full_ps, full))
-            probs = [[full_at[p] if m == k else approx(k, m, min(k, n), p) for m in ms]
-                     for p, ms in by_p.items()]
-        for (p, ms), p_probs in zip(by_p.items(), probs):
-            for m, prob in zip(ms, p_probs):
-                kind = "approx" if scheme == "systematic" and m < k else "exact"
-                if (m, p) in columns:  # the reader may have removed it since
-                    yield m, n, p, prob, kind
+            full = analysis.full_decode_probs(k, n, full_ps, q) if full_ps else []
+        full_at = dict(zip(full_ps, full))
+        probs = [[full_at[p] if m == k else approx(k, m, min(k, n), p) for m in ms]
+                 for p, ms in by_p.items()]
+    for (p, ms), p_probs in zip(by_p.items(), probs):
+        rows.extend((m, p, prob) for m, prob in zip(ms, p_probs))
+    return rows
 
 
 def _simulated_rows(cfg: ExperimentConfig, ms, n_lo: int, n_hi: int):
@@ -268,30 +265,17 @@ def _simulated_rows(cfg: ExperimentConfig, ms, n_lo: int, n_hi: int):
                 yield m, n, p, m_counts[i] / cfg.trials
 
 
-def _first_n(rows, live: set, p_hat: float, k: int) -> dict[tuple[int, float], int]:
-    """(M, p) -> the first N >= M at which ``rows`` reach p_hat in column
-    (M, p) or in (K, p), since recovering all K packets recovers any M. A
-    column leaves ``live``, the set ``rows`` still computes, once it ends,
-    and the scan stops when none is left."""
-    found: dict[tuple[int, float], int] = {}
-    for m, n, p, prob, *_ in rows:
-        if prob >= p_hat and n >= m and (m, p) in live:
-            ended = [c for c in live if c[1] == p] if m == k else [(m, p)]
-            found.update(dict.fromkeys(ended, n))
-            live.difference_update(ended)
-            if not live:
-                break
-    return found
-
-
 def cmd_analyze(cfg: ExperimentConfig) -> list[str]:
     assert cfg.scheme and cfg.k and cfg.n_min and cfg.n_max
     columns = [(m, p) for m in cfg.m for p in cfg.p]
-    rows = _closed_form_rows(cfg, columns, cfg.n_min, cfg.n_max)
+    approx = functools.cache(analysis.partial_decode_prob_approx)
+    rows = [(m, n, p, prob) for n in range(cfg.n_min, cfg.n_max + 1)
+            for m, p, prob in _closed_form_rows(cfg, columns, n, approx)]
+    kind = lambda m: "approx" if cfg.scheme == "systematic" and m < cfg.k else "exact"
     lines = ["scheme,K,M,N,p,q,prob,kind"]
     lines.extend(
-        f"{cfg.scheme},{cfg.k},{m},{n},{_fmt_p(p)},{cfg.q},{_fmt_prob(prob)},{kind}"
-        for m, n, p, prob, kind in sorted(rows, key=lambda r: r[:3])
+        f"{cfg.scheme},{cfg.k},{m},{n},{_fmt_p(p)},{cfg.q},{_fmt_prob(prob)},{kind(m)}"
+        for m, n, p, prob in sorted(rows, key=lambda r: r[:3])
     )
     return lines
 
@@ -316,14 +300,26 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[str]:
     # Every row prints N_hat_full, so the (K, p) columns are searched too.
     live = {(m, p) for m in (*cfg.m, k) for p in cfg.p}
     n_lo = min(cfg.m)
-    rows = _closed_form_rows(cfg, live, n_lo, cfg.n_max)
+    simulated = None  # the straightforward M < K rows, one group per N
     if _no_closed_form(cfg):
-        import heapq  # only a simulated metrics run merges two row sources
-
         partial = sorted({m for m in cfg.m if m < k})
-        rows = heapq.merge(rows, _simulated_rows(cfg, partial, n_lo, cfg.n_max),
-                           key=lambda row: row[1])
-    found = _first_n(rows, live, p_hat, k)
+        simulated = itertools.groupby(_simulated_rows(cfg, partial, n_lo, cfg.n_max),
+                                      key=lambda row: row[1])
+    approx = functools.cache(analysis.partial_decode_prob_approx)
+    found: dict[tuple[int, float], int] = {}
+    for n in range(n_lo, cfg.n_max + 1):
+        rows = _closed_form_rows(cfg, live, n, approx)
+        if simulated is not None:
+            rows += [(m, p, est) for m, _, p, est in next(simulated)[1]]
+        # A column ends at its first N >= M with P >= P_hat, or where its
+        # (K, p) column ends, since recovering all K packets recovers any M.
+        for m, p, prob in rows:
+            if prob >= p_hat and n >= m and (m, p) in live:
+                ended = [c for c in live if c[1] == p] if m == k else [(m, p)]
+                found.update(dict.fromkeys(ended, n))
+                live.difference_update(ended)
+        if not live:
+            break
     lines = ["scheme,K,M,p,P_hat,N_hat_partial,N_hat_full,delta_N"]
     for m, p in sorted((m, p) for p in cfg.p for m in cfg.m):
         n_partial, n_full = found.get((m, p)), found.get((k, p))

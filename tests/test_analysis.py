@@ -74,6 +74,10 @@ class TestFullRankProb:
         with pytest.raises(ValueError):
             full_rank_prob(2, 2, 1)
 
+    def test_rejects_negative_counts(self):
+        with pytest.raises(ValueError):
+            full_rank_prob(-1, 0)
+
 
 class TestCondFullDecodeProb:
     def test_all_systematic_reception_is_certain(self):
@@ -91,6 +95,8 @@ class TestCondFullDecodeProb:
             cond_full_decode_prob(3, 2, 5)  # r < k
         with pytest.raises(ValueError):
             cond_full_decode_prob(3, 6, 5)  # r > n
+        with pytest.raises(ValueError):
+            cond_full_decode_probs(3, 2)  # n < k
 
     @pytest.mark.parametrize("q", sorted(T_ONE))
     def test_certain_from_excess_t(self, q):
@@ -153,10 +159,11 @@ class TestFullDecodeProb:
 
 
 # The relative bound of a float ordered-uncoded probability against its exact
-# value at the same p, for the p <= 0.9 that these tests use. The worst
-# measured there is 2.3e-14 (K = 150, M = 150, N = 451, p = 0.9, where
-# 1 - p^c loses bits to cancellation); the arithmetic alone stays below 5e-15
-# out to K = 10^4. The smallest normal float is added as an absolute slack:
+# value at the same p. The worst measured in ``test_ou_sweep`` is 9.5e-15
+# (K = 150, M = 150, N = 451, p = 0.9); written out as 1 - p**c, the survive
+# probability cancels there and read 2.1e-14, and near p = 1 it read past
+# this bound (``test_near_p_one_within_ou_rel``). The arithmetic alone stays
+# below 5e-15 out to K = 10^4. The smallest normal float is added as an absolute slack:
 # what underflow loses stays below it.
 OU_REL = 1e-12
 
@@ -656,6 +663,10 @@ class TestSfFullDecodeProb:
         assert sf_full_decode_prob(2, 2, 0.0, 2) == pytest.approx(0.375, abs=1e-15)
         assert sf_full_decode_prob(3, 7, 1.0, 2) == 0.0
 
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            sf_full_decode_prob(3, 2, 0.1)  # n < k
+
     def test_lossless_equals_rank_probability(self):
         for k, n in ((2, 4), (3, 5)):
             assert sf_full_decode_prob(k, n, 0.0, 2) == pytest.approx(
@@ -725,6 +736,21 @@ class TestOuPartialDecodeProb:
             got = [ou_partial_decode_prob(k, k, n, p) for n in ns]
             exact = [num / den for num, den in (ou_full_quotient(k, n, p) for n in ns)]
             assert_within_ou_rel(got, exact, (k, p))
+
+    def test_near_p_one_within_ou_rel(self):
+        """Near p = 1 with c = N div K >= 2, 1 - p^c written out cancels: at
+        K = 60, M = 60, N = 120, p = 0.99999 it read 2.5e-11 off, and at
+        K = 10, M = 5, N = 30, p = 0.9999999 4.0e-10. M = K and M < K stay
+        within OU_REL of the exact value at the same p, and p = 1 gives +0.0."""
+        for k in (1, 2, 5, 10, 60):
+            every = sorted({1, (k + 1) // 2, k})
+            for n in (2 * k, 2 * k + 1, 3 * k, 5 * k + 1):
+                for p in (0.999, 0.9999, 0.99999, 0.9999999):
+                    got = ou_partial_decode_probs(k, every, n, p)
+                    exact = ou_partial_decode_probs(k, every, n, Fraction(p))
+                    assert_within_ou_rel(got, exact, (k, n, p))
+                got = ou_partial_decode_probs(k, every, n, 1.0)
+                assert [math.copysign(1.0, x) for x in got] == [1.0] * len(every)
 
     def test_fraction_p_gives_the_exact_product(self):
         for k, n in ((1, 3), (7, 6), (7, 7), (7, 30), (1000, 999), (1000, 1001),

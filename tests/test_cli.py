@@ -440,10 +440,26 @@ def metrics_oracle(scheme, k, ms, ps, q, p_hat, n_max, trials, seed):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_closed_form_rows_skip_removed_columns(seed):
-    """A reader that removes random columns as it reads gets, for each
-    column, the rows that the whole set of columns gives, up to where it
-    removed the column, and no row of it after that."""
+def test_closed_form_rows_skip_removed_columns(seed, monkeypatch):
+    """At random configs and N, a random subset of the columns gets exactly
+    the rows that the whole set gives for those columns, and a column left
+    out of the subset costs no call of the closed forms."""
+    asked = []
+
+    def spy(name, columns_of):
+        function = getattr(analysis, name)
+
+        def recording(*args):
+            asked.extend(columns_of(*args))
+            return function(*args)
+
+        monkeypatch.setattr(analysis, name, recording)
+
+    # The systematic approximation calls ou_partial_decode_probs itself.
+    spy("full_decode_probs", lambda k, n, ps, q: [(k, p) for p in ps])
+    spy("sf_full_decode_prob", lambda k, n, p, q: [(k, p)])
+    spy("ou_partial_decode_probs", lambda k, ms, n, p: [(m, p) for m in ms])
+    approx = analysis.partial_decode_prob_approx
     rng = random.Random(seed)
     for _ in range(20):
         scheme = rng.choice(("systematic", "straightforward", "ordered-uncoded"))
@@ -451,25 +467,15 @@ def test_closed_form_rows_skip_removed_columns(seed):
         ms = rng.sample(range(1, k + 1), rng.randint(1, k))
         ps = rng.sample((0.0, 0.05, 0.1, 0.3, 0.5, 1.0), rng.randint(1, 3))
         cfg = ExperimentConfig(mode="analyze", scheme=scheme, k=k, q=rng.choice((2, 3)))
-        n_lo = rng.randint(1, k)
-        n_hi = n_lo + rng.randint(0, 2 * k)
-        columns = {(m, p) for m in ms for p in ps}
-        whole: dict[tuple[int, float], list] = {}
-        for m, n, p, *value in cli._closed_form_rows(cfg, set(columns), n_lo, n_hi):
-            whole.setdefault((m, p), []).append((n, *value))
-        live, got, removed_at = set(columns), {}, {}
-        for m, n, p, *value in cli._closed_form_rows(cfg, live, n_lo, n_hi):
-            assert (m, p) in live, (scheme, k, m, n, p)
-            got.setdefault((m, p), []).append((n, *value))
-            if rng.random() < 0.3:
-                column = rng.choice(sorted(live))
-                live.remove(column)
-                removed_at[column] = n
-        for column in columns:
-            rows, want = got.get(column, []), whole.get(column, [])
-            assert rows == want[: len(rows)], (scheme, k, column)
-            until = removed_at.get(column, n_hi + 1)
-            assert len(rows) >= sum(1 for row in want if row[0] < until), (scheme, k, column)
+        n = rng.randint(1, 3 * k)
+        columns = [(m, p) for m in ms for p in ps]
+        subset = [column for column in columns if rng.random() < 0.5]
+        whole = cli._closed_form_rows(cfg, columns, n, approx)
+        asked.clear()
+        rows = cli._closed_form_rows(cfg, subset, n, approx)
+        context = (scheme, k, n, cfg.q, subset)
+        assert sorted(rows) == sorted(row for row in whole if row[:2] in subset), context
+        assert set(asked) <= set(subset), context
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -731,6 +737,17 @@ class TestConfigHandling:
             ["analyze", "--scheme", "systematic", "--m", "2", "--n", "3", "--p", "0.1", {"mode": "simulate", "k": 2}],
             # simulate takes no --q: the simulator is GF(2) only
             ["simulate", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--trials", "1", "--seed", "1", "--q", "2"],
+            # no workers, no repetitions, and a scheme argparse cannot reject
+            ["simulate", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--trials", "1", "--seed", "1", "--workers", "0"],
+            ["bench", "--k", "2", "--trials", "0"],
+            ["analyze", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", {"scheme": "fountain"}],
+            # M and p missing or out of range, and N ranges with no valid N
+            ["analyze", "--scheme", "systematic", "--k", "2", "--n", "3", "--p", "0.1"],
+            ["analyze", "--scheme", "systematic", "--k", "2", "--m", "0", "--n", "3", "--p", "0.1"],
+            ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3"],
+            ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n-min", "5", "--n-max", "3", "--p", "0.1"],
+            ["analyze", "--scheme", "systematic", "--k", "5", "--m", "5", "--n-min", "1", "--n-max", "3", "--p", "0.1"],
+            ["metrics", "--scheme", "systematic", "--k", "5", "--m", "5", "--p", "0.1", "--p-hat", "0.7", "--n-max", "4"],
         ],
     )
     def test_config_errors_exit_2(self, bad, tmp_path, capsys, monkeypatch):

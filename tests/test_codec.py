@@ -216,6 +216,12 @@ class TestProgressiveDecoder:
         assert decoded_indices(dec) == frozenset()
         assert len(decoder_rows(dec)) <= 3
 
+    def test_rejects_bad_sizes(self):
+        with pytest.raises(DimensionError):
+            ProgressiveDecoder(0, 8)
+        with pytest.raises(ValueError):
+            ProgressiveDecoder(4, 0)
+
     def test_dimension_mismatch(self):
         dec = ProgressiveDecoder(3, 2)
         with pytest.raises(DimensionError):

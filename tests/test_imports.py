@@ -28,10 +28,8 @@ def test_imports_are_stdlib_or_sysnc(path):
 
 
 # Modules that only some runs use: the process pool for --workers > 1,
-# statistics for bench, json for --config, fractions for the exact oracles,
-# heapq for a metrics run that merges simulated and closed-form rows.
-LAZY = ("concurrent.futures", "multiprocessing", "statistics", "json", "fractions",
-        "heapq")
+# statistics for bench, json for --config, fractions for the exact oracles.
+LAZY = ("concurrent.futures", "multiprocessing", "statistics", "json", "fractions")
 # Modules no run needs: the package's records are plain classes, and its
 # annotations are never evaluated. dataclasses would also bring in inspect.
 UNUSED = ("dataclasses", "inspect", "typing")

@@ -290,6 +290,8 @@ class TestRunTrials:
             run_trials("systematic", 2, [1], (4, 2), 0.1, 1, 1)
         with pytest.raises(ValueError):
             run_trials("systematic", 2, [1], (1, 2), 0.1, 1, 0)
+        with pytest.raises(ValueError):
+            run_trials("systematic", 2, [1], (1, 2), 0.1, 1, 1, workers=0)
 
     def test_curve_validation(self):
         """One count per M and per n of the range, each between 0 and the
@@ -303,6 +305,10 @@ class TestRunTrials:
 
 
 class TestBenchDecode:
+    def test_rejects_zero_repetitions(self):
+        with pytest.raises(ValueError):
+            bench_decoders([1], 0)
+
     def test_single_repetition_no_aggregation_failure(self):
         rows = [r for r in bench_decoders([1, 2, 3], 1) if r[0] == "gepd"]
         assert [k for _, k, *_ in rows] == [1, 2, 3]

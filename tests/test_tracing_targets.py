@@ -15,7 +15,7 @@ STALE = {
     "trace: sysnc.simulator.combine_words not found; left untraced",
     "trace: sysnc.analysis.poisson_binomial_tail not found; left untraced",
     # the N_hat reference search, moved to tests/oracles.py; the package's one
-    # search is cli._first_n
+    # search is the loop over N in cli.cmd_metrics
     "trace: sysnc.analysis.min_packets_for_target not found; left untraced",
 }
 
