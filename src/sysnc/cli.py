@@ -50,8 +50,8 @@ class ConfigError(ValueError):
 
 
 # Each config field: its scalar type ("m" and "p" hold tuples of it, given
-# comma-separated as flags), its default when missing or None, and the
-# subcommands that read it as the flag --<key> (_ written -) or a config key.
+# comma-separated), its default when missing or None, and the subcommands
+# that read it as the flag --<key> (_ written -).
 _CURVES = ("analyze", "simulate", "metrics")
 _FIELDS = {
     "mode": (str, None, ()),  # the subcommand itself
@@ -78,30 +78,17 @@ _HELP = {
 
 
 def _keys(mode: str) -> list[str]:
-    """The config keys ``mode`` reads, one per flag but ``--config``: those of
-    its fields, and ``n`` wherever it reads the N range ``n`` sets."""
+    """The flags ``mode`` reads, each as its field's key: those of its
+    fields, and ``n`` wherever it reads the N range ``n`` sets."""
     keys = [key for key, (_, _, modes) in _FIELDS.items() if mode in modes]
     if "n_min" in keys:
         keys.insert(keys.index("n_min"), "n")
     return keys
 
 
-def _typed(key: str, value):
-    kind = _FIELDS[key][0]
-    fits = lambda x: type(x) is kind or (kind is float and type(x) is int)
-    try:
-        if key not in _LISTS and fits(value):
-            return kind(value)
-        if key in _LISTS and isinstance(value, (list, tuple)) and all(map(fits, value)):
-            return tuple(kind(x) for x in value)
-    except OverflowError:  # an integer past the float range
-        raise ConfigError(f"config value {key} is too large for a float") from None
-    raise ConfigError(f"config value {key}={value!r} has the wrong type")
-
-
 class ExperimentConfig(argparse.Namespace):
-    """The settings of one run: an attribute per field of ``_FIELDS``, each
-    type-checked, at its default when missing or None."""
+    """The settings of one run: an attribute per field of ``_FIELDS``, at its
+    default when missing or None."""
 
     def __init__(self, /, **values) -> None:
         unknown = values.keys() - _FIELDS
@@ -109,7 +96,7 @@ class ExperimentConfig(argparse.Namespace):
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, (_, default, _) in _FIELDS.items():
             value = values.get(key)
-            setattr(self, key, default if value is None else _typed(key, value))
+            setattr(self, key, default if value is None else value)
 
 
 def _no_closed_form(cfg: ExperimentConfig) -> bool:
@@ -235,20 +222,20 @@ def _closed_form_rows(cfg: ExperimentConfig, columns, n: int, approx) -> list:
             by_p.setdefault(p, []).append(m)
         elif scheme == "ordered-uncoded":
             rows.append((m, p, 0.0))  # fewer than M packets sent
-    if scheme == "ordered-uncoded":
-        probs = [analysis.ou_partial_decode_probs(k, ms, n, p) for p, ms in by_p.items()]
-    else:
-        # Each N's conditional decoding probabilities serve every p.
-        full_ps = [p for p, ms in by_p.items() if k in ms]
-        if scheme == "straightforward":
-            full = [analysis.sf_full_decode_prob(k, n, p, q) for p in full_ps]
+    # Each N's systematic conditional decoding probabilities serve every p,
+    # so its (K, p) columns take their values from one call, in by_p's order.
+    full_ps = [p for p, ms in by_p.items() if k in ms]
+    full = iter(analysis.full_decode_probs(k, n, full_ps, q)
+                if scheme == "systematic" and full_ps else ())
+    for p, ms in by_p.items():
+        if scheme == "ordered-uncoded":
+            probs = analysis.ou_partial_decode_probs(k, ms, n, p)
+        elif scheme == "straightforward":  # only its M = K columns got here
+            probs = [analysis.sf_full_decode_prob(k, n, p, q)] * len(ms)
         else:
-            full = analysis.full_decode_probs(k, n, full_ps, q) if full_ps else []
-        full_at = dict(zip(full_ps, full))
-        probs = [[full_at[p] if m == k else approx(k, m, min(k, n), p) for m in ms]
-                 for p, ms in by_p.items()]
-    for (p, ms), p_probs in zip(by_p.items(), probs):
-        rows.extend((m, p, prob) for m, prob in zip(ms, p_probs))
+            at_k = next(full) if k in ms else None
+            probs = [at_k if m == k else approx(k, m, min(k, n), p) for m in ms]
+        rows.extend(zip(ms, itertools.repeat(p), probs))
     return rows
 
 
@@ -381,44 +368,21 @@ def build_parser() -> argparse.ArgumentParser:
             choices = SCHEMES if key == "scheme" else None
             sp.add_argument(f"--{key.replace('_', '-')}", type=kind, choices=choices,
                             help=_HELP.get(key))
-        sp.add_argument("--config", dest="config_file")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    file_values: dict = {}
-    if args.config_file:
-        import json  # only a --config run reads JSON
-
-        try:
-            with open(args.config_file, encoding="utf-8") as fh:
-                file_values = json.load(fh)
-        except (OSError, ValueError, RecursionError) as exc:
-            # ValueError covers malformed JSON and bytes that are not UTF-8;
-            # RecursionError, JSON nested deeper than the parser recurses.
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        if not isinstance(file_values, dict):
-            raise ConfigError("config file must hold a JSON object")
-        unread = sorted(set(file_values) - set(_keys(args.mode)))
-        if unread:
-            raise ConfigError(f"config keys not read by {args.mode}: {unread}")
-    flag_values = {
-        key: value for key, value in vars(args).items()
-        if key != "config_file" and value is not None
-    }
-    merged = {**_read_n(file_values), **_read_n(flag_values), "mode": args.mode}
-    return _validate(ExperimentConfig(**merged))
+    values = {key: value for key, value in vars(args).items() if value is not None}
+    return _validate(ExperimentConfig(**_read_n(values)))
 
 
 def _read_n(values: dict) -> dict:
-    """``values`` with its ``n`` read as ``--n`` is: as both ``n_min`` and
-    ``n_max``, which it may not be given beside."""
+    """``values`` with its ``n`` read as both ``n_min`` and ``n_max``, which
+    it may not be given beside."""
     n = values.pop("n", None)
     if n is None:
         return values
-    if type(n) is not int:
-        raise ConfigError(f"config value n={n!r} has the wrong type")
-    if values.get("n_min") is not None or values.get("n_max") is not None:
+    if "n_min" in values or "n_max" in values:
         raise ConfigError("--n conflicts with --n-min/--n-max")
     return {**values, "n_min": n, "n_max": n}
 

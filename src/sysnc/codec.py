@@ -249,16 +249,15 @@ def full_rank_decode(
     nothing even when individual packets would be decodable. Every packet is
     validated before any elimination.
     """
+    if not 1 <= k <= MAX_LENGTH:
+        raise DimensionError(f"generation size {k} outside [1, {MAX_LENGTH}]")
     batch = list(packets)
-    payload_len: int | None = None
     for pkt in batch:
         if pkt.coding_vector.length != k:
             raise DimensionError(
                 f"coding vector length {pkt.coding_vector.length} != k={k}"
             )
-        if payload_len is None:
-            payload_len = len(pkt.payload)
-        elif len(pkt.payload) != payload_len:
+        if len(pkt.payload) != len(batch[0].payload):
             raise DimensionError("mixed payload lengths in one batch")
     # Forward elimination into an echelon keyed by lowest set bit, until rank k.
     rows: dict[int, int] = {}
@@ -287,7 +286,7 @@ def full_rank_decode(
         for w in compress(solved, bit_flags(rows[key] ^ key)):
             pay ^= w
         solved[col] = pay
-    assert payload_len is not None
+    payload_len = len(batch[0].payload)
     return {
         col: pay.to_bytes(payload_len, "big") for col, pay in enumerate(solved, 1)
     }

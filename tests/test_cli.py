@@ -1,7 +1,6 @@
 import argparse
 import contextlib
 import io
-import json
 import os
 import random
 import signal
@@ -539,74 +538,36 @@ class TestConfigHandling:
         raw = vars(cfg)
         assert set(raw) == set(cli._FIELDS)
         assert ExperimentConfig(**raw) == cfg
-        assert ExperimentConfig(**json.loads(json.dumps(raw))) == cfg
         assert ExperimentConfig(**{**raw, "k": 5}) != cfg
 
     @pytest.mark.parametrize("mode,flags", [
-        ("analyze", "--scheme --k --m --n --n-min --n-max --p --q --out --workers --config"),
+        ("analyze", "--scheme --k --m --n --n-min --n-max --p --q --out --workers"),
         ("simulate", "--scheme --k --m --n --n-min --n-max --p --trials --seed --out "
-                     "--workers --config"),
+                     "--workers"),
         ("metrics", "--scheme --k --m --n-max --p --q --trials --seed --p-hat --out "
-                    "--workers --config"),
-        ("bench", "--k --trials --seed --out --config"),
+                    "--workers"),
+        ("bench", "--k --trials --seed --out"),
     ], ids=MODES)
-    def test_config_file_keys_are_the_flags(self, mode, flags, tmp_path, capsys):
-        """Each subcommand takes its flags, and a config file the same keys,
-        ``-`` written ``_`` (``n`` too, where it takes ``--n``), but no
-        ``config``: a file naming any other flag or field is rejected."""
+    def test_config_file_keys_are_the_flags(self, mode, flags):
+        """Each subcommand takes these flags and no other: one per config
+        field it reads, ``_`` written ``-``, and ``--n`` where it reads the N
+        range. Any other flag, ``--config`` among them, is unrecognized."""
         sub = next(a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction)).choices[mode]
         taken = [s for a in sub._actions for s in a.option_strings if s.startswith("--")]
         assert sorted(taken) == sorted(flags.split() + ["--help"])
-        readable = {flag[2:].replace("-", "_") for flag in flags.split()} - {"config"}
-        path = tmp_path / "cfg.json"
-        for key in {*cli._FIELDS, "n", "config", "help"}:
-            path.write_text(json.dumps({key: None}))
-            code, _, err = run_cli([mode, "--config", str(path)], capsys)
-            assert code == EXIT_CONFIG
-            assert (err == f"config error: config keys not read by {mode}: [{key!r}]\n") == (
-                key not in readable), (key, err)
+        keys = [f"--{key.replace('_', '-')}" for key in cli._keys(mode)]
+        assert sorted(keys) == sorted(flags.split())
 
-    def test_config_file_with_flag_override(self, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({
-            "scheme": "systematic", "k": 2, "m": [2], "n_min": 3, "n_max": 3,
-            "p": [0.1],
-        }))
-        code, out, _ = run_cli(
-            ["analyze", "--config", str(path), "--p", "0.2"], capsys
-        )
-        assert code == EXIT_OK
-        assert out.strip().splitlines()[1].split(",")[4] == "0.2"
-
-    def test_unknown_config_key_rejected(self, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"k": 2, "mn": 1}))
-        code, _, err = run_cli(["analyze", "--config", str(path)], capsys)
-        assert code == EXIT_CONFIG
-        assert "mn" in err
-
-    def test_config_file_n_reads_as_the_flag(self, tmp_path, capsys):
-        """A config file holds the flags' keys, ``n`` among them: it sets
-        n_min and n_max as ``--n`` does, and a flag still overrides it."""
-        argv = ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--p", "0.1"]
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"n": 3}))
-        for flags, file_and_flags in (
-            (["--n", "3"], ["--config", str(path)]),
-            (["--n-min", "3", "--n-max", "4"], ["--config", str(path), "--n-max", "4"]),
-        ):
-            code, expected, err = run_cli(argv + flags, capsys)
-            assert code == EXIT_OK, err
-            assert run_cli(argv + file_and_flags, capsys) == (EXIT_OK, expected, "")
-
-    def test_config_key_in_a_config_file_is_not_read(self, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        for key, value in (("config", "other.json"), ("mode", "simulate")):
-            path.write_text(json.dumps({"k": 2, key: value}))
-            code, _, err = run_cli(["analyze", "--config", str(path)], capsys)
-            assert code == EXIT_CONFIG
-            assert err == f"config error: config keys not read by analyze: [{key!r}]\n"
+    @pytest.mark.parametrize("mode", MODES)
+    def test_config_flag_is_unrecognized(self, mode, tmp_path, capsys):
+        """The flags are the one input path: ``--config`` exits 2 with one
+        line, also naming a readable JSON file of valid settings."""
+        path = tmp_path / "x.json"
+        path.write_text('{"k": 2}')
+        argv = [mode, *_BASES[mode], "--config", str(path)]
+        assert run_cli(argv, capsys) == (
+            EXIT_CONFIG, "", f"config error: unrecognized arguments: --config {path}\n")
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--scheme", "systematic", "--k", "4", "--m", "2,4", "--n", "5"],
@@ -670,10 +631,10 @@ class TestConfigHandling:
             ["simulate", "--scheme", "systematic", "--k", "2000", "--m", "1", "--n", "3", "--p", "0.1", "--trials", "1", "--seed", "1"],
             ["bench", "--k", "2000", "--trials", "1"],
             ["metrics", "--scheme", "straightforward", "--k", "2000", "--m", "1", "--p", "0.1", "--p-hat", "0.5", "--trials", "1", "--seed", "1"],
-            # config-file values of the wrong type
-            ["analyze", {"scheme": "systematic", "k": "4", "m": [2], "n_min": 4, "n_max": 4, "p": [0.1]}],
-            ["analyze", {"scheme": "systematic", "k": 4, "m": 2, "n_min": 4, "n_max": 4, "p": [0.1]}],
-            ["analyze", {"scheme": "systematic", "k": True, "m": [1], "n_min": 4, "n_max": 4, "p": [0.1]}],
+            # values of the wrong type
+            ["analyze", "--scheme", "systematic", "--k", "4.0", "--m", "2", "--n", "4", "--p", "0.1"],
+            ["analyze", "--scheme", "systematic", "--k", "4", "--m", "2.5", "--n", "4", "--p", "0.1"],
+            ["analyze", "--scheme", "systematic", "--k", "true", "--m", "1", "--n", "4", "--p", "0.1"],
             ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--out", "{tmp}/missing/rows.csv"],
             # the simulator is GF(2) only
             ["simulate", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--trials", "1", "--seed", "1", "--q", "4"],
@@ -688,42 +649,43 @@ class TestConfigHandling:
             ["simulate", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--trials", "1", "--seed", "1", "--p-hat", "0.5"],
             # a malformed value is one line too, not a usage message
             ["analyze", "--scheme", "systematic", "--k", "two", "--m", "2", "--n", "3", "--p", "0.1"],
-            # config-file keys the subcommand does not read
-            ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", {"p_hat": 0.5, "trials": 9, "seed": 3}],
-            ["simulate", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--trials", "1", "--seed", "1", {"p_hat": 0.5}],
-            ["metrics", "--scheme", "systematic", "--k", "4", "--m", "2", "--p", "0.1", "--p-hat", "0.7", {"n_min": 50}],
-            ["bench", "--k", "2", "--trials", "1", {"workers": 2}],
+            # more flags the subcommand does not read, a range given in part,
+            # and a list where one value goes
+            ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--seed", "3"],
+            ["simulate", "--scheme", "systematic", "--k", "2", "--m", "2", "--n-max", "3", "--p", "0.1", "--trials", "1", "--seed", "1"],
+            ["metrics", "--scheme", "systematic", "--k", "4", "--m", "2", "--p", "0.1", "--p-hat", "0.5,0.7"],
+            ["bench", "--k", "2", "--trials", "1", "--m", "2"],
             # an --out that passes validation but cannot be written
             pytest.param(
                 ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--out", "/dev/full"],
                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
             ),
-            # config files that are not UTF-8, or nested past the recursion limit
-            ["analyze", b"\xff\xfe{"],
-            ["analyze", b"[" * 200000],
+            # an empty list item, and a p that is not a number
+            ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1,,0.2"],
+            ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "nan"],
             # a q too large for a float
             ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--q", "1" + "0" * 400],
             ["metrics", "--scheme", "systematic", "--k", "2", "--m", "2", "--p", "0.1", "--p-hat", "0.5", "--q", "1" + "0" * 400],
-            # config-file probabilities too large for a float
-            ["metrics", "--scheme", "systematic", "--k", "2", "--m", "2", "--p", "0.1", {"p_hat": 10**400}],
-            ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", {"p": [10**400]}],
+            # probabilities too large for a float
+            ["metrics", "--scheme", "systematic", "--k", "2", "--m", "2", "--p", "0.1", "--p-hat", "1" + "0" * 400],
+            ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "1" + "0" * 400],
             # an empty --out names no file
             ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--out", ""],
-            ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", {"out": ""}],
+            ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--out="],
             # more workers than CPUs
             ["simulate", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--trials", "4", "--seed", "1", "--workers", str(_CPUS + 1)],
-            ["metrics", "--scheme", "straightforward", "--k", "4", "--m", "2", "--p", "0.1", "--p-hat", "0.5", "--trials", "4", "--seed", "1", {"workers": _CPUS + 1}],
+            ["metrics", "--scheme", "straightforward", "--k", "4", "--m", "2", "--p", "0.1", "--p-hat", "0.5", "--trials", "4", "--seed", "1", "--workers", str(_CPUS + 1)],
             # work sizes past the closed-form caps
             ["analyze", "--scheme", "systematic", "--k", "10001", "--m", "1", "--n", "1", "--p", "0.5"],
             ["analyze", "--scheme", "ordered-uncoded", "--k", "1", "--m", "1", "--n", "100001", "--p", "0.5"],
             ["metrics", "--scheme", "straightforward", "--k", "10001", "--m", "10001", "--p", "0.5", "--p-hat", "0.5", "--n-max", "10001"],
             ["metrics", "--scheme", "systematic", "--k", "1", "--m", "1", "--p", "0.5", "--p-hat", "0.5", "--n-max", "100001"],
-            # a config-file n is read as --n is: an int, not beside n_min/n_max,
-            # and only by the subcommands that take --n
-            ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--p", "0.1", {"n": 3, "n_min": 2}],
-            ["simulate", "--scheme", "systematic", "--k", "2", "--m", "2", "--p", "0.1", "--trials", "1", "--seed", "1", {"n": 3, "n_max": 4}],
-            ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--p", "0.1", {"n": "3"}],
-            ["metrics", "--scheme", "systematic", "--k", "4", "--m", "2", "--p", "0.1", "--p-hat", "0.7", {"n": 50}],
+            # --n is an int, not beside --n-min/--n-max, and only for the
+            # subcommands that take it
+            ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--p", "0.1", "--n", "3", "--n-max", "4"],
+            ["simulate", "--scheme", "systematic", "--k", "2", "--m", "2", "--p", "0.1", "--trials", "1", "--seed", "1", "--n", "3", "--n-min", "2"],
+            ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--p", "0.1", "--n", "3.0"],
+            ["bench", "--k", "2", "--trials", "1", "--n", "3"],
             # a target probability outside (0, 1]
             ["metrics", "--scheme", "systematic", "--k", "4", "--m", "2", "--p", "0.1", "--p-hat", "0"],
             ["metrics", "--scheme", "ordered-uncoded", "--k", "4", "--m", "2", "--p", "0.1", "--p-hat", "1.5"],
@@ -731,16 +693,16 @@ class TestConfigHandling:
             ["simulate", "--scheme", "systematic", "--k", "2", "--m", "1", "--n-min", "1", "--n-max", "100001", "--p", "0.1", "--trials", "1", "--seed", "1"],
             # metrics reads --trials and --seed only when it simulates
             ["metrics", "--scheme", "systematic", "--k", "4", "--m", "2,4", "--p", "0.1", "--p-hat", "0.7", "--trials", "9", "--seed", "3"],
-            ["metrics", "--scheme", "straightforward", "--k", "4", "--m", "4", "--p", "0.1", "--p-hat", "0.7", {"trials": 9, "seed": 3}],
+            ["metrics", "--scheme", "straightforward", "--k", "4", "--m", "4", "--p", "0.1", "--p-hat", "0.7", "--trials", "9", "--seed", "3"],
             ["metrics", "--scheme", "ordered-uncoded", "--k", "4", "--m", "2", "--p", "0.1", "--p-hat", "0.7", "--seed", "3"],
-            # the subcommand is the mode; a config file cannot name another
-            ["analyze", "--scheme", "systematic", "--m", "2", "--n", "3", "--p", "0.1", {"mode": "simulate", "k": 2}],
+            # the subcommand is the mode; no flag names another
+            ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--mode", "simulate"],
             # simulate takes no --q: the simulator is GF(2) only
             ["simulate", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--trials", "1", "--seed", "1", "--q", "2"],
-            # no workers, no repetitions, and a scheme argparse cannot reject
+            # no workers, no repetitions, and an unknown scheme
             ["simulate", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--trials", "1", "--seed", "1", "--workers", "0"],
             ["bench", "--k", "2", "--trials", "0"],
-            ["analyze", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", {"scheme": "fountain"}],
+            ["analyze", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--scheme", "fountain"],
             # M and p missing or out of range, and N ranges with no valid N
             ["analyze", "--scheme", "systematic", "--k", "2", "--n", "3", "--p", "0.1"],
             ["analyze", "--scheme", "systematic", "--k", "2", "--m", "0", "--n", "3", "--p", "0.1"],
@@ -758,15 +720,7 @@ class TestConfigHandling:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(simulator, "ProcessPoolExecutor", no_pool, raising=False)
-        argv = []
-        for arg in bad:
-            if isinstance(arg, (dict, bytes)):  # the contents of a config file
-                path = tmp_path / "cfg.json"
-                path.write_bytes(arg if isinstance(arg, bytes) else json.dumps(arg).encode())
-                argv += ["--config", str(path)]
-            else:
-                argv.append(arg.format(tmp=tmp_path))
-        code, out, err = run_cli(argv, capsys)
+        code, out, err = run_cli([arg.format(tmp=tmp_path) for arg in bad], capsys)
         assert code == EXIT_CONFIG
         assert err.startswith("config error:") and err.count("\n") == 1
         assert out == ""
@@ -867,11 +821,7 @@ _FLAG_TOKENS += ["--config", "--bogus", "--n-m", "-k", "-h"]
 _VALUES = ["0", "1", "2", "3", "0.1", "0.5", "2,3", "0,0.3", "systematic",
            "straightforward", "ordered-uncoded"]
 _GARBAGE = ["-1", "1.5", "nan", "inf", "1e3", "1,,2", "", ",", "x"]
-_PATHS = {
-    "--out": ["{tmp}/out.csv", "{tmp}", "{tmp}/missing/out.csv"],
-    "--config": ["{tmp}/good.json", "{tmp}/list.json", "{tmp}/broken.json",
-                 "{tmp}/unread.json", "{tmp}/missing.json"],
-}
+_PATHS = {"--out": ["{tmp}/out.csv", "{tmp}", "{tmp}/missing/out.csv"]}
 # Work sizes past the caps, which every subcommand that reads the flag
 # rejects before any work.
 _CAPPED = {
@@ -890,12 +840,7 @@ _PAIRS = st.one_of(
 class TestArgvFuzz:
     @pytest.fixture(scope="class")
     def tmp(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("argv")
-        (path / "good.json").write_text(json.dumps({"k": 3, "m": [3], "p": [0.2]}))
-        (path / "list.json").write_text("[1, 2]")
-        (path / "broken.json").write_text("{")
-        (path / "unread.json").write_text(json.dumps({"p_hat": 0.5, "trials": 2}))
-        return path
+        return tmp_path_factory.mktemp("argv")
 
     @given(
         st.sampled_from(MODES + ("bogus",)),

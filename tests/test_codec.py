@@ -399,6 +399,37 @@ class TestFullRankDecode:
     def test_rank_deficient_recovers_nothing(self):
         assert full_rank_decode([make_packet([1, 1], b"x")], 2) is None
 
+    @pytest.mark.parametrize("k", [1, 3, MAX_LENGTH])
+    def test_empty_batch_recovers_nothing(self, k):
+        assert full_rank_decode([], k) is None
+        assert full_rank_decode(iter(()), k) is None
+
+    @pytest.mark.parametrize("k", [0, -1, MAX_LENGTH + 1])
+    def test_rejects_bad_generation_sizes(self, k):
+        """As ``ProgressiveDecoder`` does, also when no packet could show it."""
+        with pytest.raises(DimensionError):
+            full_rank_decode([], k)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_one_shot_iterator_decodes_as_the_list(self, seed):
+        """A generator is read once, and still gives what the list gives:
+        the payloads, None, or the same DimensionError."""
+        rng = random.Random(seed)
+        msg, packets = random_instance(rng)
+        if rng.random() < 0.5:  # a batch of full rank
+            packets += [make_packet([int(i == j) for j in range(msg.k)], payload)
+                        for i, payload in enumerate(msg.packets)]
+        if packets and rng.random() < 0.2:
+            packets.append(make_packet([1] * msg.k, bytes(msg.payload_len + 1)))
+        try:
+            expected = full_rank_decode(packets, msg.k)
+        except DimensionError:
+            with pytest.raises(DimensionError):
+                full_rank_decode((pkt for pkt in packets), msg.k)
+        else:
+            assert full_rank_decode((pkt for pkt in packets), msg.k) == expected
+
     def test_blind_to_partial_decodability(self):
         packets = [
             make_packet([1, 1, 0], xor_bytes(b"a", b"b")),

@@ -28,11 +28,12 @@ def test_imports_are_stdlib_or_sysnc(path):
 
 
 # Modules that only some runs use: the process pool for --workers > 1,
-# statistics for bench, json for --config, fractions for the exact oracles.
-LAZY = ("concurrent.futures", "multiprocessing", "statistics", "json", "fractions")
-# Modules no run needs: the package's records are plain classes, and its
-# annotations are never evaluated. dataclasses would also bring in inspect.
-UNUSED = ("dataclasses", "inspect", "typing")
+# statistics for bench, fractions for the exact oracles.
+LAZY = ("concurrent.futures", "multiprocessing", "statistics", "fractions")
+# Modules no run needs: the package's records are plain classes, its
+# annotations are never evaluated, and its settings come from flags alone.
+# dataclasses would also bring in inspect.
+UNUSED = ("dataclasses", "inspect", "typing", "json")
 
 _COLD_RUN = """
 import io, sys
