@@ -11,6 +11,9 @@ each N only for the (M, p) and full-recovery (K, p) columns still live. A
 column ends at its first N with P >= P_hat, or where (K, p) does, since full
 recovery recovers any M.
 
+The run config is the parsed flags: ``build_parser`` gives every subcommand
+the flags it takes, and ``config_from_args`` validates the Namespace it parses.
+
 Exit codes: 0 success, 2 configuration error, 130 interrupted (Ctrl-C).
 """
 
@@ -49,18 +52,25 @@ class ConfigError(ValueError):
     """Configuration that violates a precondition of the requested operation."""
 
 
-# Each config field: its scalar type ("m" and "p" hold tuples of it, given
-# comma-separated), its default when missing or None, and the subcommands
-# that read it as the flag --<key> (_ written -).
+def _comma_list(kind):
+    parse = lambda text: tuple(kind(x) for x in text.split(","))
+    parse.__name__ = f"comma-separated {kind.__name__}"  # argparse's error names it
+    return parse
+
+
+# The run config is the parsed flags: a Namespace with the subcommand as
+# ``mode`` and, whatever the subcommand, one attribute per key here. Each key
+# is the flag --<key> (_ written -): the type of its value, its value when not
+# given, and the subcommands that take it. --n sets both ends of the N range.
 _CURVES = ("analyze", "simulate", "metrics")
 _FIELDS = {
-    "mode": (str, None, ()),  # the subcommand itself
     "scheme": (str, None, _CURVES),
     "k": (int, None, MODES),
-    "m": (int, (), _CURVES),
+    "m": (_comma_list(int), (), _CURVES),
+    "n": (int, None, ("analyze", "simulate")),
     "n_min": (int, None, ("analyze", "simulate")),
     "n_max": (int, None, _CURVES),
-    "p": (float, (), _CURVES),
+    "p": (_comma_list(float), (), _CURVES),
     "q": (int, 2, ("analyze", "metrics")),
     "trials": (int, None, ("simulate", "metrics", "bench")),
     "seed": (int, None, ("simulate", "metrics", "bench")),
@@ -68,7 +78,6 @@ _FIELDS = {
     "out": (str, None, MODES),
     "workers": (int, 1, _CURVES),
 }
-_LISTS = ("m", "p")
 _HELP = {
     "m": "comma-separated thresholds",
     "n": "shorthand for --n-min N --n-max N",
@@ -77,35 +86,13 @@ _HELP = {
 }
 
 
-def _keys(mode: str) -> list[str]:
-    """The flags ``mode`` reads, each as its field's key: those of its
-    fields, and ``n`` wherever it reads the N range ``n`` sets."""
-    keys = [key for key, (_, _, modes) in _FIELDS.items() if mode in modes]
-    if "n_min" in keys:
-        keys.insert(keys.index("n_min"), "n")
-    return keys
-
-
-class ExperimentConfig(argparse.Namespace):
-    """The settings of one run: an attribute per field of ``_FIELDS``, at its
-    default when missing or None."""
-
-    def __init__(self, /, **values) -> None:
-        unknown = values.keys() - _FIELDS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, (_, default, _) in _FIELDS.items():
-            value = values.get(key)
-            setattr(self, key, default if value is None else value)
-
-
-def _no_closed_form(cfg: ExperimentConfig) -> bool:
+def _no_closed_form(cfg: argparse.Namespace) -> bool:
     """Straightforward recovery of some M < K has no closed form; only the
     simulator estimates it."""
     return cfg.scheme == "straightforward" and any(m < cfg.k for m in cfg.m)
 
 
-def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
+def _validate(cfg: argparse.Namespace) -> argparse.Namespace:
     """Check ``cfg`` against every rule of its subcommand, and fill in the
     defaults derived from its other fields, so that the ``cmd_*`` functions
     only compute."""
@@ -150,6 +137,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("--scheme is required")
     if cfg.scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {cfg.scheme!r}; expected one of {SCHEMES}")
+    if cfg.scheme == "ordered-uncoded" and cfg.q != 2:
+        raise ConfigError(f"ordered-uncoded sends no coded packets; q={cfg.q} is not supported")
     if not cfg.m:
         raise ConfigError("--m is required")
     for m in cfg.m:
@@ -205,7 +194,7 @@ def _fmt_p(p: float) -> str:
     return text if float(text) == p else repr(p)
 
 
-def _closed_form_rows(cfg: ExperimentConfig, columns, n: int, approx) -> list:
+def _closed_form_rows(cfg: argparse.Namespace, columns, n: int, approx) -> list:
     """(M, p, probability) of the closed form at N = ``n`` for each (M, p) of
     ``columns``, and no work for any other column. A column starts at N = M;
     ordered-uncoded's also has rows below it, each an exact 0 that costs
@@ -239,7 +228,7 @@ def _closed_form_rows(cfg: ExperimentConfig, columns, n: int, approx) -> list:
     return rows
 
 
-def _simulated_rows(cfg: ExperimentConfig, ms, n_lo: int, n_hi: int):
+def _simulated_rows(cfg: argparse.Namespace, ms, n_lo: int, n_hi: int):
     """(M, N, p, estimate) of the simulation for each M of ``ms`` and N in
     [n_lo, n_hi]: one set of trials per distinct p, then N outermost, so each
     (M, p) comes in ascending N."""
@@ -252,7 +241,7 @@ def _simulated_rows(cfg: ExperimentConfig, ms, n_lo: int, n_hi: int):
                 yield m, n, p, m_counts[i] / cfg.trials
 
 
-def cmd_analyze(cfg: ExperimentConfig) -> list[str]:
+def cmd_analyze(cfg: argparse.Namespace) -> list[str]:
     assert cfg.scheme and cfg.k and cfg.n_min and cfg.n_max
     columns = [(m, p) for m in cfg.m for p in cfg.p]
     approx = functools.cache(analysis.partial_decode_prob_approx)
@@ -267,7 +256,7 @@ def cmd_analyze(cfg: ExperimentConfig) -> list[str]:
     return lines
 
 
-def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
+def cmd_simulate(cfg: argparse.Namespace) -> list[str]:
     assert cfg.scheme and cfg.k and cfg.n_min and cfg.n_max
     rows = _simulated_rows(cfg, cfg.m, cfg.n_min, cfg.n_max)
     lines = ["scheme,K,M,N,p,trials,seed,prob_sim,stderr"]
@@ -280,7 +269,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
     return lines
 
 
-def cmd_metrics(cfg: ExperimentConfig) -> list[str]:
+def cmd_metrics(cfg: argparse.Namespace) -> list[str]:
     assert cfg.scheme and cfg.k and cfg.p_hat and cfg.n_max
     k, p_hat = cfg.k, cfg.p_hat
     cell = lambda v: "unreachable" if v is None else str(v)
@@ -318,7 +307,7 @@ def cmd_metrics(cfg: ExperimentConfig) -> list[str]:
     return lines
 
 
-def cmd_bench(cfg: ExperimentConfig) -> list[str]:
+def cmd_bench(cfg: argparse.Namespace) -> list[str]:
     assert cfg.k and cfg.trials is not None and cfg.seed is not None
     # Rows come by decoder ("ge", then "gepd"), then K.
     results = bench_decoders(list(range(1, cfg.k + 1)), cfg.trials, seed=cfg.seed)
@@ -338,12 +327,6 @@ _COMMANDS = {
 }
 
 
-def _comma_list(kind):
-    parse = lambda text: tuple(kind(x) for x in text.split(","))
-    parse.__name__ = f"comma-separated {kind.__name__}"  # argparse's error names it
-    return parse
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line as a ConfigError, so that ``main``
     prints it as its one ``config error:`` line and exits 2."""
@@ -361,33 +344,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="mode", required=True)
     for mode in MODES:
         sp = sub.add_parser(mode, allow_abbrev=False)
-        for key in _keys(mode):
-            kind = _FIELDS["n_max" if key == "n" else key][0]
-            if key in _LISTS:
-                kind = _comma_list(kind)
-            choices = SCHEMES if key == "scheme" else None
-            sp.add_argument(f"--{key.replace('_', '-')}", type=kind, choices=choices,
-                            help=_HELP.get(key))
+        for key, (kind, _, modes) in _FIELDS.items():
+            if mode in modes:
+                sp.add_argument(f"--{key.replace('_', '-')}", type=kind, help=_HELP.get(key),
+                                choices=SCHEMES if key == "scheme" else None)
+        sp.set_defaults(**{key: default for key, (_, default, _) in _FIELDS.items()})
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    values = {key: value for key, value in vars(args).items() if value is not None}
-    return _validate(ExperimentConfig(**_read_n(values)))
+def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """``args``, parsed by ``build_parser``, validated as the run config, with
+    ``--n`` read as both ``n_min`` and ``n_max``, which it may not stand beside."""
+    if args.n is not None:
+        if args.n_min is not None or args.n_max is not None:
+            raise ConfigError("--n conflicts with --n-min/--n-max")
+        args.n_min = args.n_max = args.n
+    return _validate(args)
 
 
-def _read_n(values: dict) -> dict:
-    """``values`` with its ``n`` read as both ``n_min`` and ``n_max``, which
-    it may not be given beside."""
-    n = values.pop("n", None)
-    if n is None:
-        return values
-    if "n_min" in values or "n_max" in values:
-        raise ConfigError("--n conflicts with --n-min/--n-max")
-    return {**values, "n_min": n, "n_max": n}
-
-
-def run(cfg: ExperimentConfig) -> str:
+def run(cfg: argparse.Namespace) -> str:
     lines = _COMMANDS[cfg.mode](cfg)
     return "\n".join(lines) + "\n"
 

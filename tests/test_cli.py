@@ -18,7 +18,6 @@ from sysnc.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     MODES,
-    ExperimentConfig,
     build_parser,
     main,
 )
@@ -465,7 +464,7 @@ def test_closed_form_rows_skip_removed_columns(seed, monkeypatch):
         k = rng.randint(1, 8)
         ms = rng.sample(range(1, k + 1), rng.randint(1, k))
         ps = rng.sample((0.0, 0.05, 0.1, 0.3, 0.5, 1.0), rng.randint(1, 3))
-        cfg = ExperimentConfig(mode="analyze", scheme=scheme, k=k, q=rng.choice((2, 3)))
+        cfg = argparse.Namespace(mode="analyze", scheme=scheme, k=k, q=rng.choice((2, 3)))
         n = rng.randint(1, 3 * k)
         columns = [(m, p) for m in ms for p in ps]
         subset = [column for column in columns if rng.random() < 0.5]
@@ -475,6 +474,31 @@ def test_closed_form_rows_skip_removed_columns(seed, monkeypatch):
         context = (scheme, k, n, cfg.q, subset)
         assert sorted(rows) == sorted(row for row in whole if row[:2] in subset), context
         assert set(asked) <= set(subset), context
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_closed_form_rows_non_increasing_in_m(seed):
+    """At random (scheme, K <= 60, N <= 3K, p), with p = 0, 1 and 0.99999
+    among them, P at one N does not rise from M to M + 1, bitwise: over every
+    M for ordered-uncoded, and over the approximation's M < K for systematic.
+    The systematic pair (M = K - 1, M = K) is left out: the approximation
+    ignores the coded packets and falls below the exact full-recovery row, by
+    up to 0.6."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        scheme = rng.choice(("systematic", "ordered-uncoded"))
+        k = rng.randint(1, 60)
+        n = rng.randint(1, 3 * k)
+        p = rng.choice((0.0, 1.0, 0.99999, 0.05, 0.5, rng.random()))
+        cfg = argparse.Namespace(mode="analyze", scheme=scheme, k=k, q=2)
+        ms = range(1, k + 1 if scheme == "ordered-uncoded" else k)
+        rows = cli._closed_form_rows(cfg, [(m, p) for m in ms], n,
+                                     analysis.partial_decode_prob_approx)
+        probs = dict((m, prob) for m, _, prob in rows)
+        # A systematic column starts at N = M, so its rows are M <= N.
+        assert sorted(probs) == [m for m in ms if m <= n or scheme == "ordered-uncoded"]
+        for m in sorted(probs)[1:]:
+            assert probs[m - 1] >= probs[m], (scheme, k, n, p, m, probs[m - 1], probs[m])
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -493,7 +517,8 @@ def test_metrics_scan_matches_per_target_search(seed, capsys):
               for _ in range(rng.randint(1, 3))]
         ps += ps[:rng.randint(0, 1)]  # a repeated p
         simulated = scheme == "straightforward" and min(ms) < k
-        q = 2 if simulated else rng.choice((2, 3))
+        # The simulator and ordered-uncoded take q = 2 only.
+        q = 2 if simulated or scheme == "ordered-uncoded" else rng.choice((2, 3))
         p_hat = rng.choice((0.5, 0.7, 0.9, 0.99, 1.0))
         n_max = rng.choice((None, rng.randint(k, 3 * k), rng.randint(3 * k, 8 * k)))
         trials, sim_seed = rng.randint(1, 40), rng.randint(0, 9)
@@ -529,16 +554,30 @@ class TestBench:
 
 
 class TestConfigHandling:
-    def test_round_trip(self):
-        cfg = ExperimentConfig(
-            mode="simulate", scheme="systematic", k=4, m=(2, 4), n_min=4,
-            n_max=8, p=(0.1, 0.3), q=2, trials=100, seed=7, p_hat=None,
-            out="x.csv", workers=2,
-        )
-        raw = vars(cfg)
-        assert set(raw) == set(cli._FIELDS)
-        assert ExperimentConfig(**raw) == cfg
-        assert ExperimentConfig(**{**raw, "k": 5}) != cfg
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--scheme", "systematic", "--k", "4", "--m", "2,4", "--n", "6",
+         "--p", "0.1"],
+        ["simulate", "--scheme", "straightforward", "--k", "4", "--m", "4", "--n-min", "4",
+         "--n-max", "6", "--p", "0.1", "--trials", "5", "--seed", "1"],
+        ["metrics", "--scheme", "ordered-uncoded", "--k", "4", "--m", "2", "--n-max", "9",
+         "--p", "0.1", "--p-hat", "0.9"],
+        ["bench", "--k", "2", "--trials", "3", "--seed", "0"],
+    ], ids=MODES)
+    def test_config_is_the_parsed_flags(self, argv):
+        """The run config is the parsed Namespace: the subcommand as ``mode``
+        and, on every subcommand, every field of ``_FIELDS``, each flag not
+        given at its default. ``_validate`` reads fields whose flag the
+        subcommand does not take, such as ``q`` on simulate."""
+        cfg = cli.config_from_args(build_parser().parse_args(argv))
+        assert set(vars(cfg)) == {"mode", *cli._FIELDS}
+        assert cfg.mode == argv[0]
+        given = {word[2:].replace("-", "_") for word in argv if word.startswith("--")}
+        if "n" in given:
+            assert cfg.n_min == cfg.n_max == cfg.n
+            given |= {"n_min", "n_max"}
+        for key, (_, default, _) in cli._FIELDS.items():
+            if key not in given:
+                assert getattr(cfg, key) == default, key
 
     @pytest.mark.parametrize("mode,flags", [
         ("analyze", "--scheme --k --m --n --n-min --n-max --p --q --out --workers"),
@@ -548,15 +587,16 @@ class TestConfigHandling:
                     "--workers"),
         ("bench", "--k --trials --seed --out"),
     ], ids=MODES)
-    def test_config_file_keys_are_the_flags(self, mode, flags):
-        """Each subcommand takes these flags and no other: one per config
-        field it reads, ``_`` written ``-``, and ``--n`` where it reads the N
-        range. Any other flag, ``--config`` among them, is unrecognized."""
+    def test_each_subcommand_takes_its_fields_as_flags(self, mode, flags):
+        """Each subcommand takes these flags and no other: one per field of
+        ``_FIELDS`` that names it, ``_`` written ``-``. Any other flag,
+        ``--config`` among them, is unrecognized."""
         sub = next(a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction)).choices[mode]
         taken = [s for a in sub._actions for s in a.option_strings if s.startswith("--")]
         assert sorted(taken) == sorted(flags.split() + ["--help"])
-        keys = [f"--{key.replace('_', '-')}" for key in cli._keys(mode)]
+        keys = [f"--{key.replace('_', '-')}"
+                for key, (_, _, modes) in cli._FIELDS.items() if mode in modes]
         assert sorted(keys) == sorted(flags.split())
 
     @pytest.mark.parametrize("mode", MODES)
@@ -710,6 +750,9 @@ class TestConfigHandling:
             ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n-min", "5", "--n-max", "3", "--p", "0.1"],
             ["analyze", "--scheme", "systematic", "--k", "5", "--m", "5", "--n-min", "1", "--n-max", "3", "--p", "0.1"],
             ["metrics", "--scheme", "systematic", "--k", "5", "--m", "5", "--p", "0.1", "--p-hat", "0.7", "--n-max", "4"],
+            # ordered-uncoded codes nothing, so it takes no q but 2
+            ["analyze", "--scheme", "ordered-uncoded", "--k", "4", "--m", "2", "--n", "4", "--p", "0.1", "--q", "3"],
+            ["metrics", "--scheme", "ordered-uncoded", "--k", "10", "--m", "3,7,10", "--p", "0.05,0.2,0.4", "--p-hat", "0.99", "--q", "7"],
         ],
     )
     def test_config_errors_exit_2(self, bad, tmp_path, capsys, monkeypatch):
@@ -816,7 +859,7 @@ _BASES = {
                 "--p-hat", "0.5", "--trials", "3", "--seed", "1"],
     "bench": ["--k", "2", "--trials", "1"],
 }
-_FLAG_TOKENS = sorted({f"--{key.replace('_', '-')}" for mode in MODES for key in cli._keys(mode)})
+_FLAG_TOKENS = sorted(f"--{key.replace('_', '-')}" for key in cli._FIELDS)
 _FLAG_TOKENS += ["--config", "--bogus", "--n-m", "-k", "-h"]
 _VALUES = ["0", "1", "2", "3", "0.1", "0.5", "2,3", "0,0.3", "systematic",
            "straightforward", "ordered-uncoded"]
