@@ -77,7 +77,11 @@ def full_rank_prob(k: int, r: int, q: int = 2) -> float:
         raise ValueError("counts must be non-negative")
     if r < k:
         return 0.0
-    return _rank_lookup(_rank_rows(q), k, r - k)
+    rows = _rank_rows(q)
+    if r - k >= len(rows):
+        return 1.0
+    row = rows[r - k]
+    return row[min(k, len(row) - 1)]
 
 
 def cond_full_decode_prob(k: int, r: int, n: int, q: int = 2) -> float:
@@ -95,14 +99,13 @@ def cond_full_decode_prob(k: int, r: int, n: int, q: int = 2) -> float:
     ``full_rank_prob(k, r, q)``, and it is exactly 1.0, the correctly rounded
     value, from r - k = T(q) on, where every W exceeds 1 - q^-T / (q - 1) >=
     1 - 2^-54 (T(q) as in ``_rank_rows``; ``_cond_full`` gives the terms).
-    This is ``cond_full_decode_probs``' walk over r started and ended at r,
-    so it equals that row's entry bit for bit.
+    It is the last entry of ``cond_full_decode_probs``' walk over r from k,
+    stopped at r, so it equals that row's entry bit for bit.
     """
     _check_field(q)
     if not 1 <= k <= r <= n:
         raise ValueError(f"need 1 <= k <= r <= n, got k={k}, r={r}, n={n}")
-    [prob] = _cond_full(k, r, r, n, _rank_rows(q))
-    return prob
+    return _cond_full(k, r, n, _rank_rows(q))[-1]
 
 
 def cond_full_decode_probs(k: int, n: int, q: int = 2) -> list[float]:
@@ -110,7 +113,7 @@ def cond_full_decode_probs(k: int, n: int, q: int = 2) -> list[float]:
     _check_field(q)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return _cond_full(k, k, n, n, _rank_rows(q))
+    return _cond_full(k, n, n, _rank_rows(q))
 
 
 def full_decode_prob(k: int, n: int, p: float, q: int = 2) -> float:
@@ -125,8 +128,6 @@ def full_decode_probs(k: int, n: int, ps, q: int = 2) -> list[float]:
     probabilities given each receive count are computed once for all of them."""
     for p in ps:
         _check_erasure(p)
-    if n < k:
-        raise ValueError(f"need n >= k, got n={n}, k={k}")
     cond = cond_full_decode_probs(k, n, q)
     return [_channel_average(n, k, p, cond) for p in ps]
 
@@ -155,8 +156,8 @@ def sf_full_decode_prob(k: int, n: int, p: float, q: int = 2) -> float:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
     _check_field(q)
     rows = _rank_rows(q)
-    # W(k, k + e) for e = 0..n - k as ``_rank_lookup`` reads it: from the at
-    # most T rows of the table, then exact 1.0.
+    # W(k, k + e) for e = 0..n - k as ``full_rank_prob`` reads it: from the
+    # at most T rows of the table, then exact 1.0.
     ranks = [row[min(k, len(row) - 1)] for row in rows[: n - k + 1]]
     ranks += [1.0] * (n - k + 1 - len(ranks))
     return _channel_average(n, k, p, ranks)
@@ -278,17 +279,9 @@ def _rank_rows(q: int) -> list[list[float]]:
     return rows
 
 
-def _rank_lookup(rows: list[list[float]], k: int, e: int) -> float:
-    """W(k, k + e) from the table ``rows`` of ``_rank_rows``."""
-    if e >= len(rows):
-        return 1.0
-    row = rows[e]
-    return row[min(k, len(row) - 1)]
-
-
-def _cond_full(k: int, r_lo: int, r_hi: int, n: int, rows: list[list[float]]) -> list[float]:
-    """``cond_full_decode_prob(k, r, n)`` for r = r_lo..r_hi, from the rank
-    table ``rows``: one walk along r, whatever r_lo it starts at.
+def _cond_full(k: int, r_hi: int, n: int, rows: list[list[float]]) -> list[float]:
+    """``cond_full_decode_prob(k, r, n)`` for r = k..r_hi, from the rank
+    table ``rows``: one walk along r, always started at r = k.
 
     With e = r - k and L = min(k, T - 1 - e), W(k - h, r - h) is the constant
     W_inf = rows[e][L] = W(k, r) for every h <= k - L, and the hypergeometric
@@ -310,7 +303,7 @@ def _cond_full(k: int, r_lo: int, r_hi: int, n: int, rows: list[list[float]]) ->
     steps from the anchor carries at most 2d + 1 roundings.
 
     The anchor's three integers C(k, h0), C(m, r - h0) and C(n, r) come from
-    ``math.comb`` at r = r_lo only; each later r takes them from r - 1 by one
+    ``math.comb`` at r = k only; each later r takes them from r - 1 by one
     exact multiply and floor division, so the quotient, and every bit of the
     result, is that of fresh binomials.
     """
@@ -318,7 +311,7 @@ def _cond_full(k: int, r_lo: int, r_hi: int, n: int, rows: list[list[float]]) ->
     # From e = T - 1 on every W, and so cond, is exactly 1.0.
     stop = min(r_hi, k + len(rows) - 2)
     out = []
-    for r in range(r_lo, stop + 1):
+    for r in range(k, stop + 1):
         row = rows[r - k]
         last = min(k, len(row) - 1)  # L
         w_inf, lo = row[last], max(k + 1 - last, r - m)  # lo: the window's first h
@@ -326,7 +319,7 @@ def _cond_full(k: int, r_lo: int, r_hi: int, n: int, rows: list[list[float]]) ->
         # so H peaks at h = mode. The mode lies in the support [max(0, r - m), k]:
         # mode <= k since r < n + 1, and (k+1)(r+1) - (r-m)(n+2) = (m+1)(n-r+1) > 0.
         h0 = max((k + 1) * (r + 1) // (n + 2), lo)
-        if r == r_lo:
+        if r == k:
             ck, cm, cn = math.comb(k, h0), math.comb(m, r - h0), math.comb(n, r)
         else:
             # From r - 1 to r, h0 = max(mode, lo) rises by 0 or 1: the mode by
@@ -357,7 +350,7 @@ def _cond_full(k: int, r_lo: int, r_hi: int, n: int, rows: list[list[float]]) ->
             acc += t * (row[k - h] - w_inf)
             t = t * ((k - h) * (r - h)) / ((h + 1) * (m - r + h + 1))
         out.append(min(acc, 1.0))
-    out += [1.0] * (r_hi + 1 - max(stop + 1, r_lo))
+    out += [1.0] * (r_hi - stop)
     return out
 
 

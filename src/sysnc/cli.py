@@ -12,7 +12,8 @@ column ends at its first N with P >= P_hat, or where (K, p) does, since full
 recovery recovers any M.
 
 The run config is the parsed flags: ``build_parser`` gives every subcommand
-the flags it takes, and ``config_from_args`` validates the Namespace it parses.
+the flags it takes, argparse rejects a command missing a required one, and
+``config_from_args`` validates the Namespace against every other rule.
 
 Exit codes: 0 success, 2 configuration error, 130 interrupted (Ctrl-C).
 """
@@ -61,7 +62,8 @@ def _comma_list(kind):
 # The run config is the parsed flags: a Namespace with the subcommand as
 # ``mode`` and, whatever the subcommand, one attribute per key here. Each key
 # is the flag --<key> (_ written -): the type of its value, its value when not
-# given, and the subcommands that take it. --n sets both ends of the N range.
+# given, and the subcommands that take it. Every subcommand that takes a key
+# of _REQUIRED requires it. --n sets both ends of the N range.
 _CURVES = ("analyze", "simulate", "metrics")
 _FIELDS = {
     "scheme": (str, None, _CURVES),
@@ -78,6 +80,7 @@ _FIELDS = {
     "out": (str, None, MODES),
     "workers": (int, 1, _CURVES),
 }
+_REQUIRED = {"scheme", "k", "m", "p", "p_hat"}
 _HELP = {
     "m": "comma-separated thresholds",
     "n": "shorthand for --n-min N --n-max N",
@@ -96,8 +99,6 @@ def _validate(cfg: argparse.Namespace) -> argparse.Namespace:
     """Check ``cfg`` against every rule of its subcommand, and fill in the
     defaults derived from its other fields, so that the ``cmd_*`` functions
     only compute."""
-    if cfg.k is None:
-        raise ConfigError("--k is required")
     if cfg.k < 1:
         raise ConfigError("K must be at least 1")
     if cfg.q < 2:
@@ -133,21 +134,13 @@ def _validate(cfg: argparse.Namespace) -> argparse.Namespace:
             raise ConfigError("repetitions (--trials) must be at least 1")
         cfg.seed = cfg.seed or 0
         return cfg
-    if cfg.scheme is None:
-        raise ConfigError("--scheme is required")
-    if cfg.scheme not in SCHEMES:
-        raise ConfigError(f"unknown scheme {cfg.scheme!r}; expected one of {SCHEMES}")
     if cfg.scheme == "ordered-uncoded" and cfg.q != 2:
         raise ConfigError(f"ordered-uncoded sends no coded packets; q={cfg.q} is not supported")
-    if not cfg.m:
-        raise ConfigError("--m is required")
     for m in cfg.m:
         if m < 1:
             raise ConfigError("M must be at least 1")
         if m > cfg.k:
             raise ConfigError("M exceeds K")
-    if not cfg.p:
-        raise ConfigError("--p is required")
     for p in cfg.p:
         if not 0 <= p <= 1:
             raise ConfigError(f"erasure probability {_fmt_p(p)} outside [0, 1]")
@@ -173,8 +166,6 @@ def _validate(cfg: argparse.Namespace) -> argparse.Namespace:
     elif cfg.trials is not None or cfg.seed is not None:  # only metrics gets here
         raise ConfigError("metrics reads --trials and --seed only for straightforward M < K")
     if cfg.mode == "metrics":
-        if cfg.p_hat is None:
-            raise ConfigError("--p-hat is required")
         if not 0 < cfg.p_hat <= 1:
             raise ConfigError(f"target probability {_fmt_p(cfg.p_hat)} outside (0, 1]")
         cfg.n_max = SEARCH_CAP_FACTOR * cfg.k if cfg.n_max is None else cfg.n_max
@@ -347,6 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         for key, (kind, _, modes) in _FIELDS.items():
             if mode in modes:
                 sp.add_argument(f"--{key.replace('_', '-')}", type=kind, help=_HELP.get(key),
+                                required=key in _REQUIRED,
                                 choices=SCHEMES if key == "scheme" else None)
         sp.set_defaults(**{key: default for key, (_, default, _) in _FIELDS.items()})
     return parser

@@ -167,6 +167,13 @@ class TestRepresentation:
         with pytest.raises(ValueError):
             CodingVector(2, 4)
 
+    def test_equal_only_to_a_coding_vector(self):
+        assert CodingVector(3, 5) == CodingVector(3, 5)
+        assert CodingVector(3, 5) != (3, 5)
+
+    def test_repr_shows_length_and_word_in_hex(self):
+        assert repr(CodingVector(3, 5)) == "CodingVector(3, 0x5)"
+
     def test_unit_vector(self):
         assert coefficients(unit(4, 3)) == [0, 0, 1, 0]
         with pytest.raises(IndexError):

@@ -309,6 +309,15 @@ class TestBenchDecode:
         with pytest.raises(ValueError):
             bench_decoders([1], 0)
 
+    @pytest.mark.parametrize("decoder", simulator.BENCH_DECODERS)
+    def test_stream_short_of_full_rank_raises(self, decoder):
+        """Four packets that carry only source packets 1 and 2 of K = 3 never
+        reach full rank, so the timed decode raises instead of timing it."""
+        msg = make_test_message(3, 8)
+        stream = [SCHEME_ENCODERS["ordered-uncoded"](msg, n, None) for n in (1, 2, 4, 5)]
+        with pytest.raises(RuntimeError, match="never reached full rank"):
+            simulator._timed_decode(decoder, 3, stream)
+
     def test_single_repetition_no_aggregation_failure(self):
         rows = [r for r in bench_decoders([1, 2, 3], 1) if r[0] == "gepd"]
         assert [k for _, k, *_ in rows] == [1, 2, 3]
