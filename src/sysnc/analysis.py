@@ -56,6 +56,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 import threading
 
 # Above this n the erasure-channel weights C(n,r)(1-p)^r p^(n-r) switch to
@@ -100,12 +101,16 @@ def cond_full_decode_prob(k: int, r: int, n: int, q: int = 2) -> float:
     value, from r - k = T(q) on, where every W exceeds 1 - q^-T / (q - 1) >=
     1 - 2^-54 (T(q) as in ``_rank_rows``; ``_cond_full`` gives the terms).
     It is the last entry of ``cond_full_decode_probs``' walk over r from k,
-    stopped at r, so it equals that row's entry bit for bit.
+    stopped at r, so it equals that row's entry bit for bit; from r - k =
+    T(q) - 1 on, that entry is the walk's padded exact 1.0, returned unwalked.
     """
     _check_field(q)
     if not 1 <= k <= r <= n:
         raise ValueError(f"need 1 <= k <= r <= n, got k={k}, r={r}, n={n}")
-    return _cond_full(k, r, n, _rank_rows(q))[-1]
+    rows = _rank_rows(q)
+    if r - k >= len(rows) - 1:  # past the stop of ``_cond_full``'s walk
+        return 1.0
+    return _cond_full(k, r, n, rows)[-1]
 
 
 def cond_full_decode_probs(k: int, n: int, q: int = 2) -> list[float]:
@@ -404,6 +409,8 @@ def _log_factorials(n: int) -> list[float]:
 def _check_field(q: int) -> None:
     if q < 2:
         raise ValueError(f"field size q={q} must be at least 2")
+    if q > sys.float_info.max:  # every closed form computes in floats of q
+        raise ValueError("field size q is too large for a float")
 
 
 def _check_erasure(p: float) -> None:

@@ -12,8 +12,10 @@ column ends at its first N with P >= P_hat, or where (K, p) does, since full
 recovery recovers any M.
 
 The run config is the parsed flags: ``build_parser`` gives every subcommand
-the flags it takes, argparse rejects a command missing a required one, and
-``config_from_args`` validates the Namespace against every other rule.
+the flags it takes, and argparse rejects a command missing a required one.
+Each flag's parser checks its value on its own, such as its range, so
+``config_from_args`` checks only the rules between flags, or between a flag
+and the subcommand.
 
 Exit codes: 0 success, 2 configuration error, 130 interrupted (Ctrl-C).
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import math
 import os
 import sys
 
@@ -59,26 +62,50 @@ def _comma_list(kind):
     return parse
 
 
+def _bounded(kind, lo, hi=math.inf, low_open=False):
+    """A parser of one ``kind`` value in [lo, hi], or (lo, hi] if ``low_open``,
+    where a callable ``hi`` is read at each parse and an inf ``hi`` is no bound."""
+    def parse(text):
+        value, top = kind(text), hi() if callable(hi) else hi
+        if not (lo < value if low_open else lo <= value) or not value <= top:
+            shown = text if len(text) <= 24 else f"{text[:20]}..."  # a q of 400 digits
+            raise argparse.ArgumentTypeError(
+                f"{shown} outside {'(' if low_open else '['}{_fmt_p(lo)}, {_fmt_p(top)}]")
+        return abs(value)  # every lo >= 0: only -0.0, which would print "-0", changes
+    parse.__name__ = kind.__name__
+    return parse
+
+
+def _writable(path: str) -> str:
+    """``--out``: a path that names a file this process may create or replace."""
+    if not path or os.path.isdir(path) or not os.access(
+            os.path.dirname(os.path.abspath(path)), os.W_OK):
+        raise argparse.ArgumentTypeError(f"cannot write {path!r}")
+    return path
+
+
 # The run config is the parsed flags: a Namespace with the subcommand as
 # ``mode`` and, whatever the subcommand, one attribute per key here. Each key
-# is the flag --<key> (_ written -): the type of its value, its value when not
+# is the flag --<key> (_ written -): the parser of its value, which checks
+# that value on its own (a range, or a writable path), its value when not
 # given, and the subcommands that take it. Every subcommand that takes a key
 # of _REQUIRED requires it. --n sets both ends of the N range.
 _CURVES = ("analyze", "simulate", "metrics")
 _FIELDS = {
     "scheme": (str, None, _CURVES),
-    "k": (int, None, MODES),
-    "m": (_comma_list(int), (), _CURVES),
-    "n": (int, None, ("analyze", "simulate")),
-    "n_min": (int, None, ("analyze", "simulate")),
-    "n_max": (int, None, _CURVES),
-    "p": (_comma_list(float), (), _CURVES),
-    "q": (int, 2, ("analyze", "metrics")),
-    "trials": (int, None, ("simulate", "metrics", "bench")),
+    "k": (_bounded(int, 1), None, MODES),
+    "m": (_comma_list(_bounded(int, 1)), (), _CURVES),
+    "n": (_bounded(int, 1, MAX_CLOSED_FORM_N), None, ("analyze", "simulate")),
+    "n_min": (_bounded(int, 1, MAX_CLOSED_FORM_N), None, ("analyze", "simulate")),
+    "n_max": (_bounded(int, 1, MAX_CLOSED_FORM_N), None, _CURVES),
+    "p": (_comma_list(_bounded(float, 0, 1)), (), _CURVES),
+    "q": (_bounded(int, 2, sys.float_info.max), 2, ("analyze", "metrics")),  # a float holds q
+    "trials": (_bounded(int, 1), None, ("simulate", "metrics", "bench")),
     "seed": (int, None, ("simulate", "metrics", "bench")),
-    "p_hat": (float, None, ("metrics",)),
-    "out": (str, None, MODES),
-    "workers": (int, 1, _CURVES),
+    "p_hat": (_bounded(float, 0, 1, low_open=True), None, ("metrics",)),
+    "out": (_writable, None, MODES),
+    # A pool starts every worker process at once.
+    "workers": (_bounded(int, 1, lambda: os.cpu_count() or 1), 1, _CURVES),
 }
 _REQUIRED = {"scheme", "k", "m", "p", "p_hat"}
 _HELP = {
@@ -96,59 +123,28 @@ def _no_closed_form(cfg: argparse.Namespace) -> bool:
 
 
 def _validate(cfg: argparse.Namespace) -> argparse.Namespace:
-    """Check ``cfg`` against every rule of its subcommand, and fill in the
-    defaults derived from its other fields, so that the ``cmd_*`` functions
-    only compute."""
-    if cfg.k < 1:
-        raise ConfigError("K must be at least 1")
-    if cfg.q < 2:
-        raise ConfigError("q must be at least 2")
-    try:
-        float(cfg.q)  # the closed forms compute in floats of q
-    except OverflowError:
-        raise ConfigError("q is too large for a float") from None
-    if cfg.workers < 1:
-        raise ConfigError("--workers must be at least 1")
-    cpus = os.cpu_count() or 1
-    if cfg.workers > cpus:
-        # The pool would start every worker process at once.
-        raise ConfigError(f"--workers {cfg.workers} exceeds the {cpus} CPUs of this host")
-    if cfg.out is not None:
-        out_dir = os.path.dirname(os.path.abspath(cfg.out))
-        if not cfg.out or os.path.isdir(cfg.out) or not os.access(out_dir, os.W_OK):
-            raise ConfigError(f"cannot write --out {cfg.out!r}")
+    """Check the rules between ``cfg``'s fields, or a field and the subcommand
+    (each flag's parser has checked it alone), and fill in the defaults derived
+    from other fields, so that the ``cmd_*`` functions only compute."""
     simulates = cfg.mode == "simulate" or (cfg.mode == "metrics" and _no_closed_form(cfg))
     if (simulates or cfg.mode == "bench") and cfg.k > MAX_LENGTH:
         raise ConfigError(f"K={cfg.k} exceeds the decoder limit of {MAX_LENGTH}")
     if cfg.mode in ("analyze", "metrics") and cfg.k > MAX_CLOSED_FORM_K:
-        raise ConfigError(
-            f"K={cfg.k} exceeds the closed-form limit of {MAX_CLOSED_FORM_K}"
-        )
-    if cfg.n_max is not None and cfg.n_max > MAX_CLOSED_FORM_N:
-        raise ConfigError(f"N={cfg.n_max} exceeds the limit of {MAX_CLOSED_FORM_N}")
+        raise ConfigError(f"K={cfg.k} exceeds the closed-form limit of {MAX_CLOSED_FORM_K}")
     if simulates and cfg.q != 2:
         raise ConfigError(f"the simulator is GF(2) only; q={cfg.q} is not supported")
     if cfg.mode == "bench":
         cfg.trials = DEFAULT_REPETITIONS if cfg.trials is None else cfg.trials
-        if cfg.trials < 1:
-            raise ConfigError("repetitions (--trials) must be at least 1")
         cfg.seed = cfg.seed or 0
         return cfg
     if cfg.scheme == "ordered-uncoded" and cfg.q != 2:
         raise ConfigError(f"ordered-uncoded sends no coded packets; q={cfg.q} is not supported")
-    for m in cfg.m:
-        if m < 1:
-            raise ConfigError("M must be at least 1")
-        if m > cfg.k:
-            raise ConfigError("M exceeds K")
-    for p in cfg.p:
-        if not 0 <= p <= 1:
-            raise ConfigError(f"erasure probability {_fmt_p(p)} outside [0, 1]")
-    cfg.p = tuple(map(abs, cfg.p))  # -0.0 would print "-0" and not join with 0
+    if max(cfg.m) > cfg.k:
+        raise ConfigError("M exceeds K")
     if cfg.mode in ("analyze", "simulate"):
         if cfg.n_min is None or cfg.n_max is None:
             raise ConfigError("--n (or --n-min/--n-max) is required")
-        if not 1 <= cfg.n_min <= cfg.n_max:
+        if cfg.n_min > cfg.n_max:
             raise ConfigError(f"bad N range [{cfg.n_min}, {cfg.n_max}]")
     if cfg.mode == "analyze":
         if _no_closed_form(cfg):
@@ -159,15 +155,13 @@ def _validate(cfg: argparse.Namespace) -> argparse.Namespace:
             raise ConfigError(f"no valid N in [{cfg.n_min}, {cfg.n_max}] for "
                               f"scheme={cfg.scheme}, M={max(cfg.m)}")
     if simulates:
-        if cfg.trials is None or cfg.trials < 1:
-            raise ConfigError("--trials must be at least 1")
+        if cfg.trials is None:
+            raise ConfigError("--trials is required")
         if cfg.seed is None:
             raise ConfigError("--seed is required (no wall-clock default)")
     elif cfg.trials is not None or cfg.seed is not None:  # only metrics gets here
         raise ConfigError("metrics reads --trials and --seed only for straightforward M < K")
     if cfg.mode == "metrics":
-        if not 0 < cfg.p_hat <= 1:
-            raise ConfigError(f"target probability {_fmt_p(cfg.p_hat)} outside (0, 1]")
         cfg.n_max = SEARCH_CAP_FACTOR * cfg.k if cfg.n_max is None else cfg.n_max
         if cfg.n_max < cfg.k:
             raise ConfigError(f"search cap {cfg.n_max} is below K={cfg.k}")

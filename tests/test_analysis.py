@@ -78,6 +78,12 @@ class TestFullRankProb:
         with pytest.raises(ValueError):
             full_rank_prob(-1, 0)
 
+    def test_rejects_a_field_no_float_holds(self):
+        """Every closed form computes in floats of q."""
+        with pytest.raises(ValueError):
+            full_rank_prob(3, 5, q=10**400)
+        assert full_rank_prob(3, 5, q=int(sys.float_info.max)) == 1.0
+
 
 class TestCondFullDecodeProb:
     def test_all_systematic_reception_is_certain(self):
@@ -97,6 +103,22 @@ class TestCondFullDecodeProb:
             cond_full_decode_prob(3, 6, 5)  # r > n
         with pytest.raises(ValueError):
             cond_full_decode_probs(3, 2)  # n < k
+        with pytest.raises(ValueError):
+            cond_full_decode_prob(3, 4, 5, q=10**400)  # too large for a float
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_padded_certainty_is_not_walked(self, q, monkeypatch):
+        """From r - k = T(q) - 1 on, the walk's entry is its padded exact 1.0:
+        the value equals the row's entry bit for bit, and no walk runs for it."""
+        k, t = 40, T_ONE[q]
+        row = cond_full_decode_probs(k, k + t + 5, q)
+        walks = []
+        walk = analysis._cond_full
+        monkeypatch.setattr(analysis, "_cond_full", lambda *a: walks.append(a) or walk(*a))
+        for e in range(t - 2, t + 2):
+            walks.clear()
+            assert cond_full_decode_prob(k, k + e, k + t + 5, q).hex() == row[e].hex()
+            assert bool(walks) == (e < t - 1), e
 
     @pytest.mark.parametrize("q", sorted(T_ONE))
     def test_certain_from_excess_t(self, q):
@@ -666,6 +688,8 @@ class TestSfFullDecodeProb:
     def test_domain(self):
         with pytest.raises(ValueError):
             sf_full_decode_prob(3, 2, 0.1)  # n < k
+        with pytest.raises(ValueError):
+            sf_full_decode_prob(3, 5, 0.1, q=10**400)  # too large for a float
 
     def test_lossless_equals_rank_probability(self):
         for k, n in ((2, 4), (3, 5)):

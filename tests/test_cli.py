@@ -27,6 +27,9 @@ from sysnc.cli import (
 from sysnc.simulator import run_trials
 
 _CPUS = os.cpu_count() or 1
+# Valid commands at K = M = 1 but for their N range and their last flag.
+_OU_1 = ["--scheme=ordered-uncoded", "--k=1", "--m=1", "--p=0.1"]
+_SYS_1 = ["--scheme=systematic", "--k=1", "--m=1", "--p=0.1"]
 
 
 def run_cli(args, capsys):
@@ -700,12 +703,50 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("argv,message", [
         (["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3",
-          "--p", "1.0000001"], "erasure probability 1.0000001 outside [0, 1]"),
+          "--p", "1.0000001"], "argument --p: 1.0000001 outside [0, 1]"),
         (["metrics", "--scheme", "systematic", "--k", "2", "--m", "2", "--p", "0.1",
-          "--p-hat", "1.0000001"], "target probability 1.0000001 outside (0, 1]"),
-    ])
+          "--p-hat", "1.0000001"], "argument --p-hat: 1.0000001 outside (0, 1]"),
+    ], ids=["--p", "--p-hat"])
     def test_out_of_range_p_is_named_in_full(self, argv, message, capsys):
+        """The value is printed as typed, never ``%g``-rounded to one in range."""
         assert run_cli(argv, capsys) == (EXIT_CONFIG, "", f"config error: {message}\n")
+
+    @pytest.mark.parametrize("argv,bound,past", [
+        (["analyze", *_OU_1, "--k={}", "--n=1"], "1", "0"),
+        (["analyze", *_OU_1, "--m={}", "--n=1"], "1", "0"),
+        (["analyze", *_OU_1, "--n={}"], "1", "0"),
+        (["analyze", *_OU_1, "--n={}"], "100000", "100001"),
+        (["analyze", *_OU_1, "--n-min={}", "--n-max=1"], "1", "0"),
+        (["analyze", *_OU_1, "--n-min={}", "--n-max=100000"], "100000", "100001"),
+        (["analyze", *_OU_1, "--n-min=1", "--n-max={}"], "1", "0"),
+        (["analyze", *_OU_1, "--n-min=100000", "--n-max={}"], "100000", "100001"),
+        (["analyze", *_OU_1, "--n=1", "--p={}"], "0", repr(math.nextafter(0.0, -1.0))),
+        (["analyze", *_OU_1, "--n=1", "--p={}"], "1", repr(math.nextafter(1.0, 2.0))),
+        (["analyze", *_SYS_1, "--n=1", "--q={}"], "2", "1"),
+        (["analyze", *_SYS_1, "--n=1", "--q={}"],
+         str(int(sys.float_info.max)), str(int(sys.float_info.max) + 1)),
+        (["simulate", *_SYS_1, "--n=1", "--seed=1", "--trials={}"], "1", "0"),
+        (["metrics", *_OU_1, "--p-hat={}"], "5e-324", "0"),
+        (["metrics", *_OU_1, "--p-hat={}"], "1", repr(math.nextafter(1.0, 2.0))),
+        (["analyze", *_OU_1, "--n=1", "--workers={}"], "1", "0"),
+        (["analyze", *_OU_1, "--n=1", "--workers={}"], str(_CPUS), str(_CPUS + 1)),
+        (["bench", "--k=1", "--trials=1", "--out={}"], "{tmp}/out.csv",
+         "{tmp}/missing/out.csv"),
+    ], ids=["k", "m", "n-low", "n-high", "n-min-low", "n-min-high", "n-max-low",
+            "n-max-high", "p-low", "p-high", "q-low", "q-high", "trials", "p-hat-low",
+            "p-hat-high", "workers-low", "workers-high", "out"])
+    def test_each_flag_parser_checks_its_bounds(self, argv, bound, past, tmp_path, capsys):
+        """Each flag's parser in ``_FIELDS`` holds its range: the bound itself
+        is accepted (for P_hat's open 0, the least float above it), and the
+        first value past it exits 2 with one line from argparse that names
+        the flag, before ``_validate`` or any work."""
+        cmd = lambda value: [w.format(value).format(tmp=tmp_path) for w in argv]
+        code, _, err = run_cli(cmd(bound), capsys)
+        assert (code, err) == (EXIT_OK, ""), err
+        flag = next(w for w in argv if "{}" in w).split("=")[0]
+        code, out, err = run_cli(cmd(past), capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith(f"config error: argument {flag}: ") and err.count("\n") == 1, err
 
     def test_n_shorthand_conflicts_with_range(self, capsys):
         code, _, err = run_cli(
@@ -810,6 +851,9 @@ class TestConfigHandling:
             # ordered-uncoded codes nothing, so it takes no q but 2
             ["analyze", "--scheme", "ordered-uncoded", "--k", "4", "--m", "2", "--n", "4", "--p", "0.1", "--q", "3"],
             ["metrics", "--scheme", "ordered-uncoded", "--k", "10", "--m", "3,7,10", "--p", "0.05,0.2,0.4", "--p-hat", "0.99", "--q", "7"],
+            # a flag's parser checks every value given, also one a later
+            # value of the same flag replaces
+            ["metrics", "--scheme", "ordered-uncoded", "--k", "4", "--m", "2", "--p", "0.1", "--p-hat", "1.5", "--p-hat", "0.5"],
         ],
     )
     def test_config_errors_exit_2(self, bad, tmp_path, capsys, monkeypatch):
