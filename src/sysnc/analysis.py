@@ -9,7 +9,7 @@ with loss probability p:
   first min(k, n) sends, which is ordered-uncoded's tail at min(k, n) sends
   and exact for n <= k;
 * straightforward: full-recovery probability from the rank statistics of
-  uniform random GF(q) matrices (no closed form exists for its partial
+  uniform random GF(2) matrices (no closed form exists for its partial
   recovery, which is available through simulation only);
 * ordered-uncoded: exact partial recovery as the tail of a sum of two
   binomials, and full recovery, which needs every packet, as the product
@@ -22,7 +22,7 @@ the channel weights (exact integer binomials up to n = ``_EXACT_WEIGHT_LIMIT``
 = 64, and log space above it) and the channel averages are bit-identical to
 the plain term-by-term loops their docstrings state, so tables and sweeps may
 share work but never reorder a float operation. The systematic conditional sum
-is W(k, r) plus at most T(q) non-negative corrections, each hypergeometric
+is W(k, r) plus at most T = 54 non-negative corrections, each hypergeometric
 weight taken from its neighbour by a ratio recurrence from one exact integer
 quotient per receive count r, and is judged against the exact sum within a
 stated relative bound. Along a row of r the quotient's three binomials are
@@ -34,10 +34,10 @@ result is judged against it within a stated relative bound, also near p = 1,
 where a float 1 - p^c would cancel and is taken from ``expm1`` and ``log1p``
 instead (``_survives``).
 
-The rank product W(k, r) = prod_{t=r-k+1}^{r} (1 - q^-t) is read from a
-per-q table: once q^-t <= 2^-54, ``1.0 - q**-t`` rounds to exactly 1.0, and
-multiplying by an exact 1.0 changes nothing, so only the factors below that
-t need storing (see ``_rank_rows``). The log-space channel weights read
+The rank product W(k, r) = prod_{t=r-k+1}^{r} (1 - 2^-t) is read from a
+table: from t = T = 54 on, ``1.0 - 2.0**-t`` rounds to exactly 1.0, and
+multiplying by an exact 1.0 changes nothing, so only the factors below T
+need storing (see ``_rank_rows``). The log-space channel weights read
 lgamma(i + 1) from one table grown on demand (``_log_factorials``). Those
 two tables of constants are the only state kept between calls. Work shared
 across p, M or N (the ``*_probs`` functions) lives inside one call and is
@@ -56,7 +56,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import sys
 import threading
 
 # Above this n the erasure-channel weights C(n,r)(1-p)^r p^(n-r) switch to
@@ -64,28 +63,26 @@ import threading
 _EXACT_WEIGHT_LIMIT = 64
 
 
-def full_rank_prob(k: int, r: int, q: int = 2) -> float:
-    """Probability that r uniform random GF(q) combinations of k unknowns have rank k.
+def full_rank_prob(k: int, r: int) -> float:
+    """Probability that r uniform random GF(2) combinations of k unknowns have rank k.
 
-    prod_{j=0}^{k-1} (1 - q^(j-r)); 1 for k == 0 (empty product), 0 for r < k.
+    prod_{j=0}^{k-1} (1 - 2^(j-r)); 1 for k == 0 (empty product), 0 for r < k.
     The value is exactly that of the float loop over j = 0..k-1, multiplying
-    by ``1.0 - float(q) ** (j - r)``, read from the per-q table of
-    ``_rank_rows``, which is built once per q and kept for the process;
-    nothing else is cached.
+    by ``1.0 - 2.0 ** (j - r)``, read from the table of ``_rank_rows``,
+    which is built once and kept for the process; nothing else is cached.
     """
-    _check_field(q)
     if k < 0 or r < 0:
         raise ValueError("counts must be non-negative")
     if r < k:
         return 0.0
-    rows = _rank_rows(q)
+    rows = _rank_rows()
     if r - k >= len(rows):
         return 1.0
     row = rows[r - k]
     return row[min(k, len(row) - 1)]
 
 
-def cond_full_decode_prob(k: int, r: int, n: int, q: int = 2) -> float:
+def cond_full_decode_prob(k: int, r: int, n: int) -> float:
     """Probability of recovering all k source packets of the systematic scheme,
     given that exactly r of the n transmitted packets arrived.
 
@@ -97,43 +94,41 @@ def cond_full_decode_prob(k: int, r: int, n: int, q: int = 2) -> float:
           / C(n, r),    h_min = max(0, r - n + k)
 
     with W the full-rank probability above. In floats it is never below
-    ``full_rank_prob(k, r, q)``, and it is exactly 1.0, the correctly rounded
-    value, from r - k = T(q) on, where every W exceeds 1 - q^-T / (q - 1) >=
-    1 - 2^-54 (T(q) as in ``_rank_rows``; ``_cond_full`` gives the terms).
+    ``full_rank_prob(k, r)``, and it is exactly 1.0, the correctly rounded
+    value, from r - k = T = 54 on, where every W exceeds 1 - 2^-T (T as in
+    ``_rank_rows``; ``_cond_full`` gives the terms).
     It is the last entry of ``cond_full_decode_probs``' walk over r from k,
     stopped at r, so it equals that row's entry bit for bit; from r - k =
-    T(q) - 1 on, that entry is the walk's padded exact 1.0, returned unwalked.
+    T - 1 on, that entry is the walk's padded exact 1.0, returned unwalked.
     """
-    _check_field(q)
     if not 1 <= k <= r <= n:
         raise ValueError(f"need 1 <= k <= r <= n, got k={k}, r={r}, n={n}")
-    rows = _rank_rows(q)
+    rows = _rank_rows()
     if r - k >= len(rows) - 1:  # past the stop of ``_cond_full``'s walk
         return 1.0
     return _cond_full(k, r, n, rows)[-1]
 
 
-def cond_full_decode_probs(k: int, n: int, q: int = 2) -> list[float]:
-    """``cond_full_decode_prob(k, r, n, q)`` for r = k..n, in that order."""
-    _check_field(q)
+def cond_full_decode_probs(k: int, n: int) -> list[float]:
+    """``cond_full_decode_prob(k, r, n)`` for r = k..n, in that order."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return _cond_full(k, n, n, _rank_rows(q))
+    return _cond_full(k, n, n, _rank_rows())
 
 
-def full_decode_prob(k: int, n: int, p: float, q: int = 2) -> float:
+def full_decode_prob(k: int, n: int, p: float) -> float:
     """Probability that a systematic-scheme receiver recovers all k packets
     after n transmissions over an erasure channel with loss probability p."""
-    [prob] = full_decode_probs(k, n, (p,), q)
+    [prob] = full_decode_probs(k, n, (p,))
     return prob
 
 
-def full_decode_probs(k: int, n: int, ps, q: int = 2) -> list[float]:
-    """``full_decode_prob(k, n, p, q)`` for each p of ``ps``; the conditional
+def full_decode_probs(k: int, n: int, ps) -> list[float]:
+    """``full_decode_prob(k, n, p)`` for each p of ``ps``; the conditional
     probabilities given each receive count are computed once for all of them."""
     for p in ps:
         _check_erasure(p)
-    cond = cond_full_decode_probs(k, n, q)
+    cond = cond_full_decode_probs(k, n)
     return [_channel_average(n, k, p, cond) for p in ps]
 
 
@@ -153,14 +148,13 @@ def partial_decode_prob_approx(k: int, m: int, n: int, p) -> "float | fractions.
     return prob
 
 
-def sf_full_decode_prob(k: int, n: int, p: float, q: int = 2) -> float:
+def sf_full_decode_prob(k: int, n: int, p: float) -> float:
     """Full-recovery probability of the straightforward scheme: the receive
     count must reach k and the received uniform random matrix must have full rank."""
     _check_erasure(p)
     if n < k:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
-    _check_field(q)
-    rows = _rank_rows(q)
+    rows = _rank_rows()
     # W(k, k + e) for e = 0..n - k as ``full_rank_prob`` reads it: from the
     # at most T rows of the table, then exact 1.0.
     ranks = [row[min(k, len(row) - 1)] for row in rows[: n - k + 1]]
@@ -250,35 +244,36 @@ def _binomial_pmf(a: int, s) -> list:
     return [w / total for w in pmf]
 
 
-def decode_prob_ratio(k: int, r: int, n: int, q: int = 2) -> float:
+def decode_prob_ratio(k: int, r: int, n: int) -> float:
     """How much likelier full recovery from r arrivals is with the systematic
     scheme than with the straightforward one: exactly, above 1 for finite n
-    and tending to 1 as n - k grows; in floats >= 1.0, and 1.0 from r - k = T(q)."""
-    cond = cond_full_decode_prob(k, r, n, q)  # checks 1 <= k <= r <= n first
+    and tending to 1 as n - k grows; in floats >= 1.0, and 1.0 from r - k = T = 54."""
+    cond = cond_full_decode_prob(k, r, n)  # checks 1 <= k <= r <= n first
     # The divisor is W(k, r) >= prod_{j>=1} (1 - 2^-j) > 0.2887 on that domain.
-    return cond / full_rank_prob(k, r, q)
+    return cond / full_rank_prob(k, r)
 
 
-# Cached per q for the life of the process: each table depends on q alone.
-# With ``_LOG_FACTORIALS`` it is the only state this module keeps between calls.
+# Built on first use and kept for the life of the process: the table is a
+# constant. With ``_LOG_FACTORIALS`` it is the only state this module keeps
+# between calls.
 @functools.cache
-def _rank_rows(q: int) -> list[list[float]]:
+def _rank_rows() -> list[list[float]]:
     """The float rank products W(c, c + e) of ``full_rank_prob``, as rows[e][c].
 
-    Let T be the least t with ``1.0 - q**-t == 1.0``; larger t give the same
-    exact 1.0, since q**-t only shrinks. A factor that is exactly 1.0 changes
-    no product, so W(k, k + e) equals the product of its factors with t < T
-    only: rows[e][min(k, T - 1 - e)] for e < T, and 1.0 beyond (T is 54 for
-    q = 2, 35 for q = 3 and 27 for q = 4). Each row is built from the next by
-    rows[e][c + 1] = rows[e + 1][c] * (1 - q^-(e+1)), which is the loop's own
-    last multiplication, so every entry is bit-identical to the loop's value.
+    Let T be the least t with ``1.0 - 2.0**-t == 1.0``, which is 54; larger t
+    give the same exact 1.0, since 2.0**-t only shrinks. A factor that is
+    exactly 1.0 changes no product, so W(k, k + e) equals the product of its
+    factors with t < T only: rows[e][min(k, T - 1 - e)] for e < T, and 1.0
+    beyond. Each row is built from the next by rows[e][c + 1] = rows[e + 1][c]
+    * (1 - 2^-(e+1)), which is the loop's own last multiplication, so every
+    entry is bit-identical to the loop's value.
     """
     t_one = 1
-    while 1.0 - float(q) ** -t_one != 1.0:
+    while 1.0 - 2.0 ** -t_one != 1.0:
         t_one += 1
     rows = [[1.0]]  # e = T - 1: every factor is 1.0
     for e in range(t_one - 2, -1, -1):
-        factor = 1.0 - float(q) ** -(e + 1)
+        factor = 1.0 - 2.0 ** -(e + 1)
         rows.append([1.0] + [w * factor for w in rows[-1]])
     rows.reverse()
     return rows
@@ -404,13 +399,6 @@ def _log_factorials(n: int) -> list[float]:
         with _LOG_FACTORIALS_GROWING:
             table.extend(map(math.lgamma, range(len(table) + 1, n + 2)))
     return table
-
-
-def _check_field(q: int) -> None:
-    if q < 2:
-        raise ValueError(f"field size q={q} must be at least 2")
-    if q > sys.float_info.max:  # every closed form computes in floats of q
-        raise ValueError("field size q is too large for a float")
 
 
 def _check_erasure(p: float) -> None:

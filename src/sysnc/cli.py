@@ -42,7 +42,7 @@ MODES = ("analyze", "simulate", "metrics", "bench")
 DEFAULT_REPETITIONS = 100
 SEARCH_CAP_FACTOR = 8  # metrics mode scans n up to 8k unless --n-max narrows it
 # Work-size caps. The systematic closed form (analyze, and metrics' searches)
-# sums at most T(q) <= 54 terms per receive count r < K + T(q) of each N, with
+# sums at most T = 54 terms per receive count r < K + T of each N, with
 # one big-integer quotient of up to N bits whose binomials start from
 # math.comb once per N and step along r. The channel weights read a shared
 # lgamma table of at most MAX_CLOSED_FORM_N + 1 entries. The simulator keeps
@@ -68,7 +68,7 @@ def _bounded(kind, lo, hi=math.inf, low_open=False):
     def parse(text):
         value, top = kind(text), hi() if callable(hi) else hi
         if not (lo < value if low_open else lo <= value) or not value <= top:
-            shown = text if len(text) <= 24 else f"{text[:20]}..."  # a q of 400 digits
+            shown = text if len(text) <= 24 else f"{text[:20]}..."  # a --p of 400 digits
             raise argparse.ArgumentTypeError(
                 f"{shown} outside {'(' if low_open else '['}{_fmt_p(lo)}, {_fmt_p(top)}]")
         return abs(value)  # every lo >= 0: only -0.0, which would print "-0", changes
@@ -99,7 +99,6 @@ _FIELDS = {
     "n_min": (_bounded(int, 1, MAX_CLOSED_FORM_N), None, ("analyze", "simulate")),
     "n_max": (_bounded(int, 1, MAX_CLOSED_FORM_N), None, _CURVES),
     "p": (_comma_list(_bounded(float, 0, 1)), (), _CURVES),
-    "q": (_bounded(int, 2, sys.float_info.max), 2, ("analyze", "metrics")),  # a float holds q
     "trials": (_bounded(int, 1), None, ("simulate", "metrics", "bench")),
     "seed": (int, None, ("simulate", "metrics", "bench")),
     "p_hat": (_bounded(float, 0, 1, low_open=True), None, ("metrics",)),
@@ -131,14 +130,10 @@ def _validate(cfg: argparse.Namespace) -> argparse.Namespace:
         raise ConfigError(f"K={cfg.k} exceeds the decoder limit of {MAX_LENGTH}")
     if cfg.mode in ("analyze", "metrics") and cfg.k > MAX_CLOSED_FORM_K:
         raise ConfigError(f"K={cfg.k} exceeds the closed-form limit of {MAX_CLOSED_FORM_K}")
-    if simulates and cfg.q != 2:
-        raise ConfigError(f"the simulator is GF(2) only; q={cfg.q} is not supported")
     if cfg.mode == "bench":
         cfg.trials = DEFAULT_REPETITIONS if cfg.trials is None else cfg.trials
         cfg.seed = cfg.seed or 0
         return cfg
-    if cfg.scheme == "ordered-uncoded" and cfg.q != 2:
-        raise ConfigError(f"ordered-uncoded sends no coded packets; q={cfg.q} is not supported")
     if max(cfg.m) > cfg.k:
         raise ConfigError("M exceeds K")
     if cfg.mode in ("analyze", "simulate"):
@@ -188,7 +183,7 @@ def _closed_form_rows(cfg: argparse.Namespace, columns, n: int, approx) -> list:
     cache of ``analysis.partial_decode_prob_approx``, which reads N only
     through min(K, N), so one value per (M, min(K, N), p) serves every N."""
     assert cfg.scheme and cfg.k
-    k, q, scheme = cfg.k, cfg.q, cfg.scheme
+    k, scheme = cfg.k, cfg.scheme
     rows = []
     by_p: dict[float, list[int]] = {}  # p -> the M of its columns computed at N
     for m, p in columns:
@@ -199,13 +194,13 @@ def _closed_form_rows(cfg: argparse.Namespace, columns, n: int, approx) -> list:
     # Each N's systematic conditional decoding probabilities serve every p,
     # so its (K, p) columns take their values from one call, in by_p's order.
     full_ps = [p for p, ms in by_p.items() if k in ms]
-    full = iter(analysis.full_decode_probs(k, n, full_ps, q)
+    full = iter(analysis.full_decode_probs(k, n, full_ps)
                 if scheme == "systematic" and full_ps else ())
     for p, ms in by_p.items():
         if scheme == "ordered-uncoded":
             probs = analysis.ou_partial_decode_probs(k, ms, n, p)
         elif scheme == "straightforward":  # only its M = K columns got here
-            probs = [analysis.sf_full_decode_prob(k, n, p, q)] * len(ms)
+            probs = [analysis.sf_full_decode_prob(k, n, p)] * len(ms)
         else:
             at_k = next(full) if k in ms else None
             probs = [at_k if m == k else approx(k, m, min(k, n), p) for m in ms]
@@ -233,9 +228,9 @@ def cmd_analyze(cfg: argparse.Namespace) -> list[str]:
     rows = [(m, n, p, prob) for n in range(cfg.n_min, cfg.n_max + 1)
             for m, p, prob in _closed_form_rows(cfg, columns, n, approx)]
     kind = lambda m: "approx" if cfg.scheme == "systematic" and m < cfg.k else "exact"
-    lines = ["scheme,K,M,N,p,q,prob,kind"]
+    lines = ["scheme,K,M,N,p,q,prob,kind"]  # q, the field size, is always 2
     lines.extend(
-        f"{cfg.scheme},{cfg.k},{m},{n},{_fmt_p(p)},{cfg.q},{_fmt_prob(prob)},{kind(m)}"
+        f"{cfg.scheme},{cfg.k},{m},{n},{_fmt_p(p)},2,{_fmt_prob(prob)},{kind(m)}"
         for m, n, p, prob in sorted(rows, key=lambda r: r[:3])
     )
     return lines

@@ -162,6 +162,7 @@ class ProgressiveDecoder:
         self.k = k
         self.payload_len = payload_len
         self._mask = (1 << k) - 1  # the coding bits of a row
+        self._pay_bits = 8 * payload_len
         self._decoded = 0  # bitmask of the decoded columns
         self._pivots = 0  # bitmask of the keys of _rows
         self._rows: dict[int, int] = {}  # lowest set bit -> non-unit row | pay << k
@@ -188,8 +189,15 @@ class ProgressiveDecoder:
         return self.receive_words(vector.word, pkt.payload_word)
 
     def receive_words(self, vec: int, pay: int) -> set[int]:
-        """Packed-word fast path of :meth:`receive` (no packet object needed)."""
+        """Packed-word fast path of :meth:`receive` (no packet object needed).
+        Raises DimensionError unless ``0 <= vec < 2**k`` and ``0 <= pay <
+        2**(8 * payload_len)``: a wider coding word would leak into the
+        payload bits of a row."""
         k = self.k
+        if vec >> k:  # a negative word shifts to -1, so it is caught too
+            raise DimensionError(f"coding word does not fit in k={k} bits")
+        if pay >> self._pay_bits:
+            raise DimensionError(f"payload word does not fit in {self._pay_bits} bits")
         done = vec & self._decoded
         if done:  # a decoded column's row is its unit vector
             vec ^= done

@@ -36,10 +36,6 @@ GOLDEN = {
         ("analyze", "--scheme", "systematic", "--m", "6,12", *_ANA),
         "c01e1418c9475447d08754c37d29ed41d3f1c118aaef4172c781afaa4ac136b2",
     ),
-    "analyze-systematic-q4": (
-        ("analyze", "--scheme", "systematic", "--m", "6,12", *_ANA, "--q", "4"),
-        "b8540fc9c88f6b236c338198e0f3e5af456116363230c0dfd40b40a9db5db364",
-    ),
     "analyze-straightforward": (
         ("analyze", "--scheme", "straightforward", "--m", "12", *_ANA),
         "36cba6283992bdd8afcad2e882e7929c4e4265b08a64f9f77b12136ea764efc3",
@@ -51,10 +47,6 @@ GOLDEN = {
     "analyze-systematic-wide": (
         ("analyze", "--scheme", "systematic", "--m", "15,30", *_ANA_WIDE),
         "89eadc63a6a5433dbaf7318dc23a67b858e1b6425c63dbc8aee9e253ab2b810b",
-    ),
-    "analyze-systematic-wide-q3": (
-        ("analyze", "--scheme", "systematic", "--m", "15,30", *_ANA_WIDE, "--q", "3"),
-        "0de2cd035195fdc3567fdff28d229044c58175068f28aa06fe6eb02cada89527",
     ),
     "analyze-straightforward-wide": (
         ("analyze", "--scheme", "straightforward", "--m", "30", *_ANA_WIDE),
@@ -127,13 +119,6 @@ GOLDEN = {
         ("metrics", "--scheme", "ordered-uncoded", "--k", "10", "--m", "3,7,10",
          "--p", "0.05,0.2,0.4", "--p-hat", "0.99"),
         "4360045e978e3ea1865b4ec2f48f6f93c197b701103bd08d600993dbeb93460c",
-    ),
-    # The approximation plateaus below P_hat for M = 19, and for M = 10 at
-    # p = 0.3, so full recovery's N_hat bounds those cells.
-    "metrics-systematic-plateau-q3": (
-        ("metrics", "--scheme", "systematic", "--k", "20", "--m", "10,19,20",
-         "--p", "0.1,0.3", "--p-hat", "0.99", "--q", "3"),
-        "756a8d226375507b472c19201028e671b65e58dc0364371906f886a86053bd4e",
     ),
     # An --n-max above partial recovery's target and below full recovery's.
     "metrics-systematic-capped": (

@@ -253,12 +253,12 @@ def rank_product_loop(k: int, r: int, q: int) -> float:
     return prod
 
 
-def cond_window_loop(k: int, r: int, n: int, q: int) -> float:
+def cond_window_loop(k: int, r: int, n: int) -> float:
     """``cond_full_decode_prob`` in floats with every correction of its window
     added: W_inf plus H(h) (W(k - h, r - h) - W_inf) for each h of the window,
     below the anchor from it downwards and then from it upwards, each H(h) from
     its neighbour by the ratio recurrence and the anchor an exact quotient."""
-    rows = _rank_rows(q)
+    rows = _rank_rows()
     e, m = r - k, n - k
     if e >= len(rows) - 1:
         return 1.0

@@ -31,7 +31,7 @@ def test_criterion_1_closed_form_matches_enumeration():
         for n in range(k, 9):
             for r in range(k, n + 1):
                 expected = cond_full_oracle(k, r, n)
-                got = analysis.cond_full_decode_prob(k, r, n, 2)
+                got = analysis.cond_full_decode_prob(k, r, n)
                 worst = max(worst, abs(got - float(expected)))
                 points += 1
                 exact = cond_full_decode_prob_exact(k, r, n, 2)
@@ -43,19 +43,18 @@ def test_criterion_1_closed_form_matches_enumeration():
 
 def test_criterion_2_systematic_beats_straightforward_on_grid():
     """Strict advantage of the systematic conditional probability over the
-    plain full-rank probability, for q in {2, 3, 4}."""
+    plain full-rank probability over GF(2)."""
     min_gap = float("inf")
     points = 0
-    for q in (2, 3, 4):
-        for k in range(1, 13):
-            for r in range(k, k + 13):
-                for n in range(r, k + 13):
-                    f = analysis.cond_full_decode_prob(k, r, n, q)
-                    w = analysis.full_rank_prob(k, r, q)
-                    assert f >= w - 1e-12, (q, k, r, n)
-                    assert f > w, (q, k, r, n, "strictness")
-                    min_gap = min(min_gap, f - w)
-                    points += 1
+    for k in range(1, 13):
+        for r in range(k, k + 13):
+            for n in range(r, k + 13):
+                f = analysis.cond_full_decode_prob(k, r, n)
+                w = analysis.full_rank_prob(k, r)
+                assert f >= w - 1e-12, (k, r, n)
+                assert f > w, (k, r, n, "strictness")
+                min_gap = min(min_gap, f - w)
+                points += 1
     _report(2, True, f"{points} grid points, min strict gap = {min_gap:.2e}")
 
 

@@ -210,17 +210,6 @@ class TestMetrics:
         fields = out.strip().splitlines()[1].split(",")
         assert fields[5:] == ["25", "25", "0"]
 
-    @pytest.mark.parametrize("scheme,m", [("systematic", "2,4"), ("straightforward", "4")])
-    def test_closed_forms_keep_q(self, scheme, m, capsys):
-        # only the simulated straightforward M < K column is GF(2)-only
-        code, out, _ = run_cli(
-            ["metrics", "--scheme", scheme, "--k", "4", "--m", m, "--p", "0.1",
-             "--p-hat", "0.7", "--q", "4", "--workers", "2"],
-            capsys,
-        )
-        assert code == EXIT_OK
-        assert len(out.strip().splitlines()) == 1 + len(m.split(","))
-
     def test_unreachable_cells(self, capsys):
         # the systematic-only approximation plateaus below the target, and
         # full recovery, which would bound it, needs N = 30, past the cap
@@ -379,7 +368,7 @@ class TestMetrics:
 
         spied = {
             "systematic": {
-                "full_decode_probs": lambda k, n, ps, q: ([(k, p) for p in ps], n),
+                "full_decode_probs": lambda k, n, ps: ([(k, p) for p in ps], n),
                 "partial_decode_prob_approx": lambda k, m, n, p: ([(m, p)], n),
             },
             "ordered-uncoded": {
@@ -403,14 +392,14 @@ class TestMetrics:
             assert n_hat[m, p] <= n_hat[40, p]
 
 
-def metrics_oracle(scheme, k, ms, ps, q, p_hat, n_max, trials, seed):
+def metrics_oracle(scheme, k, ms, ps, p_hat, n_max, trials, seed):
     """The metrics CSV from ``min_packets_for_target`` per (M, p) over the
     per-N closed forms, each search starting at N = M; the straightforward
     M < K column reads the same ``run_trials`` counts as the CLI."""
     n_cap = n_max if n_max is not None else cli.SEARCH_CAP_FACTOR * k
     full_at = {
-        "systematic": lambda n, p: analysis.full_decode_prob(k, n, p, q),
-        "straightforward": lambda n, p: analysis.sf_full_decode_prob(k, n, p, q),
+        "systematic": lambda n, p: analysis.full_decode_prob(k, n, p),
+        "straightforward": lambda n, p: analysis.sf_full_decode_prob(k, n, p),
         "ordered-uncoded": lambda n, p: float(analysis.ou_partial_decode_prob(k, k, n, p)),
     }[scheme]
     partial = sorted({m for m in ms if m < k})
@@ -460,8 +449,8 @@ def test_closed_form_rows_skip_removed_columns(seed, monkeypatch):
         monkeypatch.setattr(analysis, name, recording)
 
     # The systematic approximation calls ou_partial_decode_probs itself.
-    spy("full_decode_probs", lambda k, n, ps, q: [(k, p) for p in ps])
-    spy("sf_full_decode_prob", lambda k, n, p, q: [(k, p)])
+    spy("full_decode_probs", lambda k, n, ps: [(k, p) for p in ps])
+    spy("sf_full_decode_prob", lambda k, n, p: [(k, p)])
     spy("ou_partial_decode_probs", lambda k, ms, n, p: [(m, p) for m in ms])
     approx = analysis.partial_decode_prob_approx
     rng = random.Random(seed)
@@ -470,14 +459,14 @@ def test_closed_form_rows_skip_removed_columns(seed, monkeypatch):
         k = rng.randint(1, 8)
         ms = rng.sample(range(1, k + 1), rng.randint(1, k))
         ps = rng.sample((0.0, 0.05, 0.1, 0.3, 0.5, 1.0), rng.randint(1, 3))
-        cfg = argparse.Namespace(mode="analyze", scheme=scheme, k=k, q=rng.choice((2, 3)))
+        cfg = argparse.Namespace(mode="analyze", scheme=scheme, k=k)
         n = rng.randint(1, 3 * k)
         columns = [(m, p) for m in ms for p in ps]
         subset = [column for column in columns if rng.random() < 0.5]
         whole = cli._closed_form_rows(cfg, columns, n, approx)
         asked.clear()
         rows = cli._closed_form_rows(cfg, subset, n, approx)
-        context = (scheme, k, n, cfg.q, subset)
+        context = (scheme, k, n, subset)
         assert sorted(rows) == sorted(row for row in whole if row[:2] in subset), context
         assert set(asked) <= set(subset), context
 
@@ -496,7 +485,7 @@ def test_closed_form_rows_non_increasing_in_m(seed):
         k = rng.randint(1, 60)
         n = rng.randint(1, 3 * k)
         p = rng.choice((0.0, 1.0, 0.99999, 0.05, 0.5, rng.random()))
-        cfg = argparse.Namespace(mode="analyze", scheme=scheme, k=k, q=2)
+        cfg = argparse.Namespace(mode="analyze", scheme=scheme, k=k)
         ms = range(1, k + 1 if scheme == "ordered-uncoded" else k)
         rows = cli._closed_form_rows(cfg, [(m, p) for m in ms], n,
                                      analysis.partial_decode_prob_approx)
@@ -509,7 +498,7 @@ def test_closed_form_rows_non_increasing_in_m(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_closed_form_rows_monotone_in_n_and_p(seed):
-    """At random (scheme, K <= 60, N <= 3K, q, two p), with p = 0, 1 and
+    """At random (scheme, K <= 60, N <= 3K, two p), with p = 0, 1 and
     0.99999 among them, P of every column does not fall from N to N + 1, and
     does not rise from the smaller p to the larger, up to rounding:
     - ordered-uncoded and the systematic approximation within 8 ulp; over
@@ -531,19 +520,18 @@ def test_closed_form_rows_monotone_in_n_and_p(seed):
         n = rng.randint(1, 3 * k)
         p_lo, p_hi = sorted(rng.choice((0.0, 1.0, 0.99999, 0.05, 0.5, rng.random()))
                             for _ in range(2))
-        q = 2 if scheme == "ordered-uncoded" else rng.choice((2, 3))
-        cfg = argparse.Namespace(mode="analyze", scheme=scheme, k=k, q=q)
+        cfg = argparse.Namespace(mode="analyze", scheme=scheme, k=k)
         ms = [k] if scheme == "straightforward" else range(1, k + 1)
         columns = [(m, p) for m in ms for p in (p_lo, p_hi)]
         now, later = ({(m, p): prob for m, p, prob in
                        cli._closed_form_rows(cfg, columns, at_n, approx)}
                       for at_n in (n, n + 1))
         for (m, p), prob in now.items():
-            at_least(prob, later[m, p], m, (scheme, k, n, q, p))
+            at_least(prob, later[m, p], m, (scheme, k, n, p))
         for at_n, rows in ((n, now), (n + 1, later)):
             for m in ms:
                 if (m, p_lo) in rows:
-                    at_least(rows[m, p_hi], rows[m, p_lo], m, (scheme, k, at_n, q, p_lo, p_hi))
+                    at_least(rows[m, p_hi], rows[m, p_lo], m, (scheme, k, at_n, p_lo, p_hi))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -562,20 +550,18 @@ def test_metrics_scan_matches_per_target_search(seed, capsys):
               for _ in range(rng.randint(1, 3))]
         ps += ps[:rng.randint(0, 1)]  # a repeated p
         simulated = scheme == "straightforward" and min(ms) < k
-        # The simulator and ordered-uncoded take q = 2 only.
-        q = 2 if simulated or scheme == "ordered-uncoded" else rng.choice((2, 3))
         p_hat = rng.choice((0.5, 0.7, 0.9, 0.99, 1.0))
         n_max = rng.choice((None, rng.randint(k, 3 * k), rng.randint(3 * k, 8 * k)))
         trials, sim_seed = rng.randint(1, 40), rng.randint(0, 9)
         argv = ["metrics", "--scheme", scheme, "--k", str(k),
                 "--m", ",".join(map(str, ms)), "--p", ",".join(map(str, ps)),
-                "--q", str(q), "--p-hat", str(p_hat)]
+                "--p-hat", str(p_hat)]
         argv += [] if n_max is None else ["--n-max", str(n_max)]
         argv += ["--trials", str(trials), "--seed", str(sim_seed)] if simulated else []
         code, out, err = run_cli(argv, capsys)
         assert code == EXIT_OK, (argv, err)
         assert out == metrics_oracle(
-            scheme, k, ms, ps, q, p_hat, n_max, trials, sim_seed
+            scheme, k, ms, ps, p_hat, n_max, trials, sim_seed
         ), argv
         for row in out.splitlines()[1:]:
             n_partial, n_full, delta = row.split(",")[5:]
@@ -612,7 +598,7 @@ class TestConfigHandling:
         """The run config is the parsed Namespace: the subcommand as ``mode``
         and, on every subcommand, every field of ``_FIELDS``, each flag not
         given at its default. ``_validate`` reads fields whose flag the
-        subcommand does not take, such as ``q`` on simulate."""
+        subcommand does not take, such as ``trials`` on analyze."""
         cfg = cli.config_from_args(build_parser().parse_args(argv))
         assert set(vars(cfg)) == {"mode", *cli._FIELDS}
         assert cfg.mode == argv[0]
@@ -625,10 +611,10 @@ class TestConfigHandling:
                 assert getattr(cfg, key) == default, key
 
     @pytest.mark.parametrize("mode,flags", [
-        ("analyze", "--scheme --k --m --n --n-min --n-max --p --q --out --workers"),
+        ("analyze", "--scheme --k --m --n --n-min --n-max --p --out --workers"),
         ("simulate", "--scheme --k --m --n --n-min --n-max --p --trials --seed --out "
                      "--workers"),
-        ("metrics", "--scheme --k --m --n-max --p --q --trials --seed --p-hat --out "
+        ("metrics", "--scheme --k --m --n-max --p --trials --seed --p-hat --out "
                     "--workers"),
         ("bench", "--k --trials --seed --out"),
     ], ids=MODES)
@@ -722,9 +708,6 @@ class TestConfigHandling:
         (["analyze", *_OU_1, "--n-min=100000", "--n-max={}"], "100000", "100001"),
         (["analyze", *_OU_1, "--n=1", "--p={}"], "0", repr(math.nextafter(0.0, -1.0))),
         (["analyze", *_OU_1, "--n=1", "--p={}"], "1", repr(math.nextafter(1.0, 2.0))),
-        (["analyze", *_SYS_1, "--n=1", "--q={}"], "2", "1"),
-        (["analyze", *_SYS_1, "--n=1", "--q={}"],
-         str(int(sys.float_info.max)), str(int(sys.float_info.max) + 1)),
         (["simulate", *_SYS_1, "--n=1", "--seed=1", "--trials={}"], "1", "0"),
         (["metrics", *_OU_1, "--p-hat={}"], "5e-324", "0"),
         (["metrics", *_OU_1, "--p-hat={}"], "1", repr(math.nextafter(1.0, 2.0))),
@@ -733,7 +716,7 @@ class TestConfigHandling:
         (["bench", "--k=1", "--trials=1", "--out={}"], "{tmp}/out.csv",
          "{tmp}/missing/out.csv"),
     ], ids=["k", "m", "n-low", "n-high", "n-min-low", "n-min-high", "n-max-low",
-            "n-max-high", "p-low", "p-high", "q-low", "q-high", "trials", "p-hat-low",
+            "n-max-high", "p-low", "p-high", "trials", "p-hat-low",
             "p-hat-high", "workers-low", "workers-high", "out"])
     def test_each_flag_parser_checks_its_bounds(self, argv, bound, past, tmp_path, capsys):
         """Each flag's parser in ``_FIELDS`` holds its range: the bound itself
@@ -774,7 +757,7 @@ class TestConfigHandling:
             ["analyze", "--scheme", "systematic", "--k", "4", "--m", "2.5", "--n", "4", "--p", "0.1"],
             ["analyze", "--scheme", "systematic", "--k", "true", "--m", "1", "--n", "4", "--p", "0.1"],
             ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--out", "{tmp}/missing/rows.csv"],
-            # the simulator is GF(2) only
+            # the package is GF(2) only, so no subcommand takes --q
             ["simulate", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--trials", "1", "--seed", "1", "--q", "4"],
             ["metrics", "--scheme", "straightforward", "--k", "4", "--m", "2", "--p", "0.1", "--p-hat", "0.5", "--trials", "1", "--seed", "1", "--q", "4"],
             # flags the subcommand does not read
@@ -801,7 +784,7 @@ class TestConfigHandling:
             # an empty list item, and a p that is not a number
             ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1,,0.2"],
             ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "nan"],
-            # a q too large for a float
+            # --q of 400 digits
             ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--q", "1" + "0" * 400],
             ["metrics", "--scheme", "systematic", "--k", "2", "--m", "2", "--p", "0.1", "--p-hat", "0.5", "--q", "1" + "0" * 400],
             # probabilities too large for a float
@@ -835,7 +818,7 @@ class TestConfigHandling:
             ["metrics", "--scheme", "ordered-uncoded", "--k", "4", "--m", "2", "--p", "0.1", "--p-hat", "0.7", "--seed", "3"],
             # the subcommand is the mode; no flag names another
             ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--mode", "simulate"],
-            # simulate takes no --q: the simulator is GF(2) only
+            # --q 2, the one field, is no flag either
             ["simulate", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--trials", "1", "--seed", "1", "--q", "2"],
             # no workers, no repetitions, and an unknown scheme
             ["simulate", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--trials", "1", "--seed", "1", "--workers", "0"],
@@ -848,12 +831,16 @@ class TestConfigHandling:
             ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n-min", "5", "--n-max", "3", "--p", "0.1"],
             ["analyze", "--scheme", "systematic", "--k", "5", "--m", "5", "--n-min", "1", "--n-max", "3", "--p", "0.1"],
             ["metrics", "--scheme", "systematic", "--k", "5", "--m", "5", "--p", "0.1", "--p-hat", "0.7", "--n-max", "4"],
-            # ordered-uncoded codes nothing, so it takes no q but 2
+            # --q on ordered-uncoded
             ["analyze", "--scheme", "ordered-uncoded", "--k", "4", "--m", "2", "--n", "4", "--p", "0.1", "--q", "3"],
             ["metrics", "--scheme", "ordered-uncoded", "--k", "10", "--m", "3,7,10", "--p", "0.05,0.2,0.4", "--p-hat", "0.99", "--q", "7"],
             # a flag's parser checks every value given, also one a later
             # value of the same flag replaces
             ["metrics", "--scheme", "ordered-uncoded", "--k", "4", "--m", "2", "--p", "0.1", "--p-hat", "1.5", "--p-hat", "0.5"],
+            # --q 2 on the closed forms, and GF(6), which is no field
+            ["analyze", "--scheme", "systematic", "--k", "2", "--m", "2", "--n", "3", "--p", "0.1", "--q", "2"],
+            ["metrics", "--scheme", "systematic", "--k", "4", "--m", "2,4", "--p", "0.1", "--p-hat", "0.7", "--q", "2"],
+            ["analyze", "--scheme", "systematic", "--k", "3", "--m", "3", "--n", "5", "--p", "0.1", "--q", "6"],
         ],
     )
     def test_config_errors_exit_2(self, bad, tmp_path, capsys, monkeypatch):

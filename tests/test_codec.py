@@ -229,6 +229,22 @@ class TestProgressiveDecoder:
         with pytest.raises(DimensionError):
             dec.receive(make_packet([1, 0, 0], b"a"))
 
+    @pytest.mark.parametrize("vec,pay", [
+        (0b101, 0),  # coding bit 2 would have landed in the payload bits
+        (0b100, 0), (-1, 0), (0b01, 1 << 8), (0b01, -1), (0, 1 << 8),
+    ])
+    def test_receive_words_rejects_words_that_do_not_fit(self, vec, pay):
+        """A coding word of more than k bits, a payload word of more than
+        payload_len bytes, or a negative word is rejected on arrival, and
+        leaves the decoder as it was."""
+        dec = ProgressiveDecoder(2, 1)
+        dec.receive_words(0b11, 0x5A)
+        with pytest.raises(DimensionError):
+            dec.receive_words(vec, pay)
+        assert decoded_indices(dec) == frozenset()
+        assert dec.receive_words(0b01, 0xFF) == {1, 2}
+        assert dec.recovered_payloads == {1: b"\xff", 2: b"\xa5"}
+
     def test_zero_packet_absorbed(self):
         dec = ProgressiveDecoder(2, 1)
         assert dec.receive(make_packet([0, 0], b"\x00")) == set()
