@@ -5,7 +5,12 @@ One encoder, :func:`encode`, serves three schemes with one packet format:
 combinations afterwards, ``straightforward`` sends uniform random
 combinations from the start, and ``ordered-uncoded`` cycles through the plain
 source packets. Uniform sampling deliberately includes the all-zero vector;
-decoders absorb it as a no-op.
+decoders absorb it as a no-op. Which packets are unit vectors is one rule,
+:func:`unit_sends`: the count U of leading unit-vector sends, K for
+systematic, 0 for straightforward and every send for ordered-uncoded.
+:func:`coding_word` applies it packet by packet for the encoders. The trial
+kernel ``simulator._first_reach`` reads U once per trial instead: its unit
+phase reads only the channel, and its coded phase makes one draw per send.
 
 Decoding comes in two flavours:
 
@@ -50,6 +55,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 from functools import partial
 from itertools import compress
+from math import inf
 
 from .gf2 import MAX_LENGTH, CodingVector, DimensionError, bit_flags
 
@@ -103,16 +109,26 @@ def combine_words(packet_words: Sequence[int], vector_word: int) -> int:
     return acc
 
 
+# Leading unit-vector sends of each scheme, in multiples of k (see unit_sends).
+_UNIT_GENERATIONS = {"systematic": 1, "straightforward": 0, "ordered-uncoded": inf}
+
+
+def unit_sends(scheme: str, k: int) -> int | float:
+    """U, the count of leading unit-vector sends of ``scheme``: k for
+    systematic, 0 for straightforward and ``inf`` for ordered-uncoded, which
+    never codes. Packet n <= U is the unit vector of bit (n - 1) % k and costs
+    no draw; every later packet is coded."""
+    return _UNIT_GENERATIONS[scheme] * k
+
+
 def coding_word(scheme: str, k: int, n: int, rng) -> int:
-    """Packed coding vector of packet n (1-based) under ``scheme``, the one
-    statement of the scheme rules. Unit vectors cost no draw; a coded packet
-    takes one ``rng.getrandbits(k)``, whose bit i-1 weights source packet i."""
+    """Packed coding vector of packet n (1-based) under ``scheme``, by the rule
+    of :func:`unit_sends`: a unit vector for n <= U, else one
+    ``rng.getrandbits(k)``, whose bit i-1 weights source packet i."""
     if n < 1:
         raise ValueError("packet index n is 1-based")
-    if scheme == "ordered-uncoded":
-        return 1 << ((n - 1) % k)
-    if scheme == "systematic" and n <= k:
-        return 1 << (n - 1)
+    if n <= _UNIT_GENERATIONS[scheme] * k:  # unit_sends, inline: encode calls this per packet
+        return 1 << (n - 1) % k
     return rng.getrandbits(k)
 
 

@@ -13,19 +13,22 @@ any parallel scheduling of trials.
   not the channel later drops it.
 
 A trial counts decoded packets from its coding vectors alone, which fix the
-decodable set, so it builds no payload. The vectors come from
-:func:`codec.coding_word`, the one scheme rule the packet encoders use too.
-The count-only kernel :func:`_first_reach` keeps just the row space, as a
-forward echelon whose rows carry recipe bits that name the arrivals they
-combine. After the last arrival, triangular solves of that echelon, one per
-arrival taken latest first, give the first n at which each packet is
-decoded, and so the first n at which each count is reached. They stop as
-soon as every count the caller asks for is placed, usually after one or two
-solves. The tests hold the kernel to the fully reduced form that
-:class:`codec.ProgressiveDecoder` keeps after every arrival, and to the
-kernel's earlier form in that shape. :func:`run_trials` returns, for each
-M, the number of trials that decoded at least M packets after each N; a
-caller divides by the trial count.
+decodable set, so it builds no payload. Its sends come in two phases, split
+at :func:`codec.unit_sends`, the scheme rule that :func:`codec.coding_word`
+and so the packet encoders follow too: the first U sends carry unit vectors
+and read only the channel, and each later send draws its coding word before
+the channel is read. So a trial draws what ``coding_word`` would for the same
+sends without a call per send. The count-only kernel :func:`_first_reach`
+keeps just the row space, as a forward echelon whose rows carry recipe bits
+that name the arrivals they combine. After the last arrival, triangular
+solves of that echelon, one per arrival taken latest first, give the first n
+at which each packet is decoded, and so the first n at which each count is
+reached. They stop as soon as every count the caller asks for is placed,
+usually after one or two solves. The tests hold the kernel to the fully
+reduced form that :class:`codec.ProgressiveDecoder` keeps after every
+arrival, and to the kernel's earlier form in that shape. :func:`run_trials`
+returns, for each M, the number of trials that decoded at least M packets
+after each N; a caller divides by the trial count.
 """
 
 from __future__ import annotations
@@ -42,9 +45,10 @@ from .codec import (
     ProgressiveDecoder,
     SourceMessage,
     TransmittedPacket,
-    coding_word,
     full_rank_decode,
+    unit_sends,
 )
+from .gf2 import MAX_LENGTH
 
 BENCH_DECODERS = ("ge", "gepd")
 
@@ -90,11 +94,17 @@ def _first_reach(
     n_hi + 1, an upper bound; ``range(k + 1)`` asks for all of them.
 
     Which packets are decodable depends only on the received coding vectors,
-    so no payload is kept. Every arrival is masked by ``~decoded``, the
-    bitmask of the columns decoded while only unit vectors had arrived: until
-    the first coded (non-unit) arrival, a new unit vector just decodes its
-    column. Ordered-uncoded sends only unit vectors, so it never leaves that
-    path and its count is the number of distinct ones received.
+    so no payload is kept. The sends come in two phases, split at U =
+    ``unit_sends(scheme, k)``. Each send n <= min(n_hi, U) of the unit phase
+    reads one channel draw and nothing else; if it arrives, its unit vector
+    decodes column (n - 1) % k unless that column is decoded already.
+    Ordered-uncoded, whose U is unbounded, never leaves this phase, so its
+    count is the number of distinct unit vectors received. Each later send of
+    the coded phase draws ``encoder.getrandbits(k)`` before the channel is
+    read, so a dropped packet still makes its draw, and masks the draw by
+    ``live``, the columns not decoded while only unit vectors had arrived:
+    until the first coded (non-unit) arrival, a masked draw that is a unit
+    vector just decodes its column and leaves ``live``.
 
     From the first coded arrival on, each innovative arrival is stored as
     ``vec << k | 1 << j``: recipe bit j marks the j-th stored arrival, sent at
@@ -123,15 +133,28 @@ def _first_reach(
     first = [n_hi + 1] * (k + 1)
     first[0] = 0
     done = decoded = 0
+    units = min(n_hi, unit_sends(scheme, k))
+    for n in range(1, units + 1):  # the unit phase: channel draws alone
+        if channel() < p:
+            continue
+        col = 1 << (n - 1) % k
+        if not decoded & col:
+            decoded |= col
+            done += 1
+            first[done] = n
+            if done == k:
+                return first
+    draw = encoder.getrandbits
+    live = ((1 << k) - 1) ^ decoded
     arrivals: list[int] = []
     rows = [0] * (2 * k + 1)  # rows[b]: the stored row of bit length b > k
-    for n in range(1, n_hi + 1):
-        vec = coding_word(scheme, k, n, encoder) & ~decoded
+    for n in range(units + 1, n_hi + 1):  # the coded phase: one draw per send
+        vec = draw(k) & live
         if channel() < p or not vec:
             continue
         if not arrivals and not vec & (vec - 1):
             # A new unit vector and no coded row yet.
-            decoded |= vec
+            live ^= vec
             done += 1
             first[done] = n
             if done == k:
@@ -139,8 +162,8 @@ def _first_reach(
             continue
         row = vec << k | 1 << len(arrivals)
         top = row.bit_length()
-        while rows[top]:
-            row ^= rows[top]
+        while (r := rows[top]):
+            row ^= r
             top = row.bit_length()
         if top > k:  # innovative
             rows[top] = row
@@ -159,7 +182,7 @@ def _first_reach(
                 x |= key
         return x
 
-    unplaced = free = ((1 << k) - 1) ^ decoded
+    unplaced = free = live
     for _, key, _ in stored:
         free ^= key
     left = k - done  # unplaced.bit_count()
@@ -224,6 +247,8 @@ def run_trials(
         raise ValueError(f"erasure probability {p} outside [0, 1]")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    if not 1 <= k <= MAX_LENGTH:
+        raise ValueError(f"generation size k={k} outside [1, {MAX_LENGTH}]")
     if trials < 1:
         raise ValueError("trials must be positive")
     if workers < 1:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -26,9 +27,11 @@ from sysnc.codec import (
     ProgressiveDecoder,
     SourceMessage,
     TransmittedPacket,
+    coding_word,
     combine_words,
     encode,
     full_rank_decode,
+    unit_sends,
 )
 from sysnc.gf2 import MAX_LENGTH, CodingVector, DimensionError
 
@@ -159,6 +162,24 @@ class TestEncoders:
             SourceMessage(())
         with pytest.raises(ValueError):
             SourceMessage((b"", b""))
+
+
+class TestUnitSends:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("k", [1, 2, 5, 40])
+    def test_coding_word_follows_unit_sends(self, scheme, k):
+        """Packet n <= U is the unit vector of bit (n - 1) % k and leaves the
+        rng untouched; every later packet is one getrandbits(k) draw."""
+        u = unit_sends(scheme, k)
+        assert u == {"systematic": k, "straightforward": 0, "ordered-uncoded": math.inf}[scheme]
+        rng, twin = random.Random(k), random.Random(k)
+        for n in range(1, 3 * k + 3):
+            vec = coding_word(scheme, k, n, rng)
+            if n <= u:
+                assert vec == 1 << (n - 1) % k
+            else:
+                assert vec == twin.getrandbits(k)
+            assert rng.getstate() == twin.getstate(), (scheme, k, n)
 
 
 # Generation sizes on either side of a 30-bit CPython digit and of 64-bit

@@ -11,7 +11,9 @@ from sysnc.codec import (
     SCHEMES,
     ProgressiveDecoder,
     coding_word,
+    unit_sends,
 )
+from sysnc.gf2 import MAX_LENGTH
 from sysnc import simulator
 from sysnc.simulator import (
     bench_decoders,
@@ -39,6 +41,18 @@ class TestErase:
         for p in (-0.1, 1.5):
             with pytest.raises(ValueError):
                 run_trials("systematic", 2, [1], (1, 2), p, 0, 1)
+
+    def test_k_validated_before_any_work(self, monkeypatch):
+        """A generation size outside [1, MAX_LENGTH] is rejected before any
+        block runs; k = 0 with no M would otherwise divide by zero."""
+        monkeypatch.setattr(simulator, "_count_block", None)  # no block may run
+        for k, m_list in ((0, []), (0, [1]), (-1, [1]), (MAX_LENGTH + 1, [1]), (2000, [1])):
+            with pytest.raises(ValueError, match="generation size"):
+                run_trials("systematic", k, m_list, (1, 2), 0.1, 0, 1)
+
+    def test_k_at_the_limit_runs(self):
+        [counts] = run_trials("straightforward", MAX_LENGTH, [1], (1, 2), 1.0, 0, 1)
+        assert counts == [0, 0]
 
 
 class TestStreams:
@@ -127,6 +141,58 @@ class TestTrialPaths:
         assert _count_block(block) == success
 
 
+class RecordingStream(random.Random):
+    """A derived stream that logs each ``getrandbits`` call, with its width
+    and word, and counts its ``random`` draws."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.bits = []
+        self.draws = 0
+
+    def getrandbits(self, k):
+        word = super().getrandbits(k)
+        self.bits.append((k, word))
+        return word
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+class TestDraws:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_kernel_draws_what_coding_word_draws(self, scheme, monkeypatch):
+        """The kernel reads one channel draw per send until the rank break
+        (full rank, or n_hi), and its encoder calls are exactly those
+        coding_word makes for the same sends: one getrandbits(k) per coded
+        send, dropped or not, and none for a unit send."""
+        rng = random.Random(35)
+        coded_drops = 0
+        for _ in range(400):
+            k = rng.choice([1, 2, 3, 5, 8, 40, 65])
+            n_hi = rng.randint(1, 3 * k + 5)
+            p = rng.choice([0.0, 0.1, 0.5, 0.9, 1.0])
+            seed, trial = rng.getrandbits(32), rng.randrange(10**6)
+            last = min(rref_first_reach(scheme, k, n_hi, p, seed, trial)[k], n_hi)
+            streams = {}
+            monkeypatch.setattr(simulator, "derive_stream", lambda s, t, role: streams.setdefault(
+                role, RecordingStream(_mix(role, s, t))))
+            _first_reach(scheme, k, n_hi, p, seed, trial, range(k + 1))
+            monkeypatch.undo()
+            assert list(streams) == ["encoder", "channel"]
+            assert streams["channel"].draws == last
+            replay = RecordingStream(_mix("encoder", seed, trial))
+            for n in range(1, last + 1):
+                coding_word(scheme, k, n, replay)
+            assert streams["encoder"].bits == replay.bits, (scheme, k, n_hi, p, seed, trial)
+            assert len(replay.bits) == max(0, last - unit_sends(scheme, k))
+            channel = random.Random(_mix("channel", seed, trial)).random
+            coded_drops += sum(channel() < p and n > unit_sends(scheme, k)
+                               for n in range(1, last + 1))
+        assert (coded_drops > 100) == (scheme != "ordered-uncoded"), coded_drops
+
+
 def received(scheme, k, n_hi, p, seed, trial):
     """(n, coding word) of each packet of one trial that the channel lets
     through, replayed from the trial's derived streams."""
@@ -174,6 +240,23 @@ class TestForwardEchelonKernel:
             below += any(m <= done for m in ms)
             above += any(m > done for m in ms)
         assert below > 500 and above > 500, (below, above)
+
+    @pytest.mark.parametrize("scheme, k, n_hi, p", [
+        # systematic around the phase boundary: unit phase only, exactly
+        # the unit phase, and one coded send after it
+        *(("systematic", k, n_hi, p) for k in (5, 40) for n_hi in (k - 1, k, k + 1)
+          for p in (0.1, 0.3)),
+        # a lossless and a dead channel
+        *((scheme, 6, 20, p) for scheme in SCHEMES for p in (0.0, 1.0)),
+        # one source packet: every coded word is 0 or the unit vector
+        *((scheme, 1, 6, p) for scheme in SCHEMES for p in (0.0, 0.5)),
+        # ordered-uncoded over several cycles of its k sends
+        ("ordered-uncoded", 4, 30, 0.7), ("ordered-uncoded", 7, 50, 0.5),
+    ])
+    def test_phase_boundaries(self, scheme, k, n_hi, p):
+        for trial in range(40):
+            args = (scheme, k, n_hi, p, 2015, trial)
+            assert _first_reach(*args, range(k + 1)) == rref_first_reach(*args), args
 
     def test_unit_vectors_after_coded_rows(self):
         """Three coded packets, then e_4 decodes packet 4 on its own at n=4,
